@@ -10,16 +10,13 @@ staying on top.
 from __future__ import annotations
 
 import argparse
-import copy
 
 import numpy as np
 
-from openset.calibration import select_bias
-from openset.datastore import LabeledSet, OpenSplit, fit_standardization, gen_gaussian_blobs, split_known_unknown
-from openset.metrics import evaluate, openness
-from openset.trainer import TrainConfig, finetune_placeholders, pretrain_closed
-
-MODES = ("baseline", "dummy_only", "mixup_only", "full")
+from openset.datastore import LabeledSet, OpenSplit, gen_gaussian_blobs
+from openset.metrics import openness
+from openset.pipeline import mode_sweep, prepare
+from openset.trainer import TRAIN_MODES, TrainConfig, pretrain_closed
 
 
 def main() -> None:
@@ -35,31 +32,20 @@ def main() -> None:
     max_classes = args.known + max(args.unknown_counts)
     data = gen_gaussian_blobs(max_classes, args.per_class, dim=2,
                               center_scale=6.0, spread=0.35, seed=args.seed)
+    config = TrainConfig(pretrain_epochs=args.pretrain_epochs,
+                         finetune_epochs=args.finetune_epochs, seed=args.seed)
 
-    print(f"{'unknown':>8s} {'openness':>9s} " + " ".join(f"{m:>11s}" for m in MODES))
+    print(f"{'unknown':>8s} {'openness':>9s} " + " ".join(f"{m:>11s}" for m in TRAIN_MODES))
     for n_unknown in args.unknown_counts:
         known = list(range(args.known))
         unknown = list(range(args.known, args.known + n_unknown))
         keep = np.isin(data.labels, known + unknown)
         subset = LabeledSet(data.features[keep], data.labels[keep])
         split = OpenSplit(known, unknown, val_fraction=0.1, test_fraction=0.3, seed=args.seed)
-        train, val, test = split_known_unknown(subset, split)
-        stats = fit_standardization(train.features)
-        std = lambda s: LabeledSet(stats.apply(s.features), s.labels)
-        train, val, test = std(train), std(val), std(test)
-
-        recipe = dict(pretrain_epochs=args.pretrain_epochs,
-                      finetune_epochs=args.finetune_epochs, seed=args.seed)
-        pretrained = pretrain_closed(train, TrainConfig(**recipe))
-        f1s = []
-        for mode in MODES:
-            model = finetune_placeholders(copy.deepcopy(pretrained), train,
-                                          TrainConfig(train_mode=mode, **recipe))
-            model.calibration_bias = select_bias(model, val).chosen_bias
-            score = "max_softmax" if mode == "baseline" else "knownness"
-            report = evaluate(model, test, score=score,
-                              n_test_classes=args.known + n_unknown)
-            f1s.append(report.macro_f1)
+        train, val, test, _ = prepare(subset, split)
+        pretrained = pretrain_closed(train, config)
+        results = mode_sweep(pretrained, train, val, test, split, config)
+        f1s = [report.macro_f1 for _, _, report in results.values()]
         pct = openness(args.known, args.known + n_unknown)
         print(f"{n_unknown:>8d} {pct:>8.2f}% " + " ".join(f"{f:>11.3f}" for f in f1s))
 

@@ -10,17 +10,13 @@ macro-F1 over K+1 classes, and closed-set argmax accuracy.
 from __future__ import annotations
 
 import argparse
-import copy
 
 import numpy as np
 
-from openset.calibration import select_bias
-from openset.datastore import LabeledSet, OpenSplit, fit_standardization, gen_gaussian_blobs, split_known_unknown
-from openset.metrics import evaluate
+from openset.datastore import OpenSplit, gen_gaussian_blobs
 from openset.network import predict_open
-from openset.trainer import TrainConfig, finetune_placeholders, pretrain_closed
-
-MODES = ("baseline", "dummy_only", "mixup_only", "full")
+from openset.pipeline import mode_sweep, prepare
+from openset.trainer import TRAIN_MODES, TrainConfig, pretrain_closed
 
 
 def run_seed(seed: int, args) -> dict:
@@ -29,22 +25,15 @@ def run_seed(seed: int, args) -> dict:
     known = list(range(args.known))
     unknown = list(range(args.known, args.num_classes))
     split = OpenSplit(known, unknown, val_fraction=0.1, test_fraction=0.3, seed=seed)
-    train, val, test = split_known_unknown(data, split)
-    stats = fit_standardization(train.features)
-    std = lambda s: LabeledSet(stats.apply(s.features), s.labels)
-    train, val, test = std(train), std(val), std(test)
+    train, val, test, _ = prepare(data, split)
 
-    recipe = dict(pretrain_epochs=args.pretrain_epochs, finetune_epochs=args.finetune_epochs)
-    pretrained = pretrain_closed(train, TrainConfig(seed=seed, **recipe))
+    config = TrainConfig(pretrain_epochs=args.pretrain_epochs,
+                         finetune_epochs=args.finetune_epochs, seed=seed)
+    pretrained = pretrain_closed(train, config)
     known_mask = test.labels < len(known)
 
     out = {}
-    for mode in MODES:
-        cfg = TrainConfig(train_mode=mode, seed=seed, **recipe)
-        model = finetune_placeholders(copy.deepcopy(pretrained), train, cfg)
-        model.calibration_bias = select_bias(model, val).chosen_bias
-        score = "max_softmax" if mode == "baseline" else "knownness"
-        report = evaluate(model, test, score=score, n_test_classes=args.num_classes)
+    for mode, (model, _, report) in mode_sweep(pretrained, train, val, test, split, config).items():
         argmax_acc = float(
             (predict_open(model, test.features, bias=-1e9)[known_mask]
              == test.labels[known_mask]).mean()
@@ -65,7 +54,7 @@ def main() -> None:
     parser.add_argument("--finetune-epochs", type=int, default=150)
     args = parser.parse_args()
 
-    results = {mode: [] for mode in MODES}
+    results = {mode: [] for mode in TRAIN_MODES}
     for seed in range(args.seeds):
         for mode, values in run_seed(seed, args).items():
             results[mode].append(values)
@@ -74,7 +63,7 @@ def main() -> None:
     print(f"\n{args.known} known / {args.num_classes - args.known} unknown blobs, "
           f"{args.seeds} seeds (mean ± std)")
     print(f"{'mode':12s} {'AUC':>16s} {'macro-F1':>16s} {'closed acc':>16s}")
-    for mode in MODES:
+    for mode in TRAIN_MODES:
         arr = np.array(results[mode])
         cells = [f"{arr[:, i].mean():.3f} ± {arr[:, i].std():.3f}" for i in range(3)]
         print(f"{mode:12s} {cells[0]:>16s} {cells[1]:>16s} {cells[2]:>16s}")

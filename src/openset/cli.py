@@ -11,18 +11,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .calibration import select_bias
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .datastore import (
     LabeledSet,
     OpenSplit,
-    Standardization,
-    fit_standardization,
     gen_gaussian_blobs,
     gen_rings,
     load_csv,
@@ -30,8 +27,8 @@ from .datastore import (
     save_csv,
     split_known_unknown,
 )
-from .metrics import evaluate
 from .network import knownness_score, predict_open
+from .pipeline import calibrate_evaluate, evaluate_split, prepare
 from .trainer import TrainConfig, finetune_placeholders, pretrain_closed
 
 EXIT_OK = 0
@@ -152,42 +149,23 @@ def load_run_config(path) -> RunConfig:
     return parse_run_config(_load_json(path))
 
 
-def _prepared_splits(cfg: RunConfig) -> tuple[LabeledSet, LabeledSet, LabeledSet, Standardization]:
-    data = cfg.dataset.load()
-    train, val, test = split_known_unknown(data, cfg.split)
-    stats = fit_standardization(train.features)
-    apply = lambda s: LabeledSet(stats.apply(s.features), s.labels)
-    return apply(train), apply(val), apply(test), stats
-
-
 def cmd_run(config_path) -> int:
     cfg = load_run_config(config_path)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    train, val, test, stats = _prepared_splits(cfg)
+    train, val, test, stats = prepare(cfg.dataset.load(), cfg.split)
 
+    # Both stages are called through this module's globals: perfbench/child.py
+    # rebinds the two names here to mark where training starts and ends.
     log_lines: list[str] = []
     model = pretrain_closed(train, cfg.train, log_lines)
     model = finetune_placeholders(model, train, cfg.train, log_lines)
-
-    calib = select_bias(model, val, cfg.calibration.target_rate, cfg.calibration.intervals)
-    model.calibration_bias = calib.chosen_bias
-
-    score = "max_softmax" if cfg.train.train_mode == "baseline" else "knownness"
-    n_test_classes = len(cfg.split.known_class_ids) + len(cfg.split.unknown_class_ids)
-    report = evaluate(model, test, score=score, n_test_classes=n_test_classes)
+    calib, report = calibrate_evaluate(model, val, test, cfg.split, cfg.train.train_mode,
+                                       cfg.calibration.target_rate, cfg.calibration.intervals)
 
     save_checkpoint(out_dir / "checkpoint.json", model, cfg.train, stats)
     (out_dir / "training_log.tsv").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
-    calib_doc = {
-        "chosen_bias": calib.chosen_bias,
-        "achieved_known_rate": calib.achieved_known_rate,
-        "candidate_count": calib.candidate_count,
-        "gap_min": calib.gap_min,
-        "gap_max": calib.gap_max,
-        "target_met": calib.target_met,
-    }
-    (out_dir / "calibration.json").write_text(json.dumps(calib_doc, indent=2) + "\n", encoding="utf-8")
+    (out_dir / "calibration.json").write_text(json.dumps(asdict(calib), indent=2) + "\n", encoding="utf-8")
     (out_dir / "report.json").write_text(report.to_text(), encoding="utf-8")
     return EXIT_OK
 
@@ -199,9 +177,7 @@ def cmd_evaluate(checkpoint_path, config_path) -> int:
     _, _, test = split_known_unknown(data, cfg.split)
     if stats is not None:
         test = LabeledSet(stats.apply(test.features), test.labels)
-    score = "max_softmax" if cfg.train.train_mode == "baseline" else "knownness"
-    n_test_classes = len(cfg.split.known_class_ids) + len(cfg.split.unknown_class_ids)
-    report = evaluate(model, test, score=score, n_test_classes=n_test_classes)
+    report = evaluate_split(model, test, cfg.split, cfg.train.train_mode)
     sys.stdout.write(report.to_text())
     return EXIT_OK
 

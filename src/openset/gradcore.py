@@ -1,9 +1,9 @@
-"""Dense matrix primitives, differentiable layers, losses, and SGD with momentum.
+"""Softmax, cross-entropy, differentiable dense layers, SGD with momentum,
+and Beta sampling.
 
 Everything is float64 numpy. Layers do manual forward/backward with explicit
 caches; there is no autodiff graph, only the fixed compositions this package
-needs. `finite_difference_gradients` is the numerical oracle the test suite
-checks every analytic gradient against.
+needs.
 """
 
 from __future__ import annotations
@@ -22,15 +22,6 @@ def as_matrix(values) -> Array:
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
     return a
-
-
-def matmul(a, b) -> Array:
-    """Matrix product with an explicit shape check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return a @ b
 
 
 def softmax_rows(logits) -> Array:
@@ -181,27 +172,3 @@ def beta_sample(alpha: float, rng: np.random.Generator) -> float:
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     return float(rng.beta(alpha, alpha))
-
-
-def finite_difference_gradients(loss_fn, params: list[Array], h: float = 1e-5) -> list[Array]:
-    """Central-difference gradient estimates, perturbing each scalar in place.
-
-    `loss_fn` takes no arguments and must read the current contents of
-    `params` (typically a closure over a model). Parameters are restored
-    exactly after each probe.
-    """
-    grads = []
-    for p in params:
-        g = np.zeros_like(p)
-        it = np.nditer(p, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            orig = p[idx]
-            p[idx] = orig + h
-            f_plus = loss_fn()
-            p[idx] = orig - h
-            f_minus = loss_fn()
-            p[idx] = orig
-            g[idx] = (f_plus - f_minus) / (2.0 * h)
-        grads.append(g)
-    return grads

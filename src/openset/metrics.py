@@ -19,14 +19,13 @@ def _average_ranks(values: Array) -> Array:
     """1-based ranks with ties averaged. Exact in float64 for small n
     (all ranks are multiples of 1/2)."""
     order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.size)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j + 2) / 2
-        i = j + 1
+    s = values[order]
+    # `!=` rather than np.diff, so NaN stays a group of its own and equal
+    # infinities share one, exactly as `==` decides
+    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    counts = np.diff(np.append(starts, s.size))
+    ranks = np.empty(s.size)
+    ranks[order] = np.repeat((2 * starts + counts + 1) / 2, counts)
     return ranks
 
 
@@ -49,10 +48,15 @@ def roc_points(known_scores, unknown_scores) -> list[tuple[float, float]]:
     u = np.asarray(unknown_scores, dtype=np.float64).reshape(-1)
     if k.size == 0 or u.size == 0:
         raise ValueError("roc needs at least one score on each side")
-    points = [(0.0, 0.0)]
-    for t in np.unique(np.concatenate([k, u]))[::-1]:
-        points.append((float((u >= t).mean()), float((k >= t).mean())))
-    return points
+    thresholds = np.unique(np.concatenate([k, u]))[::-1]
+
+    def rate(scores: Array) -> list[float]:
+        # count of scores >= t; NaN sorts last and never passes, as with `>=`
+        n_ordered = np.count_nonzero(~np.isnan(scores))
+        passed = n_ordered - np.searchsorted(np.sort(scores), thresholds, "left")
+        return (passed / scores.size).tolist()
+
+    return [(0.0, 0.0), *zip(rate(u), rate(k))]
 
 
 def confusion_matrix(predictions, labels, num_classes: int) -> Array:

@@ -15,18 +15,28 @@ def rel_error(a, b) -> float:
     return float(np.linalg.norm(a - b) / denom)
 
 
-def matmul_oracle(a, b):
-    """Independent triple-loop matrix product."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            s = 0.0
-            for t in range(a.shape[1]):
-                s += a[i, t] * b[t, j]
-            out[i, j] = s
-    return out
+def finite_difference_gradients(loss_fn, params: list[np.ndarray], h: float = 1e-5) -> list[np.ndarray]:
+    """Central-difference gradient estimates, perturbing each scalar in place.
+
+    `loss_fn` takes no arguments and must read the current contents of
+    `params` (typically a closure over a model). Parameters are restored
+    exactly after each probe.
+    """
+    grads = []
+    for p in params:
+        g = np.zeros_like(p)
+        it = np.nditer(p, flags=["multi_index"])
+        for _ in it:
+            idx = it.multi_index
+            orig = p[idx]
+            p[idx] = orig + h
+            f_plus = loss_fn()
+            p[idx] = orig - h
+            f_minus = loss_fn()
+            p[idx] = orig
+            g[idx] = (f_plus - f_minus) / (2.0 * h)
+        grads.append(g)
+    return grads
 
 
 def softmax_row_oracle(row):

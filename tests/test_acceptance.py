@@ -18,19 +18,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import rel_error
-from openset.calibration import candidate_biases, known_rate, logit_gaps, select_bias
+from conftest import finite_difference_gradients, rel_error
+from openset.calibration import candidate_biases, known_rate, logit_gaps
 from openset.cli import main
-from openset.datastore import (
-    LabeledSet,
-    OpenSplit,
-    fit_standardization,
-    gen_gaussian_blobs,
-    split_known_unknown,
-)
-from openset.gradcore import cross_entropy_from_logits, finite_difference_gradients
-from openset.metrics import auc, evaluate, macro_f1, openness
+from openset.datastore import LabeledSet, OpenSplit, fit_standardization, gen_gaussian_blobs
+from openset.gradcore import cross_entropy_from_logits
+from openset.metrics import auc, macro_f1, openness
 from openset.network import SplitMlp, predict_open
+from openset.pipeline import mode_sweep, prepare
 from openset.placeholders import (
     MixPairs,
     build_mix_pairs,
@@ -41,7 +36,6 @@ from openset.trainer import TrainConfig, finetune_placeholders, pretrain_closed
 from test_metrics import auc_brute_force, macro_f1_by_hand
 
 SEEDS = (0, 1, 2, 3, 4)
-MODES = ("baseline", "dummy_only", "mixup_only", "full")
 TASK = dict(num_classes=10, per_class=300, dim=2, center_scale=5.0, spread=0.35)
 RECIPE = dict(pretrain_epochs=200, finetune_epochs=150)
 
@@ -60,32 +54,26 @@ def experiment():
         data = gen_gaussian_blobs(seed=seed, **TASK)
         split = OpenSplit(known_class_ids=list(range(6)), unknown_class_ids=list(range(6, 10)),
                           val_fraction=0.1, test_fraction=0.3, seed=seed)
-        train, val, test = split_known_unknown(data, split)
-        stats = fit_standardization(train.features)
-        std = lambda s: LabeledSet(stats.apply(s.features), s.labels)
-        train, val, test = std(train), std(val), std(test)
+        train, val, test, _ = prepare(data, split)
 
-        pretrained = pretrain_closed(train, TrainConfig(seed=seed, **RECIPE))
+        config = TrainConfig(seed=seed, **RECIPE)
+        pretrained = pretrain_closed(train, config)
         known = test.labels < 6
 
         def argmax_accuracy(model):
             preds = predict_open(model, test.features, bias=-1e9)
             return float((preds[known] == test.labels[known]).mean())
 
-        per_mode = {}
-        for mode in MODES:
-            cfg = TrainConfig(train_mode=mode, seed=seed, **RECIPE)
-            model = finetune_placeholders(copy.deepcopy(pretrained), train, cfg)
-            calib = select_bias(model, val)
-            model.calibration_bias = calib.chosen_bias
-            score = "max_softmax" if mode == "baseline" else "knownness"
-            report = evaluate(model, test, score=score, n_test_classes=10)
-            per_mode[mode] = {
+        per_mode = {
+            mode: {
                 "model": model,
                 "report": report,
                 "calibration": calib,
                 "argmax_accuracy": argmax_accuracy(model),
             }
+            for mode, (model, calib, report) in mode_sweep(pretrained, train, val, test, split,
+                                                           config).items()
+        }
         results[seed] = {
             "pretrained": pretrained,
             "pretrained_argmax_accuracy": argmax_accuracy(pretrained),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -18,6 +19,16 @@ from openset.cli import (
 )
 from openset.datastore import LabeledSet, load_csv, split_known_unknown
 from openset.metrics import evaluate
+
+
+REPO = Path(__file__).resolve().parent.parent
+GOLDEN = REPO / "out" / "blobs6"
+# The committed result of configs/blobs6.json. A change that alters these
+# bytes must say why, re-freeze out/blobs6 and update the digests.
+GOLDEN_SHA256 = {
+    "report.json": "07191e16d8b26dc753adaed2313725e81d141119c2957ce637b1cbc93edfe6cd",
+    "checkpoint.json": "cee38cfd69584fad7fc93277fbeb0c0e2d4f644cf13228a62b344194cabbfda1",
+}
 
 
 def _tiny_config(out_dir, train_mode="full", train_overrides=None, split_overrides=None):
@@ -133,6 +144,17 @@ class TestRun:
         doc["train"]["batch_size"] = 1  # invalid: needs both halves
         path = _write_config(tmp_path, doc)
         assert main(["run", "--config", str(path)]) == 2
+
+
+class TestGolden:
+    def test_blobs6_reproduces_the_committed_artifacts(self, tmp_path):
+        for name, digest in GOLDEN_SHA256.items():
+            assert hashlib.sha256((GOLDEN / name).read_bytes()).hexdigest() == digest, name
+        doc = json.loads((REPO / "configs" / "blobs6.json").read_text())
+        doc["output_dir"] = str(tmp_path / "out")
+        assert main(["run", "--config", str(_write_config(tmp_path, doc))]) == 0
+        for name in ("report.json", "checkpoint.json", "calibration.json", "training_log.tsv"):
+            assert (tmp_path / "out" / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 class TestEvaluate:

@@ -1,4 +1,4 @@
-"""Matrix ops, layers, losses, optimizer, Beta sampling, and the FD oracle."""
+"""Softmax, losses, layers, optimizer, Beta sampling, and the FD oracle."""
 
 from __future__ import annotations
 
@@ -9,45 +9,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import cross_entropy_row_oracle, matmul_oracle, rel_error
+from conftest import cross_entropy_row_oracle, finite_difference_gradients, rel_error
 from openset.gradcore import (
     DenseLayer,
     SgdMomentum,
     beta_sample,
     cross_entropy_from_logits,
-    finite_difference_gradients,
     log_softmax_rows,
-    matmul,
     softmax_rows,
 )
 
 finite_rows = st.lists(
     st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=1, max_size=8
 )
-
-
-class TestMatmul:
-    def test_identity(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(matmul(a, np.eye(2)), a)
-
-    def test_hand_example_matches_oracle(self):
-        a = [[1.0, 2.0], [3.0, 4.0]]
-        b = [[0.0], [1.0]]
-        np.testing.assert_array_equal(matmul(a, b), [[2.0], [4.0]])
-        np.testing.assert_array_equal(matmul(a, b), matmul_oracle(a, b))
-
-    def test_random_shapes_match_oracle(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            m, k, n = rng.integers(1, 6, size=3)
-            a = rng.standard_normal((m, k))
-            b = rng.standard_normal((k, n))
-            np.testing.assert_allclose(matmul(a, b), matmul_oracle(a, b), atol=1e-12)
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 2\)"):
-            matmul(np.zeros((2, 3)), np.zeros((2, 2)))
 
 
 class TestSoftmax:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from openset.datastore import LabeledSet
 from openset.gradcore import DenseLayer
 from openset.metrics import (
+    _average_ranks,
     auc,
     confusion_matrix,
     evaluate,
@@ -31,6 +34,38 @@ def auc_brute_force(known, unknown) -> float:
             elif k == u:
                 ties += 1
     return (wins + 0.5 * ties) / (len(known) * len(unknown))
+
+
+def average_ranks_loop(values):
+    """Reference ranks: walk each run of `==` values in a stable sort."""
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(values.size)
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j + 2) / 2
+        i = j + 1
+    return ranks
+
+
+def roc_points_loop(known, unknown):
+    """Reference ROC: one full `>=` pass over both sides per threshold."""
+    k = np.asarray(known, dtype=np.float64)
+    u = np.asarray(unknown, dtype=np.float64)
+    points = [(0.0, 0.0)]
+    for t in np.unique(np.concatenate([k, u]))[::-1]:
+        points.append((float((u >= t).mean()), float((k >= t).mean())))
+    return points
+
+
+# few distinct values, so ties are common; signed zeros, infinities and NaN
+tie_heavy_scores = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 0.5, -1.0, 2.0, math.inf, -math.inf, math.nan]),
+              st.floats()),
+    min_size=1, max_size=40,
+)
 
 
 def macro_f1_by_hand(preds, labels, num_classes) -> float:
@@ -95,7 +130,22 @@ class TestAuc:
         assert transformed == auc(known, unknown)
 
 
+class TestAverageRanks:
+    @given(values=tie_heavy_scores)
+    @settings(max_examples=300)
+    def test_equals_loop_reference_bit_for_bit(self, values):
+        values = np.array(values)
+        assert _average_ranks(values).tobytes() == average_ranks_loop(values).tobytes()
+
+
 class TestRoc:
+    @given(known=tie_heavy_scores, unknown=tie_heavy_scores)
+    @settings(max_examples=300)
+    def test_equals_loop_reference_exactly(self, known, unknown):
+        got = roc_points(known, unknown)
+        assert all(type(x) is float and type(y) is float for x, y in got)
+        assert got == roc_points_loop(known, unknown)
+
     def test_endpoints(self):
         pts = roc_points([0.9, 0.4], [0.5, 0.1])
         assert pts[0] == (0.0, 0.0)

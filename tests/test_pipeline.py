@@ -1,0 +1,61 @@
+"""The shared protocol: the mode sweep and the two experiment scripts on it."""
+
+from __future__ import annotations
+
+import runpy
+import sys
+from pathlib import Path
+
+from openset.datastore import OpenSplit, gen_gaussian_blobs
+from openset.pipeline import mode_sweep, prepare
+from openset.trainer import TRAIN_MODES, TrainConfig, pretrain_closed
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _param_bytes(model) -> list[bytes]:
+    return [p.tobytes() for p in model.parameters()]
+
+
+def test_mode_sweep_trains_copies_and_leaves_pretrained_untouched():
+    data = gen_gaussian_blobs(5, 40, dim=2, center_scale=5.0, spread=0.4, seed=3)
+    split = OpenSplit([0, 1, 2], [3, 4], val_fraction=0.15, test_fraction=0.3, seed=3)
+    train, val, test, _ = prepare(data, split)
+    config = TrainConfig(pretrain_epochs=10, finetune_epochs=5, batch_size=16, seed=3)
+    pretrained = pretrain_closed(train, config)
+    before = _param_bytes(pretrained)
+
+    results = mode_sweep(pretrained, train, val, test, split, config)
+
+    assert list(results) == list(TRAIN_MODES)
+    assert _param_bytes(pretrained) == before
+    assert pretrained.calibration_bias == 0.0
+    baseline = results["baseline"][0]
+    assert baseline is not pretrained
+    assert _param_bytes(baseline) == before
+    for mode in TRAIN_MODES[1:]:
+        assert _param_bytes(results[mode][0]) != before, f"{mode} did not fine-tune"
+
+
+def _run_script(name, argv, monkeypatch, capsys) -> list[str]:
+    monkeypatch.setattr(sys, "argv", [name, *argv])
+    runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    return capsys.readouterr().out.splitlines()
+
+
+TINY = ["--per-class", "30", "--pretrain-epochs", "2", "--finetune-epochs", "1"]
+
+
+def test_synthetic_benchmark_prints_a_row_per_mode(monkeypatch, capsys):
+    lines = _run_script("run_synthetic_benchmark.py", ["--seeds", "1", *TINY], monkeypatch, capsys)
+    assert lines[0] == "seed 0 done"
+    rows = [line.split() for line in lines[-len(TRAIN_MODES):]]
+    assert [row[0] for row in rows] == list(TRAIN_MODES)
+    assert all(len(row) == 1 + 3 * 3 for row in rows)  # mode, then 3 x "mean ± std"
+
+
+def test_openness_sweep_prints_a_column_per_mode(monkeypatch, capsys):
+    lines = _run_script("openness_sweep.py", ["--unknown-counts", "1", "2", *TINY], monkeypatch, capsys)
+    assert lines[0].split() == ["unknown", "openness", *TRAIN_MODES]
+    assert [line.split()[0] for line in lines[1:]] == ["1", "2"]
+    assert all(len(line.split()) == 2 + len(TRAIN_MODES) for line in lines[1:])

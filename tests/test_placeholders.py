@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cross_entropy_row_oracle, rel_error, softmax_row_oracle
-from openset.gradcore import cross_entropy_from_logits, finite_difference_gradients, softmax_rows
+from conftest import cross_entropy_row_oracle, finite_difference_gradients, rel_error, softmax_row_oracle
+from openset.gradcore import cross_entropy_from_logits, softmax_rows
 from openset.network import SplitMlp
 from openset.placeholders import (
     build_mix_pairs,
