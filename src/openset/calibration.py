@@ -28,12 +28,11 @@ class CalibrationResult:
 
 
 def logit_gaps(model: SplitMlp, features) -> Array:
-    """Per instance: max closed logit minus max raw dummy logit (no bias)."""
+    """Per instance: the knownness score at bias 0 (max closed minus max raw dummy logit)."""
     features = np.asarray(features, dtype=np.float64)
     if features.shape[0] == 0:
         raise ValueError("empty validation set")
-    aug = model.augmented_logits(features)
-    return aug.closed.max(axis=1) - aug.dummy_max
+    return model.augmented_logits(features).knownness(0.0)
 
 
 def candidate_biases(gaps, intervals: int = 100) -> Array:

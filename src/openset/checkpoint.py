@@ -67,13 +67,14 @@ def checkpoint_text(model: SplitMlp, config: TrainConfig,
             "std": standardization.std.tolist(),
         },
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def save_checkpoint(path, model: SplitMlp, config: TrainConfig,
                     standardization: Standardization | None = None) -> None:
+    text = checkpoint_text(model, config, standardization)
     with open(path, "w", encoding="utf-8") as f:
-        f.write(checkpoint_text(model, config, standardization))
+        f.write(text)
 
 
 def load_checkpoint(path) -> tuple[SplitMlp, TrainConfig, Standardization | None]:

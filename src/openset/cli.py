@@ -27,7 +27,6 @@ from .datastore import (
     save_csv,
     split_known_unknown,
 )
-from .network import knownness_score, predict_open
 from .pipeline import calibrate_evaluate, evaluate_split, prepare
 from .trainer import TrainConfig, finetune_placeholders, pretrain_closed
 
@@ -165,7 +164,7 @@ def cmd_run(config_path) -> int:
 
     save_checkpoint(out_dir / "checkpoint.json", model, cfg.train, stats)
     (out_dir / "training_log.tsv").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
-    (out_dir / "calibration.json").write_text(json.dumps(asdict(calib), indent=2) + "\n", encoding="utf-8")
+    (out_dir / "calibration.json").write_text(json.dumps(asdict(calib), indent=2, allow_nan=False) + "\n", encoding="utf-8")
     (out_dir / "report.json").write_text(report.to_text(), encoding="utf-8")
     return EXIT_OK
 
@@ -193,8 +192,9 @@ def cmd_boundary_grid(checkpoint_path, out_path, x_range, y_range, resolution: i
     gx, gy = np.meshgrid(xs, ys)
     grid = np.column_stack([gx.ravel(), gy.ravel()])
     inputs = stats.apply(grid) if stats is not None else grid
-    labels = predict_open(model, inputs)
-    scores = knownness_score(model, inputs)
+    aug = model.augmented_logits(inputs)
+    scores = aug.knownness(model.calibration_bias)
+    labels = aug.predictions(model.calibration_bias)
     with open(out_path, "w", encoding="utf-8") as f:
         f.write("x,y,label,score\n")
         for (x, y), label, s in zip(grid, labels, scores):

@@ -18,7 +18,6 @@ IDX_LABEL_MAGIC = 0x00000801
 class LabeledSet:
     features: Array                       # N x D float64
     labels: Array                         # N int64
-    class_names: list[str] | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -31,11 +30,6 @@ class LabeledSet:
             )
         if self.labels.size and self.labels.min() < 0:
             raise ValueError("labels must be nonnegative")
-        if self.class_names is not None and self.labels.size:
-            if self.labels.max() >= len(self.class_names):
-                raise ValueError(
-                    f"label {self.labels.max()} exceeds the {len(self.class_names)} declared classes"
-                )
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -43,10 +37,6 @@ class LabeledSet:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
-
-    def subset(self, indices) -> LabeledSet:
-        idx = np.asarray(indices, dtype=np.int64)
-        return LabeledSet(self.features[idx].copy(), self.labels[idx].copy(), self.class_names)
 
 
 @dataclass
@@ -133,10 +123,17 @@ def gen_rings(num_classes: int, per_class: int, noise: float = 0.05, seed: int =
     return LabeledSet(features, labels)
 
 
+def _finite_float(cell: str) -> float:
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite feature {cell!r}")
+    return value
+
+
 def load_csv(path) -> LabeledSet:
-    """Each data line: D decimal features then an integer label, comma-separated.
-    An optional non-numeric header line is skipped. Line numbers in errors are
-    1-based file lines."""
+    """Each data line: D finite decimal features then an integer label,
+    comma-separated. An optional non-numeric header line is skipped. Line
+    numbers in errors are 1-based file lines."""
     with open(path, "r", encoding="utf-8") as f:
         lines = f.read().splitlines()
     rows: list[list[float]] = []
@@ -156,7 +153,7 @@ def load_csv(path) -> LabeledSet:
         if width is not None and len(cells) != width + 1:
             raise ValueError(f"line {lineno}: expected {width} features, got {len(cells) - 1}")
         try:
-            feats = [float(c) for c in cells[:-1]]
+            feats = [_finite_float(c) for c in cells[:-1]]
             label = int(cells[-1])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: non-numeric cell ({exc})") from None

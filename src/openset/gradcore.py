@@ -63,8 +63,10 @@ class DenseLayer:
     """Affine map plus optional ReLU, with manual backward.
 
     `backward` may only be called after `forward`; it consumes the cached
-    input exactly once. Parameter gradients accumulate into `grad_weights`
-    and `grad_biases` until `zero_grad`.
+    input and output exactly once. `forward` caches the array it returns,
+    so callers must not change that array in place before `backward`.
+    Parameter gradients accumulate into `grad_weights` and `grad_biases`
+    until `zero_grad`.
     """
 
     def __init__(self, weights: Array, biases: Array, activation: str = "linear"):
@@ -80,7 +82,7 @@ class DenseLayer:
         self.grad_weights = np.zeros_like(self.weights)
         self.grad_biases = np.zeros_like(self.biases)
         self._input: Array | None = None
-        self._preact: Array | None = None
+        self._output: Array | None = None
 
     @classmethod
     def create(cls, in_dim: int, out_dim: int, activation: str, rng: np.random.Generator,
@@ -103,13 +105,12 @@ class DenseLayer:
         x = as_matrix(x)
         if x.shape[1] != self.in_dim:
             raise ValueError(f"input shape {x.shape} does not match weight shape {self.weights.shape}")
-        z = x @ self.weights + self.biases
-        self._input = x
+        out = x @ self.weights + self.biases
         if self.activation == "relu":
-            self._preact = z
-            return np.maximum(z, 0.0)
-        self._preact = None
-        return z
+            np.maximum(out, 0.0, out=out)
+        self._input = x
+        self._output = out
+        return out
 
     def backward(self, grad_out) -> Array:
         if self._input is None:
@@ -121,15 +122,15 @@ class DenseLayer:
                 f"{(self._input.shape[0], self.out_dim)}"
             )
         if self.activation == "relu":
-            # subgradient at exactly 0 is 0
-            dz = grad_out * (self._preact > 0)
+            # subgradient at exactly 0 is 0; relu(z) > 0 exactly where z > 0
+            dz = grad_out * (self._output > 0)
         else:
             dz = grad_out
         self.grad_weights += self._input.T @ dz
         self.grad_biases += dz.sum(axis=0)
         grad_in = dz @ self.weights.T
         self._input = None
-        self._preact = None
+        self._output = None
         return grad_in
 
     def zero_grad(self) -> None:

@@ -10,7 +10,7 @@ import numpy as np
 
 from .datastore import LabeledSet
 from .gradcore import Array
-from .network import SplitMlp, baseline_confidence, knownness_score, predict_open
+from .network import SplitMlp
 
 SCORE_KINDS = ("knownness", "max_softmax")
 
@@ -118,7 +118,7 @@ class EvalReport:
             "roc": [[fpr, tpr] for fpr, tpr in self.roc],
             "confusion": [[int(v) for v in row] for row in self.confusion],
         }
-        return json.dumps(doc, indent=2) + "\n"
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def evaluate(model: SplitMlp, test_set: LabeledSet, score: str = "knownness",
@@ -142,10 +142,9 @@ def evaluate(model: SplitMlp, test_set: LabeledSet, score: str = "knownness",
         raise ValueError(f"test label {labels.max()} out of range [0, {k}]")
     known_mask = labels < k
 
-    if score == "knownness":
-        scores = knownness_score(model, test_set.features)
-    else:
-        scores = baseline_confidence(model, test_set.features)
+    aug = model.augmented_logits(test_set.features)
+    scores = aug.knownness(model.calibration_bias) if score == "knownness" else aug.max_softmax()
+    preds = aug.predictions(model.calibration_bias)
 
     flags: list[str] = []
     auc_value: float | None = None
@@ -156,7 +155,6 @@ def evaluate(model: SplitMlp, test_set: LabeledSet, score: str = "knownness",
         auc_value = auc(scores[known_mask], scores[~known_mask])
         roc = roc_points(scores[known_mask], scores[~known_mask])
 
-    preds = predict_open(model, test_set.features)
     counts = confusion_matrix(preds, labels, k + 1)
     if known_mask.any():
         closed_accuracy = float((preds[known_mask] == labels[known_mask]).mean())

@@ -30,6 +30,27 @@ class AugmentedLogits:
     dummy_argmax: Array  # B, lowest index on ties
     combined: Array      # B x (K+1), column K is dummy_max
 
+    def knownness(self, bias: float) -> Array:
+        """Best closed logit minus the calibrated dummy logit; higher = more known."""
+        return _finite(self.closed.max(axis=1) - (self.dummy_max + bias))
+
+    def predictions(self, bias: float) -> Array:
+        """Per row: argmax over [closed logits, dummy_max + bias]. Label K means
+        "unknown"; ties go to the known class, so rejection needs strictly
+        higher dummy evidence."""
+        return np.concatenate([self.closed, (self.dummy_max + bias)[:, None]], axis=1).argmax(axis=1)
+
+    def max_softmax(self) -> Array:
+        """Max softmax probability over the K closed logits (dummy head ignored)."""
+        return _finite(softmax_rows(self.closed).max(axis=1))
+
+
+def _finite(scores: Array) -> Array:
+    bad = np.count_nonzero(~np.isfinite(scores))
+    if bad:
+        raise ValueError(f"{bad} of {scores.size} scores are non-finite (NaN or inf)")
+    return scores
+
 
 class SplitMlp:
     def __init__(self, pre_layers: list[DenseLayer], post_layers: list[DenseLayer],
@@ -81,10 +102,6 @@ class SplitMlp:
     @property
     def num_dummy(self) -> int:
         return self.dummy_head.out_dim
-
-    @property
-    def embedding_dim(self) -> int:
-        return self.closed_head.in_dim
 
     # -- forward ----------------------------------------------------------
 
@@ -160,31 +177,16 @@ def split_combined_grad(aug: AugmentedLogits, d_combined) -> tuple[Array, Array]
     return d_closed, d_dummy_all
 
 
-def _calibrated_scores(model: SplitMlp, x, bias: float | None) -> tuple[Array, Array]:
-    if bias is None:
-        bias = model.calibration_bias
-    aug = model.augmented_logits(x)
-    return aug.closed, aug.dummy_max + bias
-
-
 def predict_open(model: SplitMlp, x, bias: float | None = None) -> Array:
-    """Per row: argmax over [closed logits, dummy_max + bias].
-
-    Label K means "unknown"; ties resolve to the known class with the
-    lowest index, so rejection requires strictly higher dummy evidence.
-    """
-    closed, dummy = _calibrated_scores(model, x, bias)
-    scores = np.concatenate([closed, dummy[:, None]], axis=1)
-    return scores.argmax(axis=1)
+    """Open-set labels (K = unknown) at `bias`, by default the model's own."""
+    return model.augmented_logits(x).predictions(model.calibration_bias if bias is None else bias)
 
 
 def knownness_score(model: SplitMlp, x, bias: float | None = None) -> Array:
-    """Best closed logit minus the calibrated dummy logit; higher = more known."""
-    closed, dummy = _calibrated_scores(model, x, bias)
-    return closed.max(axis=1) - dummy
+    """Knownness at `bias`, by default the model's own; higher = more known."""
+    return model.augmented_logits(x).knownness(model.calibration_bias if bias is None else bias)
 
 
 def baseline_confidence(model: SplitMlp, x) -> Array:
     """Max softmax probability over the K closed logits (dummy head ignored)."""
-    aug = model.augmented_logits(x)
-    return softmax_rows(aug.closed).max(axis=1)
+    return model.augmented_logits(x).max_softmax()

@@ -18,7 +18,8 @@ from openset.cli import (
     parse_run_config,
 )
 from openset.datastore import LabeledSet, load_csv, split_known_unknown
-from openset.metrics import evaluate
+from openset.metrics import SCORE_KINDS, evaluate
+from openset.network import SplitMlp
 
 
 REPO = Path(__file__).resolve().parent.parent
@@ -262,3 +263,73 @@ class TestPipelineConsistency:
         test = LabeledSet(stats.apply(test.features), test.labels)
         report = evaluate(model, test, score="knownness", n_test_classes=5)
         assert report.to_text() == (out / "report.json").read_text()
+
+
+def _count_augmented_logits(monkeypatch):
+    """Record the row count of every SplitMlp.augmented_logits call."""
+    calls = []
+    forward = SplitMlp.augmented_logits
+
+    def counted(self, x):
+        calls.append(len(x))
+        return forward(self, x)
+
+    monkeypatch.setattr(SplitMlp, "augmented_logits", counted)
+    return calls
+
+
+class TestScoreOnce:
+    def _run(self, tmp_path):
+        out = tmp_path / "out"
+        path = _write_config(tmp_path, _tiny_config(out))
+        assert main(["run", "--config", str(path)]) == 0
+        return path, out / "checkpoint.json"
+
+    def test_evaluate_makes_one_forward_pass(self, tmp_path, capsys, monkeypatch):
+        path, ckpt = self._run(tmp_path)
+        model, _, stats = load_checkpoint(ckpt)
+        cfg = load_run_config(path)
+        _, _, test = split_known_unknown(cfg.dataset.load(), cfg.split)
+        test = LabeledSet(stats.apply(test.features), test.labels)
+        calls = _count_augmented_logits(monkeypatch)
+        for score in SCORE_KINDS:
+            evaluate(model, test, score=score)
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--config", str(path)]) == 0
+        assert calls == [len(test)] * (len(SCORE_KINDS) + 1)
+
+    def test_boundary_grid_makes_one_forward_pass(self, tmp_path, monkeypatch):
+        _, ckpt = self._run(tmp_path)
+        calls = _count_augmented_logits(monkeypatch)
+        assert main(["boundary-grid", "--checkpoint", str(ckpt), "--out", str(tmp_path / "g.csv"),
+                     "--resolution", "4", "--range", "0", "1", "0", "1"]) == 0
+        assert calls == [16]
+
+
+class TestNonFinite:
+    def test_divergent_run_exits_1_and_writes_no_artifact(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        doc = _tiny_config(out, train_overrides={"learning_rate": 50.0, "pretrain_epochs": 2,
+                                                 "finetune_epochs": 1})
+        with np.errstate(all="ignore"):
+            assert main(["run", "--config", str(_write_config(tmp_path, doc))]) == 1
+        assert "scores are non-finite" in capsys.readouterr().err
+        for name in ("report.json", "checkpoint.json", "calibration.json"):
+            assert not (out / name).exists(), name
+
+    def test_non_finite_checkpoint_fails_evaluate_and_grid(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        path = _write_config(tmp_path, _tiny_config(out))
+        assert main(["run", "--config", str(path)]) == 0
+        doc = json.loads((out / "checkpoint.json").read_text())
+        doc["closed_head"]["biases"][0] = float("nan")
+        ckpt = tmp_path / "nan.json"
+        ckpt.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--config", str(path)]) == 1
+        grid = tmp_path / "g.csv"
+        assert main(["boundary-grid", "--checkpoint", str(ckpt), "--out", str(grid),
+                     "--resolution", "3", "--range", "0", "1", "0", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("scores are non-finite") == 2
+        assert not grid.exists()

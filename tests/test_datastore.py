@@ -110,9 +110,12 @@ class TestCsv:
 
     def test_non_numeric_cell_names_line(self, tmp_path):
         path = tmp_path / "n.csv"
-        path.write_text("1.0,2.0,0\nx,2.0,1\n")
-        with pytest.raises(ValueError, match="line 2"):
-            load_csv(path)
+        # nan and inf parse as floats but are no usable feature
+        for text, line in (("1.0,2.0,0\nx,2.0,1\n", 2), ("1.0,2.0,0\n1,nan,0\n", 2),
+                           ("inf,2,1\n1.0,2.0,0\n", 1)):
+            path.write_text(text)
+            with pytest.raises(ValueError, match=f"line {line}: non-numeric cell"):
+                load_csv(path)
 
 
 def _idx_fixture_bytes(images=True):

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from openset.calibration import logit_gaps
 from openset.checkpoint import (
     CheckpointError,
     checkpoint_text,
@@ -179,6 +180,31 @@ class TestScores:
         conf = baseline_confidence(model, rng.standard_normal((100, 3)))
         assert np.all(conf > 0.0) and np.all(conf <= 1.0)
 
+    @pytest.mark.parametrize("bias", [None, -0.4])
+    def test_wrappers_equal_the_augmented_logits_methods_bit_for_bit(self, bias):
+        rng = np.random.default_rng(6)
+        model = SplitMlp.create(3, 4, 3, rng, pre_widths=(6,), post_widths=(5,))
+        model.calibration_bias = 0.25
+        x = rng.standard_normal((40, 3))
+        aug = model.augmented_logits(x)
+        b = model.calibration_bias if bias is None else bias
+        kwargs = {} if bias is None else {"bias": bias}
+        assert predict_open(model, x, **kwargs).tobytes() == aug.predictions(b).tobytes()
+        assert knownness_score(model, x, **kwargs).tobytes() == aug.knownness(b).tobytes()
+        assert baseline_confidence(model, x).tobytes() == aug.max_softmax().tobytes()
+        assert logit_gaps(model, x).tobytes() == aug.knownness(0.0).tobytes()
+
+    def test_non_finite_scores_raise_with_their_count(self):
+        model = _fixed_logit_model([[1.0, 0.0], [1.0, 2.0], [3.0, 0.0]], [[0.5], [1.5], [0.0]])
+        x = np.eye(3)
+        x[0, 0], x[2, 2] = np.nan, np.inf  # rows 0 and 2 turn non-finite
+        with np.errstate(invalid="ignore"):
+            aug = model.augmented_logits(x)
+        with pytest.raises(ValueError, match="2 of 3 scores are non-finite"):
+            aug.knownness(0.0)
+        with pytest.raises(ValueError, match="2 of 3 scores are non-finite"):
+            aug.max_softmax()
+
 
 class TestCheckpoint:
     def _model_and_config(self):
@@ -218,3 +244,11 @@ class TestCheckpoint:
         path.write_text("not json at all {")
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    def test_non_finite_weights_are_refused_and_nothing_is_written(self, tmp_path):
+        model, config = self._model_and_config()
+        model.closed_head.biases[0] = np.nan
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError):
+            save_checkpoint(path, model, config)
+        assert not path.exists()
