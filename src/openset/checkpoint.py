@@ -34,13 +34,19 @@ def _layer_doc(layer: DenseLayer) -> dict:
     }
 
 
-def _layer_from_doc(doc: dict) -> DenseLayer:
-    layer = DenseLayer(np.array(doc["weights"], dtype=np.float64),
-                       np.array(doc["biases"], dtype=np.float64),
+def _finite(field: str, value):
+    if not np.isfinite(value).all():  # json.loads reads NaN, Infinity and 1e999 (inf)
+        raise CheckpointError(f"non-finite number in {field}")
+    return value
+
+
+def _layer_from_doc(doc: dict, field: str) -> DenseLayer:
+    layer = DenseLayer(_finite(f"{field}.weights", np.array(doc["weights"], dtype=np.float64)),
+                       _finite(f"{field}.biases", np.array(doc["biases"], dtype=np.float64)),
                        doc["activation"])
     if (layer.in_dim, layer.out_dim) != (doc["in"], doc["out"]):
         raise CheckpointError(
-            f"layer shape {(layer.in_dim, layer.out_dim)} does not match "
+            f"{field}: layer shape {(layer.in_dim, layer.out_dim)} does not match "
             f"declared ({doc['in']}, {doc['out']})"
         )
     return layer
@@ -94,25 +100,25 @@ def load_checkpoint(path) -> tuple[SplitMlp, TrainConfig, Standardization | None
     try:
         arch = doc["architecture"]
         model = SplitMlp(
-            pre_layers=[_layer_from_doc(d) for d in doc["pre_layers"]],
-            post_layers=[_layer_from_doc(d) for d in doc["post_layers"]],
-            closed_head=_layer_from_doc(doc["closed_head"]),
-            dummy_head=_layer_from_doc(doc["dummy_head"]),
+            pre_layers=[_layer_from_doc(d, f"pre_layers[{i}]") for i, d in enumerate(doc["pre_layers"])],
+            post_layers=[_layer_from_doc(d, f"post_layers[{i}]") for i, d in enumerate(doc["post_layers"])],
+            closed_head=_layer_from_doc(doc["closed_head"], "closed_head"),
+            dummy_head=_layer_from_doc(doc["dummy_head"], "dummy_head"),
             input_dim=arch["input_dim"],
-            calibration_bias=float(doc["calibration_bias"]),
+            calibration_bias=_finite("calibration_bias", float(doc["calibration_bias"])),
         )
         if arch["split_index"] != len(model.pre_layers):
-            raise CheckpointError(f"{path}: split_index does not match the stored pre-layers")
+            raise CheckpointError("split_index does not match the stored pre-layers")
         if (arch["num_known"], arch["num_dummy"]) != (model.num_known, model.num_dummy):
-            raise CheckpointError(f"{path}: head widths do not match the declared architecture")
+            raise CheckpointError("head widths do not match the declared architecture")
         config = TrainConfig(**doc["train_config"])
         std_doc = doc["standardization"]
         standardization = None if std_doc is None else Standardization(
-            np.array(std_doc["mean"], dtype=np.float64),
-            np.array(std_doc["std"], dtype=np.float64),
+            _finite("standardization.mean", np.array(std_doc["mean"], dtype=np.float64)),
+            _finite("standardization.std", np.array(std_doc["std"], dtype=np.float64)),
         )
-    except CheckpointError:
-        raise
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed checkpoint ({exc})") from None
     return model, config, standardization

@@ -222,16 +222,11 @@ def split_known_unknown(dataset: LabeledSet, split: OpenSplit) -> tuple[LabeledS
     for cls in [*split.known_class_ids, *split.unknown_class_ids]:
         if cls not in present:
             raise ValueError(f"class {cls} not present in the dataset")
-    known_sorted = sorted(split.known_class_ids)
-    relabel = {orig: new for new, orig in enumerate(known_sorted)}
-    k = len(known_sorted)
+    known_sorted = np.sort(split.known_class_ids)
 
     rng = np.random.default_rng(split.seed)
-    train_idx: list[Array] = []
-    val_idx: list[Array] = []
-    test_idx: list[Array] = []
-    test_labels: list[Array] = []
-    for orig in known_sorted:
+    train_idx, val_idx, test_idx = [], [], []
+    for orig in known_sorted.tolist():
         rows = np.nonzero(dataset.labels == orig)[0]
         n = rows.size
         if n < 2:
@@ -246,19 +241,16 @@ def split_known_unknown(dataset: LabeledSet, split: OpenSplit) -> tuple[LabeledS
             )
         val_idx.append(rows[:n_val])
         test_idx.append(rows[n_val:n_val + n_test])
-        test_labels.append(np.full(n_test, relabel[orig], dtype=np.int64))
         train_idx.append(rows[n_val + n_test:])
 
     def _known_set(chunks: list[Array]) -> LabeledSet:
         idx = np.concatenate(chunks)
-        labels = np.array([relabel[c] for c in dataset.labels[idx]], dtype=np.int64)
+        labels = np.searchsorted(known_sorted, dataset.labels[idx]).astype(np.int64)
         return LabeledSet(dataset.features[idx].copy(), labels)
 
-    train = _known_set(train_idx)
-    val = _known_set(val_idx)
-
+    known_test = _known_set(test_idx)
     unknown_rows = np.nonzero(np.isin(dataset.labels, split.unknown_class_ids))[0]
-    test_feature_idx = np.concatenate(test_idx + [unknown_rows]) if len(unknown_rows) else np.concatenate(test_idx)
-    all_test_labels = np.concatenate(test_labels + [np.full(unknown_rows.size, k, dtype=np.int64)])
-    test = LabeledSet(dataset.features[test_feature_idx].copy(), all_test_labels)
-    return train, val, test
+    unknown_labels = np.full(unknown_rows.size, len(known_sorted), dtype=np.int64)
+    test = LabeledSet(np.concatenate([known_test.features, dataset.features[unknown_rows]]),
+                      np.concatenate([known_test.labels, unknown_labels]))
+    return _known_set(train_idx), _known_set(val_idx), test

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gradcore import Array, as_matrix, beta_sample, cross_entropy_from_logits
-from .network import SplitMlp, split_combined_grad
+from .network import AugmentedLogits, SplitMlp, split_combined_grad
 
 # large enough that exp(logit - max) underflows to exactly 0 in float64
 MASK_SENTINEL = -1e30
@@ -79,12 +79,12 @@ def masked_logits(combined, targets) -> Array:
     return out
 
 
-def loss_classifier_placeholder(model: SplitMlp, features, labels, beta: float) -> float:
+def loss_classifier_placeholder(model: SplitMlp, features, labels, beta: float) -> tuple[float, AugmentedLogits]:
     """Cross-entropy of the combined logits against the true label, plus
     beta times cross-entropy of the masked logits against the dummy class.
 
-    Accumulates gradients into the model's layers and returns the scalar
-    loss. With beta == 0 this is exactly plain (K+1)-way cross-entropy.
+    Accumulates gradients into the model's layers and returns (loss, logits).
+    With beta == 0 this is exactly plain (K+1)-way cross-entropy.
     """
     features = as_matrix(features)
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
@@ -103,7 +103,7 @@ def loss_classifier_placeholder(model: SplitMlp, features, labels, beta: float) 
         d_combined = d_combined + beta * d_masked
     d_closed, d_dummy = split_combined_grad(aug, d_combined)
     model.backward_pre(model.backward_post(model.backward_heads(d_closed, d_dummy)))
-    return loss
+    return loss, aug
 
 
 def loss_data_placeholder(model: SplitMlp, features, pairs: MixPairs, mode: str = "hidden",

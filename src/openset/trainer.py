@@ -1,10 +1,10 @@
-"""Closed-set pretraining and the placeholder fine-tuning loop.
+"""Closed-set pretraining and placeholder fine-tuning, over one epoch loop.
 
-Every batch of the fine-tuning loop is split into two halves: the first
-feeds the classifier-placeholder loss, the second is mixed within itself
-and feeds the data-placeholder loss. One optimizer step is taken on the
-summed loss. All randomness flows from the config seed; identical configs
-give bit-identical models.
+Every fine-tuning batch is split into two halves: the first feeds the
+classifier-placeholder loss, the second is mixed within itself and feeds
+the data-placeholder loss. One optimizer step is taken on the summed loss.
+All randomness flows from the config seed; identical configs give
+bit-identical models.
 """
 
 from __future__ import annotations
@@ -66,20 +66,33 @@ def split_batch_halves(features: Array, labels: Array) -> tuple[tuple[Array, Arr
     return (features[:cut], labels[:cut]), (features[cut:], labels[cut:])
 
 
-def _closed_accuracy(model: SplitMlp, dataset: LabeledSet) -> float:
-    logits = model.closed_head.forward(model.embed_post(model.embed_pre(dataset.features)))
-    return float((logits.argmax(axis=1) == dataset.labels).mean())
-
-
-def _log(log_lines: list[str] | None, epoch: int, l1: float, l2: float, acc: float) -> None:
-    if log_lines is not None:
-        log_lines.append(f"{epoch}\t{l1:.6f}\t{l2:.6f}\t{acc:.6f}")
-
-
-def _batches(rng: np.random.Generator, n: int, batch_size: int):
-    perm = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield perm[start:start + batch_size]
+def _train_epochs(model: SplitMlp, dataset: LabeledSet, config: TrainConfig, rng: np.random.Generator,
+                  stage: str, epochs: int, step, log_lines: list[str] | None) -> SplitMlp:
+    """The epoch loop of both stages: shuffle with `rng`, then per batch zero
+    the gradients, run `step(features, labels)` and take one optimizer step.
+    `step` returns None to skip the batch, else (l1, l2, closed logits, their
+    labels); those logits give the log's accuracy column. A non-finite mean
+    loss or parameter after an epoch raises ValueError naming stage and epoch."""
+    optimizer = SgdMomentum(model.parameters(), config.learning_rate, config.momentum)
+    for epoch in range(epochs):
+        losses, hits = [], []
+        perm = rng.permutation(len(dataset))
+        for start in range(0, len(dataset), config.batch_size):
+            idx = perm[start:start + config.batch_size]
+            model.zero_grads()
+            result = step(dataset.features[idx], dataset.labels[idx])
+            if result is None:
+                continue
+            l1, l2, logits, labels = result
+            optimizer.step(model.gradients())
+            losses.append((l1, l2))
+            hits.append(logits.argmax(axis=1) == labels)
+        l1, l2 = (float(np.mean(values)) for values in zip(*losses))
+        if not all(np.isfinite(v).all() for v in (l1, l2, *model.parameters())):
+            raise ValueError(f"training diverged: {stage} epoch {epoch} has a non-finite loss or parameter")
+        if log_lines is not None:
+            log_lines.append(f"{epoch}\t{l1:.6f}\t{l2:.6f}\t{np.concatenate(hits).mean():.6f}")
+    return model
 
 
 def pretrain_closed(dataset: LabeledSet, config: TrainConfig,
@@ -96,20 +109,14 @@ def pretrain_closed(dataset: LabeledSet, config: TrainConfig,
         raise ValueError(f"need at least 2 known classes, got {num_known}")
     rng = np.random.default_rng(config.seed)
     model = SplitMlp.create(dataset.dim, num_known, config.num_dummy, rng)
-    optimizer = SgdMomentum(model.parameters(), config.learning_rate, config.momentum)
-    for epoch in range(config.pretrain_epochs):
-        losses = []
-        for idx in _batches(rng, len(dataset), config.batch_size):
-            xb = dataset.features[idx]
-            yb = dataset.labels[idx]
-            model.zero_grads()
-            logits = model.closed_head.forward(model.embed_post(model.embed_pre(xb)))
-            loss, d_logits = cross_entropy_from_logits(logits, yb)
-            model.backward_pre(model.backward_post(model.closed_head.backward(d_logits)))
-            optimizer.step(model.gradients())
-            losses.append(loss)
-        _log(log_lines, epoch, float(np.mean(losses)), 0.0, _closed_accuracy(model, dataset))
-    return model
+
+    def step(xb: Array, yb: Array):
+        logits = model.closed_head.forward(model.embed_post(model.embed_pre(xb)))
+        loss, d_logits = cross_entropy_from_logits(logits, yb)
+        model.backward_pre(model.backward_post(model.closed_head.backward(d_logits)))
+        return loss, 0.0, logits, yb
+
+    return _train_epochs(model, dataset, config, rng, "pretrain", config.pretrain_epochs, step, log_lines)
 
 
 def finetune_placeholders(model: SplitMlp, dataset: LabeledSet, config: TrainConfig,
@@ -125,8 +132,8 @@ def finetune_placeholders(model: SplitMlp, dataset: LabeledSet, config: TrainCon
     """
     if config.train_mode == "baseline":
         return model
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
+    if len(dataset) < 2:
+        raise ValueError(f"fine-tuning needs at least 2 rows to split a batch, got {len(dataset)}")
     if dataset.labels.max() >= model.num_known:
         raise ValueError(
             f"label {dataset.labels.max()} out of range for {model.num_known} known classes"
@@ -134,24 +141,16 @@ def finetune_placeholders(model: SplitMlp, dataset: LabeledSet, config: TrainCon
     beta = 0.0 if config.train_mode == "mixup_only" else config.beta
     use_mix = config.train_mode in ("mixup_only", "full") and config.gamma > 0
     rng = np.random.default_rng(config.seed)
-    optimizer = SgdMomentum(model.parameters(), config.learning_rate, config.momentum)
-    for epoch in range(config.finetune_epochs):
-        l1_values = []
-        l2_values = []
-        for idx in _batches(rng, len(dataset), config.batch_size):
-            if idx.size < 2:
-                continue  # a trailing single row cannot be split
-            (x1, y1), (x2, y2) = split_batch_halves(dataset.features[idx], dataset.labels[idx])
-            model.zero_grads()
-            l1 = loss_classifier_placeholder(model, x1, y1, beta)
-            l2 = 0.0
-            if use_mix:
-                pairs = build_mix_pairs(y2, rng, config.alpha)
-                l2 = loss_data_placeholder(model, x2, pairs, config.mix_mode,
-                                           grad_scale=config.gamma)
-            optimizer.step(model.gradients())
-            l1_values.append(l1)
-            l2_values.append(l2)
-        _log(log_lines, epoch, float(np.mean(l1_values)), float(np.mean(l2_values)),
-             _closed_accuracy(model, dataset))
-    return model
+
+    def step(xb: Array, yb: Array):
+        if len(yb) < 2:
+            return None  # a trailing single row cannot be split
+        (x1, y1), (x2, y2) = split_batch_halves(xb, yb)
+        l1, aug = loss_classifier_placeholder(model, x1, y1, beta)
+        l2 = 0.0
+        if use_mix:
+            pairs = build_mix_pairs(y2, rng, config.alpha)
+            l2 = loss_data_placeholder(model, x2, pairs, config.mix_mode, grad_scale=config.gamma)
+        return l1, l2, aug.closed, y1
+
+    return _train_epochs(model, dataset, config, rng, "finetune", config.finetune_epochs, step, log_lines)

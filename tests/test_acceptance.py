@@ -115,8 +115,8 @@ def test_criterion_2_gradient_suite():
 
         losses = [
             ("plain_ce", plain_ce),
-            ("l1_beta0", lambda: loss_classifier_placeholder(model, x, y, 0.0)),
-            ("l1_beta1", lambda: loss_classifier_placeholder(model, x, y, 1.0)),
+            ("l1_beta0", lambda: loss_classifier_placeholder(model, x, y, 0.0)[0]),
+            ("l1_beta1", lambda: loss_classifier_placeholder(model, x, y, 1.0)[0]),
             ("l2_hidden", lambda: loss_data_placeholder(model, x, pairs, "hidden")),
             ("l2_input", lambda: loss_data_placeholder(model, x, pairs, "input")),
         ]
@@ -170,7 +170,7 @@ def test_criterion_4_reduction_properties():
     # beta=0 reduces the classifier-placeholder loss to plain CE bit-exactly
     expected, _ = cross_entropy_from_logits(model.augmented_logits(x).combined, y)
     model.zero_grads()
-    assert loss_classifier_placeholder(model, x, y, beta=0.0) == expected
+    assert loss_classifier_placeholder(model, x, y, beta=0.0)[0] == expected
 
     # gamma=0 full mode equals dummy_only: identical final weights, same seed
     data = gen_gaussian_blobs(3, 40, dim=2, center_scale=5.0, spread=0.4, seed=5)

@@ -29,6 +29,8 @@ GOLDEN = REPO / "out" / "blobs6"
 GOLDEN_SHA256 = {
     "report.json": "07191e16d8b26dc753adaed2313725e81d141119c2957ce637b1cbc93edfe6cd",
     "checkpoint.json": "cee38cfd69584fad7fc93277fbeb0c0e2d4f644cf13228a62b344194cabbfda1",
+    "calibration.json": "d7dd775eca84e6d2ab9b43429f582264314e60185cfd9caa6ee67202126e361b",
+    "training_log.tsv": "8ef0afb4185ea83d8c4584d20f0cf3332149676bf83dd7b52c5e670134d274e1",
 }
 
 
@@ -154,7 +156,7 @@ class TestGolden:
         doc = json.loads((REPO / "configs" / "blobs6.json").read_text())
         doc["output_dir"] = str(tmp_path / "out")
         assert main(["run", "--config", str(_write_config(tmp_path, doc))]) == 0
-        for name in ("report.json", "checkpoint.json", "calibration.json", "training_log.tsv"):
+        for name in GOLDEN_SHA256:
             assert (tmp_path / "out" / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
@@ -312,7 +314,8 @@ class TestNonFinite:
                                                  "finetune_epochs": 1})
         with np.errstate(all="ignore"):
             assert main(["run", "--config", str(_write_config(tmp_path, doc))]) == 1
-        assert "scores are non-finite" in capsys.readouterr().err
+        assert ("training diverged: pretrain epoch 0 has a non-finite loss or parameter"
+                in capsys.readouterr().err)
         for name in ("report.json", "checkpoint.json", "calibration.json"):
             assert not (out / name).exists(), name
 
@@ -320,16 +323,24 @@ class TestNonFinite:
         out = tmp_path / "out"
         path = _write_config(tmp_path, _tiny_config(out))
         assert main(["run", "--config", str(path)]) == 0
-        doc = json.loads((out / "checkpoint.json").read_text())
-        doc["closed_head"]["biases"][0] = float("nan")
-        ckpt = tmp_path / "nan.json"
-        ckpt.write_text(json.dumps(doc))
-        capsys.readouterr()
-        assert main(["evaluate", "--checkpoint", str(ckpt), "--config", str(path)]) == 1
-        grid = tmp_path / "g.csv"
-        assert main(["boundary-grid", "--checkpoint", str(ckpt), "--out", str(grid),
-                     "--resolution", "3", "--range", "0", "1", "0", "1"]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.count("scores are non-finite") == 2
-        assert not grid.exists()
+        # json.loads reads all three tokens as numbers (1e999 overflows to inf)
+        for token, field, keys in (("NaN", "closed_head.biases", ("closed_head", "biases", 0)),
+                                   ("Infinity", "calibration_bias", ("calibration_bias",)),
+                                   ("1e999", "standardization.std", ("standardization", "std", 1))):
+            doc = json.loads((out / "checkpoint.json").read_text())
+            *parents, last = keys
+            node = doc
+            for key in parents:
+                node = node[key]
+            node[last] = "BAD"
+            ckpt = tmp_path / f"{token}.json"
+            ckpt.write_text(json.dumps(doc).replace('"BAD"', token))
+            capsys.readouterr()
+            assert main(["evaluate", "--checkpoint", str(ckpt), "--config", str(path)]) == 2
+            grid = tmp_path / "g.csv"
+            assert main(["boundary-grid", "--checkpoint", str(ckpt), "--out", str(grid),
+                         "--resolution", "3", "--range", "0", "1", "0", "1"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count(f"{ckpt}: non-finite number in {field}") == 2, token
+            assert not grid.exists()

@@ -70,7 +70,7 @@ class TestClassifierPlaceholderLoss:
         y = np.random.default_rng(2).integers(0, 3, size=8)
         expected, _ = cross_entropy_from_logits(model.augmented_logits(x).combined, y)
         model.zero_grads()
-        assert loss_classifier_placeholder(model, x, y, beta=0.0) == expected
+        assert loss_classifier_placeholder(model, x, y, beta=0.0)[0] == expected
 
     def test_scalar_oracle_value(self):
         # K=2, C=1, combined [2, 1, 0.5], y=0, beta=1:
@@ -89,7 +89,7 @@ class TestClassifierPlaceholderLoss:
             dummy_head=DenseLayer([[0.5]], [0.0], "linear"),
             input_dim=1,
         )
-        loss = loss_classifier_placeholder(model, [[1.0]], [0], beta=1.0)
+        loss = loss_classifier_placeholder(model, [[1.0]], [0], beta=1.0)[0]
         assert loss == pytest.approx(term1 + term2, rel=1e-12)
         assert loss == pytest.approx(1.4385, abs=1e-4)
 
@@ -106,7 +106,7 @@ class TestClassifierPlaceholderLoss:
             x = rng.uniform(-1, 1, size=(6, 3))
             y = rng.integers(0, 3, size=6)
             fd = finite_difference_gradients(
-                lambda: loss_classifier_placeholder(model, x, y, beta),
+                lambda: loss_classifier_placeholder(model, x, y, beta)[0],
                 model.parameters(), h=1e-5,
             )
             model.zero_grads()
@@ -121,9 +121,9 @@ class TestClassifierPlaceholderLoss:
         model.dummy_head.biases[1] = -1000.0
         x = np.random.default_rng(3).uniform(-1, 1, size=(6, 3))
         y = np.random.default_rng(4).integers(0, 3, size=6)
-        before = loss_classifier_placeholder(model, x, y, beta=1.0)
+        before = loss_classifier_placeholder(model, x, y, beta=1.0)[0]
         model.dummy_head.weights[:, 1] += 1e-3
-        after = loss_classifier_placeholder(model, x, y, beta=1.0)
+        after = loss_classifier_placeholder(model, x, y, beta=1.0)[0]
         assert before == after
 
 

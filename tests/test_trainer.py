@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import copy
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from openset.checkpoint import checkpoint_text
 from openset.datastore import LabeledSet, fit_standardization, gen_gaussian_blobs
+from openset.gradcore import DenseLayer
 from openset.network import SplitMlp
 from openset.trainer import TrainConfig, finetune_placeholders, pretrain_closed, split_batch_halves
 
@@ -186,3 +189,61 @@ class TestFinetunePlaceholders:
         order = np.argsort(aug.combined, axis=1)[:, ::-1]
         ranks = np.nonzero(order == model.num_known)[1]
         assert (ranks == 1).mean() >= 0.9
+
+
+def _count_forward_rows(monkeypatch):
+    """Record (layer, rows) for every DenseLayer.forward call."""
+    calls = []
+    forward = DenseLayer.forward
+
+    def counted(self, x):
+        calls.append((self, len(x)))
+        return forward(self, x)
+
+    monkeypatch.setattr(DenseLayer, "forward", counted)
+    return calls
+
+
+class TestOneForwardPerRow:
+    """The log's accuracy comes from the training logits: no extra pass."""
+
+    def test_pretrain_forwards_each_row_once_per_epoch(self, monkeypatch):
+        data = _standardized_blobs(3, 20, seed=0)
+        cfg = TrainConfig(pretrain_epochs=4, batch_size=32, seed=0)
+        calls = _count_forward_rows(monkeypatch)
+        model = pretrain_closed(data, cfg, [])
+        rows = sum(n for layer, n in calls if layer is model.pre_layers[0])
+        assert rows == cfg.pretrain_epochs * len(data)
+
+    def test_full_finetune_forwards_each_row_once_per_epoch(self, monkeypatch):
+        data = _standardized_blobs(3, 20, seed=0)
+        cfg = TrainConfig(pretrain_epochs=2, finetune_epochs=4, batch_size=32,
+                          train_mode="full", mix_mode="hidden", seed=0)
+        model = pretrain_closed(data, cfg)
+        calls = _count_forward_rows(monkeypatch)
+        finetune_placeholders(model, data, cfg, [])
+        rows = sum(n for layer, n in calls if layer is model.pre_layers[0])
+        assert rows == cfg.finetune_epochs * len(data)
+
+
+class TestDivergence:
+    def test_pretrain_raises_at_the_first_non_finite_epoch(self):
+        data = _standardized_blobs(3, 30, seed=2)
+        cfg = TrainConfig(pretrain_epochs=40, learning_rate=1.0, batch_size=32, seed=9)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="pretrain epoch") as info:
+            pretrain_closed(data, cfg)
+        epoch = int(re.search(r"pretrain epoch (\d+)", str(info.value)).group(1))
+        assert epoch > 0
+        # every epoch before it is finite, so the check fired at the first bad one
+        log: list[str] = []
+        with np.errstate(all="ignore"):
+            model = pretrain_closed(data, replace(cfg, pretrain_epochs=epoch), log)
+        assert len(log) == epoch
+        assert all(np.isfinite(p).all() for p in model.parameters())
+
+    def test_finetune_names_its_stage(self):
+        data = _standardized_blobs(3, 30, seed=2)
+        cfg = TrainConfig(pretrain_epochs=5, finetune_epochs=5, batch_size=32, seed=9)
+        model = pretrain_closed(data, cfg)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"finetune epoch \d+"):
+            finetune_placeholders(model, data, replace(cfg, learning_rate=50.0))
