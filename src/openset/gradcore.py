@@ -66,7 +66,8 @@ class DenseLayer:
     input and output exactly once. `forward` caches the array it returns,
     so callers must not change that array in place before `backward`.
     Parameter gradients accumulate into `grad_weights` and `grad_biases`
-    until `zero_grad`.
+    until `zero_grad`. The four arrays may be views into a model's flat
+    buffers (`SplitMlp.pack`); every update writes them in place.
     """
 
     def __init__(self, weights: Array, biases: Array, activation: str = "linear"):
@@ -105,14 +106,19 @@ class DenseLayer:
         x = as_matrix(x)
         if x.shape[1] != self.in_dim:
             raise ValueError(f"input shape {x.shape} does not match weight shape {self.weights.shape}")
-        out = x @ self.weights + self.biases
+        out = x @ self.weights
+        out += self.biases
         if self.activation == "relu":
             np.maximum(out, 0.0, out=out)
         self._input = x
         self._output = out
         return out
 
-    def backward(self, grad_out) -> Array:
+    def backward(self, grad_out, input_grad: bool = True) -> Array | None:
+        """Accumulate the parameter gradients of the cached forward pass and
+        return the gradient with respect to its input. With
+        `input_grad=False` that gradient, one of the layer's three gemms, is
+        skipped and None is returned; the input layer needs no input gradient."""
         if self._input is None:
             raise RuntimeError("backward called before forward")
         grad_out = as_matrix(grad_out)
@@ -128,10 +134,9 @@ class DenseLayer:
             dz = grad_out
         self.grad_weights += self._input.T @ dz
         self.grad_biases += dz.sum(axis=0)
-        grad_in = dz @ self.weights.T
         self._input = None
         self._output = None
-        return grad_in
+        return dz @ self.weights.T if input_grad else None
 
     def zero_grad(self) -> None:
         self.grad_weights[:] = 0.0
@@ -148,8 +153,8 @@ class SgdMomentum:
     """v <- mu*v + g ; w <- w - lr*v  (no dampening, no Nesterov)."""
 
     def __init__(self, params: list[Array], learning_rate: float, momentum: float):
-        if learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {learning_rate}")
+        if not 0 < learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {learning_rate}")
         if not 0.0 <= momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.learning_rate = learning_rate
@@ -170,6 +175,6 @@ class SgdMomentum:
 
 def beta_sample(alpha: float, rng: np.random.Generator) -> float:
     """One draw from the symmetric Beta(alpha, alpha)."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     return float(rng.beta(alpha, alpha))

@@ -141,11 +141,12 @@ class SplitMlp:
             d = layer.backward(d)
         return d
 
-    def backward_pre(self, d_hidden) -> Array:
+    def backward_pre(self, d_hidden) -> None:
+        """Backpropagate into the pre-layers' parameter gradients. Nothing
+        reads the gradient of the raw input, so the input layer skips it."""
         d = d_hidden
-        for layer in reversed(self.pre_layers):
-            d = layer.backward(d)
-        return d
+        for i in range(len(self.pre_layers) - 1, -1, -1):
+            d = self.pre_layers[i].backward(d, input_grad=i > 0)
 
     # -- parameter plumbing ------------------------------------------------
 
@@ -157,6 +158,25 @@ class SplitMlp:
 
     def gradients(self) -> list[Array]:
         return [g for layer in self.layers() for g in layer.gradients()]
+
+    def pack(self) -> tuple[Array, Array]:
+        """Copy every parameter into one flat float64 array, give the
+        gradients a second, zeroed one, and make each layer's four arrays
+        reshaped views of them; returns (params, grads). Whole-model updates
+        then take one numpy call. `copy.deepcopy` turns the views into
+        separate arrays, so pack again before each training run."""
+        params = np.concatenate([p.ravel() for p in self.parameters()])
+        grads = np.zeros_like(params)
+        start = 0
+        for layer in self.layers():
+            shape = layer.weights.shape
+            mid = start + layer.weights.size
+            end = mid + layer.biases.size
+            layer.weights = params[start:mid].reshape(shape)
+            layer.grad_weights = grads[start:mid].reshape(shape)
+            layer.biases, layer.grad_biases = params[mid:end], grads[mid:end]
+            start = end
+        return params, grads
 
     def zero_grads(self) -> None:
         for layer in self.layers():

@@ -23,10 +23,14 @@ MIX_MODES = ("hidden", "input")
 
 @dataclass
 class MixPairs:
-    """Index pairs into one batch plus the shared mixing coefficient."""
+    """Index pairs into one batch plus the shared mixing coefficient.
 
-    left: Array   # int indices
-    right: Array  # int indices, label[right[p]] != label[left[p]]
+    `left` is strictly increasing and `right` holds no index twice, so a
+    gradient can be scattered back with fancy `+=` instead of `np.add.at`.
+    """
+
+    left: Array   # int indices, strictly increasing
+    right: Array  # int indices, distinct, label[right[p]] != label[left[p]]
     lam: float
 
     def __len__(self) -> int:
@@ -131,9 +135,12 @@ def loss_data_placeholder(model: SplitMlp, features, pairs: MixPairs, mode: str 
         loss, d_combined = cross_entropy_from_logits(aug.combined, dummy_targets)
         d_closed, d_dummy = split_combined_grad(aug, grad_scale * d_combined)
         d_mixed = model.backward_post(model.backward_heads(d_closed, d_dummy))
+        # neither index array repeats an index (see MixPairs), so buffered
+        # fancy += is an exact scatter-add; += on zeros, unlike =, also
+        # turns a -0.0 product into +0.0
         d_h = np.zeros_like(h)
-        np.add.at(d_h, pairs.left, pairs.lam * d_mixed)
-        np.add.at(d_h, pairs.right, (1.0 - pairs.lam) * d_mixed)
+        d_h[pairs.left] += pairs.lam * d_mixed
+        d_h[pairs.right] += (1.0 - pairs.lam) * d_mixed
         model.backward_pre(d_h)
     else:
         mixed = mix_hidden(features[pairs.left], features[pairs.right], pairs.lam)

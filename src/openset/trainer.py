@@ -9,6 +9,7 @@ bit-identical models.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,20 +38,25 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.beta < 0 or self.gamma < 0:
-            raise ValueError("beta and gamma must be nonnegative")
-        if self.num_dummy < 1:
+        # each test reads `not <valid range>`, so NaN, which fails every
+        # comparison, is rejected too
+        if not 0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be nonnegative and finite, got {self.beta}")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be nonnegative and finite, got {self.gamma}")
+        if not self.num_dummy >= 1:
             raise ValueError(f"num_dummy must be at least 1, got {self.num_dummy}")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.batch_size < 2:
+        if not self.batch_size >= 2:
             raise ValueError(f"batch_size must be at least 2, got {self.batch_size}")
-        if self.pretrain_epochs < 0 or self.finetune_epochs < 0:
-            raise ValueError("epoch counts must be nonnegative")
+        if not (self.pretrain_epochs >= 0 and self.finetune_epochs >= 0):
+            raise ValueError("pretrain_epochs and finetune_epochs must be nonnegative, "
+                             f"got {self.pretrain_epochs} and {self.finetune_epochs}")
         if self.mix_mode not in MIX_MODES:
             raise ValueError(f"mix_mode must be one of {MIX_MODES}, got {self.mix_mode!r}")
         if self.train_mode not in TRAIN_MODES:
@@ -71,24 +77,28 @@ def _train_epochs(model: SplitMlp, dataset: LabeledSet, config: TrainConfig, rng
     """The epoch loop of both stages: shuffle with `rng`, then per batch zero
     the gradients, run `step(features, labels)` and take one optimizer step.
     `step` returns None to skip the batch, else (l1, l2, closed logits, their
-    labels); those logits give the log's accuracy column. A non-finite mean
-    loss or parameter after an epoch raises ValueError naming stage and epoch."""
-    optimizer = SgdMomentum(model.parameters(), config.learning_rate, config.momentum)
+    labels); those logits give the log's accuracy column. The model is packed
+    into one flat parameter and one flat gradient buffer first, so zeroing,
+    the update and the finiteness check each act on one array. A non-finite
+    mean loss or parameter after an epoch raises ValueError naming stage and
+    epoch."""
+    params, grads = model.pack()
+    optimizer = SgdMomentum([params], config.learning_rate, config.momentum)
     for epoch in range(epochs):
         losses, hits = [], []
         perm = rng.permutation(len(dataset))
         for start in range(0, len(dataset), config.batch_size):
             idx = perm[start:start + config.batch_size]
-            model.zero_grads()
+            grads.fill(0.0)
             result = step(dataset.features[idx], dataset.labels[idx])
             if result is None:
                 continue
             l1, l2, logits, labels = result
-            optimizer.step(model.gradients())
+            optimizer.step([grads])
             losses.append((l1, l2))
             hits.append(logits.argmax(axis=1) == labels)
         l1, l2 = (float(np.mean(values)) for values in zip(*losses))
-        if not all(np.isfinite(v).all() for v in (l1, l2, *model.parameters())):
+        if not (math.isfinite(l1) and math.isfinite(l2) and np.isfinite(params).all()):
             raise ValueError(f"training diverged: {stage} epoch {epoch} has a non-finite loss or parameter")
         if log_lines is not None:
             log_lines.append(f"{epoch}\t{l1:.6f}\t{l2:.6f}\t{np.concatenate(hits).mean():.6f}")

@@ -308,6 +308,15 @@ class TestScoreOnce:
 
 
 class TestNonFinite:
+    def test_nan_learning_rate_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        doc = _tiny_config(out, train_overrides={"learning_rate": float("nan")})
+        path = _write_config(tmp_path, doc)
+        assert "NaN" in path.read_text()
+        assert main(["run", "--config", str(path)]) == 2
+        assert "learning_rate must be positive and finite, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_divergent_run_exits_1_and_writes_no_artifact(self, tmp_path, capsys):
         out = tmp_path / "out"
         doc = _tiny_config(out, train_overrides={"learning_rate": 50.0, "pretrain_epochs": 2,

@@ -155,6 +155,20 @@ class TestDenseLayer:
         with pytest.raises(ValueError):
             layer.forward(np.ones((1, 3)))
 
+    @pytest.mark.parametrize("activation", ["linear", "relu"])
+    def test_skipping_the_input_gradient_leaves_parameter_gradients_alone(self, activation):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((5, 3))
+        d_out = rng.standard_normal((5, 4))
+        full = DenseLayer.create(3, 4, activation, np.random.default_rng(1))
+        lean = DenseLayer.create(3, 4, activation, np.random.default_rng(1))
+        full.forward(x)
+        lean.forward(x)
+        assert full.backward(d_out).shape == (5, 3)
+        assert lean.backward(d_out, input_grad=False) is None
+        for a, b in zip(full.gradients(), lean.gradients()):
+            assert a.tobytes() == b.tobytes()
+
 
 class TestSgdMomentum:
     def test_zero_momentum_is_plain_descent(self):
@@ -191,6 +205,11 @@ class TestSgdMomentum:
         with pytest.raises(ValueError):
             opt.step([np.zeros(3)])
 
+    @pytest.mark.parametrize("lr", [0.0, -0.1, math.nan, math.inf])
+    def test_learning_rate_must_be_positive_and_finite(self, lr):
+        with pytest.raises(ValueError, match="learning_rate"):
+            SgdMomentum([np.zeros(2)], learning_rate=lr, momentum=0.0)
+
 
 class TestBetaSample:
     def test_samples_in_unit_interval(self):
@@ -204,6 +223,9 @@ class TestBetaSample:
             beta_sample(0.0, rng)
         with pytest.raises(ValueError):
             beta_sample(-1.0, rng)
+        for alpha in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="alpha must be positive and finite"):
+                beta_sample(alpha, rng)
 
     @pytest.mark.parametrize("alpha", [0.4, 1.0, 2.0])
     def test_moments(self, alpha):

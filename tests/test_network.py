@@ -66,6 +66,28 @@ class TestEmbedding:
             outs.append(model.embed_post(model.embed_pre(x)))
         assert outs[0].tobytes() == outs[1].tobytes()
 
+    def test_pack_makes_layers_views_of_two_flat_buffers(self):
+        model = SplitMlp.create(3, 2, 2, np.random.default_rng(7), pre_widths=(8,), post_widths=(4,))
+        for layer in model.layers():
+            layer.grad_weights += 1.0
+        before = [p.copy() for p in model.parameters()]
+        params, grads = model.pack()
+        assert params.size == grads.size == sum(p.size for p in before)
+        for p, old in zip(model.parameters(), before):
+            assert p.shape == old.shape and p.tobytes() == old.tobytes()
+        assert not grads.any()
+        params += 1.0
+        grads += 2.0
+        for p, old, g in zip(model.parameters(), before, model.gradients()):
+            np.testing.assert_array_equal(p, old + 1.0)
+            np.testing.assert_array_equal(g, 2.0)
+
+    def test_backward_pre_returns_no_input_gradient(self):
+        model = SplitMlp.create(3, 2, 1, np.random.default_rng(0), pre_widths=(4, 4))
+        h = model.embed_pre(np.ones((2, 3)))
+        assert model.backward_pre(np.ones_like(h)) is None
+        assert all(layer.grad_weights.any() for layer in model.pre_layers)
+
     def test_shape_mismatch(self):
         model = SplitMlp.create(3, 2, 1, np.random.default_rng(0))
         with pytest.raises(ValueError):

@@ -161,6 +161,26 @@ class TestMixPairs:
         assert np.all(labels[pairs.left] != labels[pairs.right])
         assert len(pairs) <= len(labels)
 
+    @given(labels=st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=64),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=200)
+    def test_no_index_repeats_within_left_or_right(self, labels, seed):
+        # loss_data_placeholder scatters with d_h[left] += ... and
+        # d_h[right] += ..., which equals np.add.at only without repeats
+        rng = np.random.default_rng(seed)
+        left, right = masked_pairs(labels, rng.permutation(len(labels)))
+        pairs = build_mix_pairs(labels, rng)
+        for lo, hi in ((left, right), (pairs.left, pairs.right)):
+            assert np.all(np.diff(lo) > 0)
+            assert len(np.unique(hi)) == len(hi)
+            grad = rng.standard_normal((len(lo), 2))
+            fancy, at = np.zeros((len(labels), 2)), np.zeros((len(labels), 2))
+            fancy[lo] += grad
+            fancy[hi] += -grad
+            np.add.at(at, lo, grad)
+            np.add.at(at, hi, -grad)
+            assert fancy.tobytes() == at.tobytes()
+
 
 class TestMixHidden:
     def test_lambda_one_returns_left_exactly(self):

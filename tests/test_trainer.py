@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import math
 import re
 from dataclasses import replace
 
@@ -11,7 +12,8 @@ import pytest
 
 from openset.checkpoint import checkpoint_text
 from openset.datastore import LabeledSet, fit_standardization, gen_gaussian_blobs
-from openset.gradcore import DenseLayer
+from openset import trainer
+from openset.gradcore import DenseLayer, SgdMomentum
 from openset.network import SplitMlp
 from openset.trainer import TrainConfig, finetune_placeholders, pretrain_closed, split_batch_halves
 
@@ -45,9 +47,17 @@ class TestTrainConfig:
         {"mix_mode": "both"},
         {"train_mode": "everything"},
         {"pretrain_epochs": -1},
+        {"learning_rate": math.nan},
+        {"learning_rate": math.inf},
+        {"beta": math.nan},
+        {"beta": math.inf},
+        {"gamma": math.nan},
+        {"gamma": math.inf},
+        {"alpha": math.nan},
+        {"alpha": math.inf},
     ])
     def test_invalid_configs_rejected(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(bad))):
             TrainConfig(**bad)
 
 
@@ -247,3 +257,57 @@ class TestDivergence:
         model = pretrain_closed(data, cfg)
         with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"finetune epoch \d+"):
             finetune_placeholders(model, data, replace(cfg, learning_rate=50.0))
+
+
+def _per_layer_train_epochs(model, dataset, config, rng, stage, epochs, step, log_lines):
+    """Reference for `trainer._train_epochs`: the same batches and steps,
+    with per-layer gradient zeroing and one momentum update per parameter
+    array, as before the model was packed into flat buffers."""
+    optimizer = SgdMomentum(model.parameters(), config.learning_rate, config.momentum)
+    for _ in range(epochs):
+        perm = rng.permutation(len(dataset))
+        for start in range(0, len(dataset), config.batch_size):
+            idx = perm[start:start + config.batch_size]
+            model.zero_grads()
+            if step(dataset.features[idx], dataset.labels[idx]) is not None:
+                optimizer.step(model.gradients())
+    return model
+
+
+def _param_bytes(model):
+    return [p.tobytes() for p in model.parameters()]
+
+
+class TestPackedTraining:
+    """The flat-buffer loop trains bit-for-bit like the per-layer reference."""
+
+    data = _standardized_blobs(3, 25, seed=6)
+    cfg = TrainConfig(pretrain_epochs=3, finetune_epochs=3, batch_size=16, seed=6)
+
+    def test_pretrain_matches_the_per_layer_reference(self, monkeypatch):
+        packed = pretrain_closed(self.data, self.cfg)
+        monkeypatch.setattr(trainer, "_train_epochs", _per_layer_train_epochs)
+        reference = pretrain_closed(self.data, self.cfg)
+        assert _param_bytes(packed) == _param_bytes(reference)
+
+    @pytest.mark.parametrize("mix_mode", ["hidden", "input"])
+    def test_full_finetune_matches_the_per_layer_reference(self, monkeypatch, mix_mode):
+        cfg = replace(self.cfg, train_mode="full", mix_mode=mix_mode)
+        start = SplitMlp.create(2, 3, cfg.num_dummy, np.random.default_rng(2))
+        packed = finetune_placeholders(copy.deepcopy(start), self.data, cfg)
+        monkeypatch.setattr(trainer, "_train_epochs", _per_layer_train_epochs)
+        reference = finetune_placeholders(copy.deepcopy(start), self.data, cfg)
+        assert _param_bytes(packed) == _param_bytes(reference)
+
+    def test_finetuning_a_deep_copy_of_a_trained_model(self, monkeypatch):
+        # the mode sweep's path: the copy holds separate arrays, not views
+        # of the buffers its original was packed into
+        cfg = replace(self.cfg, train_mode="full")
+        pretrained = pretrain_closed(self.data, cfg)
+        original = _param_bytes(pretrained)
+        packed = finetune_placeholders(copy.deepcopy(pretrained), self.data, cfg)
+        assert _param_bytes(pretrained) == original
+        monkeypatch.setattr(trainer, "_train_epochs", _per_layer_train_epochs)
+        reference = finetune_placeholders(copy.deepcopy(pretrained), self.data, cfg)
+        assert _param_bytes(packed) == _param_bytes(reference)
+        assert _param_bytes(packed) != original
