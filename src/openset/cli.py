@@ -20,6 +20,7 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .datastore import (
     LabeledSet,
     OpenSplit,
+    check_int,
     gen_gaussian_blobs,
     gen_rings,
     load_csv,
@@ -68,8 +69,10 @@ class CalibrationConfig:
     def __post_init__(self):
         if not 0.0 < self.target_rate <= 1.0:
             raise ConfigError(f"target_rate must be in (0, 1], got {self.target_rate}")
-        if self.intervals < 1:
-            raise ConfigError(f"intervals must be at least 1, got {self.intervals}")
+        try:
+            check_int("intervals", self.intervals, 1)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 @dataclass
@@ -193,13 +196,17 @@ def cmd_boundary_grid(checkpoint_path, out_path, x_range, y_range, resolution: i
     grid = np.column_stack([gx.ravel(), gy.ravel()])
     inputs = stats.apply(grid) if stats is not None else grid
     aug = model.augmented_logits(inputs)
-    scores = aug.knownness(model.calibration_bias)
-    labels = aug.predictions(model.calibration_bias)
-    with open(out_path, "w", encoding="utf-8") as f:
-        f.write("x,y,label,score\n")
-        for (x, y), label, s in zip(grid, labels, scores):
-            f.write(f"{float(x)!r},{float(y)!r},{int(label)},{float(s)!r}\n")
+    bias = model.calibration_bias
+    Path(out_path).write_text(grid_csv(grid, aug.predictions(bias), aug.knownness(bias)), encoding="utf-8")
     return EXIT_OK
+
+
+def grid_csv(grid, labels, scores) -> str:
+    """`x,y,label,score` rows with every float written as its `repr`, so it
+    reads back exactly."""
+    rows = map("{},{},{},{}\n".format, map(repr, grid[:, 0].tolist()), map(repr, grid[:, 1].tolist()),
+               labels.tolist(), map(repr, scores.tolist()))
+    return "x,y,label,score\n" + "".join(rows)
 
 
 def cmd_gen_data(config_path, out_path) -> int:

@@ -14,6 +14,13 @@ IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
 
+def check_int(name: str, value, minimum: int) -> None:
+    """Raise ValueError naming `name` unless `value` is an int of at least
+    `minimum`; a bool, or an integral float such as 2.0, is not an int."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+
+
 @dataclass
 class LabeledSet:
     features: Array                       # N x D float64
@@ -65,6 +72,7 @@ class OpenSplit:
             raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         if self.val_fraction + self.test_fraction >= 1.0:
             raise ValueError("val_fraction + test_fraction must leave room for training rows")
+        check_int("seed", self.seed, 0)
 
 
 @dataclass

@@ -1,9 +1,10 @@
 """Softmax, cross-entropy, differentiable dense layers, SGD with momentum,
 and Beta sampling.
 
-Everything is float64 numpy. Layers do manual forward/backward with explicit
-caches; there is no autodiff graph, only the fixed compositions this package
-needs.
+Everything is float64 numpy. Layers are stateless: `forward` keeps nothing,
+and `backward` is handed the input and output of the forward pass it
+differentiates. There is no autodiff graph, only the fixed compositions this
+package needs.
 """
 
 from __future__ import annotations
@@ -62,12 +63,11 @@ def cross_entropy_from_logits(logits, targets) -> tuple[float, Array]:
 class DenseLayer:
     """Affine map plus optional ReLU, with manual backward.
 
-    `backward` may only be called after `forward`; it consumes the cached
-    input and output exactly once. `forward` caches the array it returns,
-    so callers must not change that array in place before `backward`.
-    Parameter gradients accumulate into `grad_weights` and `grad_biases`
-    until `zero_grad`. The four arrays may be views into a model's flat
-    buffers (`SplitMlp.pack`); every update writes them in place.
+    The layer holds parameters and gradients, never activations: whoever
+    runs `forward` keeps its input and output for `backward`. Parameter
+    gradients accumulate into `grad_weights` and `grad_biases`. The four
+    arrays may be views into a model's flat buffers (`SplitMlp.pack`);
+    every update writes them in place.
     """
 
     def __init__(self, weights: Array, biases: Array, activation: str = "linear"):
@@ -82,8 +82,6 @@ class DenseLayer:
         self.activation = activation
         self.grad_weights = np.zeros_like(self.weights)
         self.grad_biases = np.zeros_like(self.biases)
-        self._input: Array | None = None
-        self._output: Array | None = None
 
     @classmethod
     def create(cls, in_dim: int, out_dim: int, activation: str, rng: np.random.Generator,
@@ -110,49 +108,36 @@ class DenseLayer:
         out += self.biases
         if self.activation == "relu":
             np.maximum(out, 0.0, out=out)
-        self._input = x
-        self._output = out
         return out
 
-    def backward(self, grad_out, input_grad: bool = True) -> Array | None:
-        """Accumulate the parameter gradients of the cached forward pass and
-        return the gradient with respect to its input. With
-        `input_grad=False` that gradient, one of the layer's three gemms, is
-        skipped and None is returned; the input layer needs no input gradient."""
-        if self._input is None:
-            raise RuntimeError("backward called before forward")
+    def backward(self, grad_out, x: Array, out: Array, input_grad: bool = True) -> Array | None:
+        """Accumulate the parameter gradients of the forward that mapped `x` to
+        `out` (unchanged since) and return the gradient with respect to `x`;
+        `input_grad=False` skips that gemm and returns None, as the input
+        layer needs no input gradient."""
         grad_out = as_matrix(grad_out)
-        if grad_out.shape != (self._input.shape[0], self.out_dim):
+        if grad_out.shape != (x.shape[0], self.out_dim):
             raise ValueError(
-                f"grad shape {grad_out.shape} does not match output shape "
-                f"{(self._input.shape[0], self.out_dim)}"
+                f"grad shape {grad_out.shape} does not match output shape {(x.shape[0], self.out_dim)}"
             )
         if self.activation == "relu":
             # subgradient at exactly 0 is 0; relu(z) > 0 exactly where z > 0
-            dz = grad_out * (self._output > 0)
+            dz = grad_out * (out > 0)
         else:
             dz = grad_out
-        self.grad_weights += self._input.T @ dz
+        self.grad_weights += x.T @ dz
         self.grad_biases += dz.sum(axis=0)
-        self._input = None
-        self._output = None
         return dz @ self.weights.T if input_grad else None
-
-    def zero_grad(self) -> None:
-        self.grad_weights[:] = 0.0
-        self.grad_biases[:] = 0.0
 
     def parameters(self) -> list[Array]:
         return [self.weights, self.biases]
 
-    def gradients(self) -> list[Array]:
-        return [self.grad_weights, self.grad_biases]
-
 
 class SgdMomentum:
-    """v <- mu*v + g ; w <- w - lr*v  (no dampening, no Nesterov)."""
+    """v <- mu*v + g ; w <- w - lr*v  (no dampening, no Nesterov), on one
+    parameter array updated in place, such as `SplitMlp.pack`'s flat buffer."""
 
-    def __init__(self, params: list[Array], learning_rate: float, momentum: float):
+    def __init__(self, params: Array, learning_rate: float, momentum: float):
         if not 0 < learning_rate < math.inf:
             raise ValueError(f"learning_rate must be positive and finite, got {learning_rate}")
         if not 0.0 <= momentum < 1.0:
@@ -160,17 +145,14 @@ class SgdMomentum:
         self.learning_rate = learning_rate
         self.momentum = momentum
         self.params = params
-        self.velocities = [np.zeros_like(p) for p in params]
+        self.velocity = np.zeros_like(params)
 
-    def step(self, grads: list[Array]) -> None:
-        if len(grads) != len(self.params):
-            raise ValueError(f"{len(grads)} gradients for {len(self.params)} parameters")
-        for p, v, g in zip(self.params, self.velocities, grads):
-            if g.shape != p.shape:
-                raise ValueError(f"gradient shape {g.shape} does not match parameter shape {p.shape}")
-            v *= self.momentum
-            v += g
-            p -= self.learning_rate * v
+    def step(self, grads: Array) -> None:
+        if grads.shape != self.params.shape:
+            raise ValueError(f"gradient shape {grads.shape} does not match parameter shape {self.params.shape}")
+        self.velocity *= self.momentum
+        self.velocity += grads
+        self.params -= self.learning_rate * self.velocity
 
 
 def beta_sample(alpha: float, rng: np.random.Generator) -> float:

@@ -5,6 +5,11 @@ representations can be mixed at the split point. Both heads read the same
 final embedding; the dummy head's per-row max joins the closed logits as
 column K of the combined logit matrix, with gradients routed only through
 the selected dummy column.
+
+Layers keep no activations. A training step keeps them on a tape: a list
+that starts with the forward's input and gets each layer's output from
+`embed_pre` and `embed_post`; the backward helpers pop them off again, last
+layer first. Scoring keeps no tape and runs in row chunks.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from .gradcore import Array, DenseLayer, as_matrix, softmax_rows
 DEFAULT_PRE_WIDTHS = (64, 64)
 DEFAULT_POST_WIDTHS = (32, 16)
 DUMMY_INIT_STD = 0.01
+SCORE_CHUNK = 4096  # minimum rows per scoring pass: BLAS rounds short ones differently
 
 
 @dataclass
@@ -105,19 +111,14 @@ class SplitMlp:
 
     # -- forward ----------------------------------------------------------
 
-    def embed_pre(self, x) -> Array:
+    def embed_pre(self, x, tape: list[Array] | None = None) -> Array:
         h = as_matrix(x)
         if h.shape[1] != self.input_dim:
             raise ValueError(f"input shape {h.shape} does not match input dimension {self.input_dim}")
-        for layer in self.pre_layers:
-            h = layer.forward(h)
-        return h
+        return _forward(self.pre_layers, h, tape)
 
-    def embed_post(self, h) -> Array:
-        out = as_matrix(h)
-        for layer in self.post_layers:
-            out = layer.forward(out)
-        return out
+    def embed_post(self, h, tape: list[Array] | None = None) -> Array:
+        return _forward(self.post_layers, as_matrix(h), tape)
 
     def heads_from_embedding(self, embedding) -> AugmentedLogits:
         closed = self.closed_head.forward(embedding)
@@ -128,25 +129,32 @@ class SplitMlp:
         return AugmentedLogits(closed, dummy_all, dummy_max, dummy_argmax, combined)
 
     def augmented_logits(self, x) -> AugmentedLogits:
-        return self.heads_from_embedding(self.embed_post(self.embed_pre(x)))
+        """Score `x` in chunks of SCORE_CHUNK or more rows, bit-identical to one pass."""
+        x = as_matrix(x)
+        parts = [self.heads_from_embedding(self.embed_post(self.embed_pre(chunk)))
+                 for chunk in np.array_split(x, max(1, len(x) // SCORE_CHUNK))]
+        return AugmentedLogits(*(np.concatenate(field) for field in zip(*(vars(p).values() for p in parts))))
 
     # -- backward ---------------------------------------------------------
 
-    def backward_heads(self, d_closed, d_dummy_all) -> Array:
-        return self.closed_head.backward(d_closed) + self.dummy_head.backward(d_dummy_all)
+    def backward_heads(self, d_combined, aug: AugmentedLogits, tape: list[Array]) -> Array:
+        """Gradient into the embedding (the end of `tape`) from that of `aug.combined`."""
+        d_closed, d_dummy_all = split_combined_grad(aug, d_combined)
+        embedding = tape[-1]
+        return (self.closed_head.backward(d_closed, embedding, aug.closed)
+                + self.dummy_head.backward(d_dummy_all, embedding, aug.dummy_all))
 
-    def backward_post(self, d_embedding) -> Array:
-        d = d_embedding
+    def backward_post(self, d, tape: list[Array]) -> Array:
+        """Backpropagate through the post-layers, popping their outputs off `tape`."""
         for layer in reversed(self.post_layers):
-            d = layer.backward(d)
+            d = layer.backward(d, tape[-2], tape.pop())  # (input, output), left to right
         return d
 
-    def backward_pre(self, d_hidden) -> None:
-        """Backpropagate into the pre-layers' parameter gradients. Nothing
-        reads the gradient of the raw input, so the input layer skips it."""
-        d = d_hidden
+    def backward_pre(self, d, tape: list[Array]) -> None:
+        """Backpropagate through the pre-layers, popping their outputs off `tape`.
+        Nothing reads the gradient of the raw input, so the input layer skips it."""
         for i in range(len(self.pre_layers) - 1, -1, -1):
-            d = self.pre_layers[i].backward(d, input_grad=i > 0)
+            d = self.pre_layers[i].backward(d, tape[-2], tape.pop(), input_grad=i > 0)
 
     # -- parameter plumbing ------------------------------------------------
 
@@ -155,9 +163,6 @@ class SplitMlp:
 
     def parameters(self) -> list[Array]:
         return [p for layer in self.layers() for p in layer.parameters()]
-
-    def gradients(self) -> list[Array]:
-        return [g for layer in self.layers() for g in layer.gradients()]
 
     def pack(self) -> tuple[Array, Array]:
         """Copy every parameter into one flat float64 array, give the
@@ -178,9 +183,13 @@ class SplitMlp:
             start = end
         return params, grads
 
-    def zero_grads(self) -> None:
-        for layer in self.layers():
-            layer.zero_grad()
+
+def _forward(layers: list[DenseLayer], h: Array, tape: list[Array] | None) -> Array:
+    for layer in layers:
+        h = layer.forward(h)
+        if tape is not None:
+            tape.append(h)
+    return h
 
 
 def split_combined_grad(aug: AugmentedLogits, d_combined) -> tuple[Array, Array]:

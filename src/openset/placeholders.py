@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gradcore import Array, as_matrix, beta_sample, cross_entropy_from_logits
-from .network import AugmentedLogits, SplitMlp, split_combined_grad
+from .network import AugmentedLogits, SplitMlp
 
 # large enough that exp(logit - max) underflows to exactly 0 in float64
 MASK_SENTINEL = -1e30
@@ -94,7 +94,8 @@ def loss_classifier_placeholder(model: SplitMlp, features, labels, beta: float) 
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     if features.shape[0] == 0:
         raise ValueError("empty batch")
-    aug = model.augmented_logits(features)
+    tape = [features]
+    aug = model.heads_from_embedding(model.embed_post(model.embed_pre(features, tape), tape))
     k = model.num_known
     loss, d_combined = cross_entropy_from_logits(aug.combined, labels)
     if beta != 0.0:
@@ -105,8 +106,7 @@ def loss_classifier_placeholder(model: SplitMlp, features, labels, beta: float) 
         d_masked[np.arange(labels.size), labels] = 0.0
         loss += beta * mask_loss
         d_combined = d_combined + beta * d_masked
-    d_closed, d_dummy = split_combined_grad(aug, d_combined)
-    model.backward_pre(model.backward_post(model.backward_heads(d_closed, d_dummy)))
+    model.backward_pre(model.backward_post(model.backward_heads(d_combined, aug, tape), tape), tape)
     return loss, aug
 
 
@@ -129,23 +129,25 @@ def loss_data_placeholder(model: SplitMlp, features, pairs: MixPairs, mode: str 
     dummy_targets = np.full(len(pairs), k, dtype=np.int64)
 
     if mode == "hidden":
-        h = model.embed_pre(features)
+        pre_tape = [features]
+        h = model.embed_pre(features, pre_tape)
         mixed = mix_hidden(h[pairs.left], h[pairs.right], pairs.lam)
-        aug = model.heads_from_embedding(model.embed_post(mixed))
+        tape = [mixed]
+        aug = model.heads_from_embedding(model.embed_post(mixed, tape))
         loss, d_combined = cross_entropy_from_logits(aug.combined, dummy_targets)
-        d_closed, d_dummy = split_combined_grad(aug, grad_scale * d_combined)
-        d_mixed = model.backward_post(model.backward_heads(d_closed, d_dummy))
+        d_mixed = model.backward_post(model.backward_heads(grad_scale * d_combined, aug, tape), tape)
         # neither index array repeats an index (see MixPairs), so buffered
         # fancy += is an exact scatter-add; += on zeros, unlike =, also
         # turns a -0.0 product into +0.0
         d_h = np.zeros_like(h)
         d_h[pairs.left] += pairs.lam * d_mixed
         d_h[pairs.right] += (1.0 - pairs.lam) * d_mixed
-        model.backward_pre(d_h)
+        model.backward_pre(d_h, pre_tape)
     else:
         mixed = mix_hidden(features[pairs.left], features[pairs.right], pairs.lam)
-        aug = model.augmented_logits(mixed)
+        tape = [mixed]
+        aug = model.heads_from_embedding(model.embed_post(model.embed_pre(mixed, tape), tape))
         loss, d_combined = cross_entropy_from_logits(aug.combined, dummy_targets)
-        d_closed, d_dummy = split_combined_grad(aug, grad_scale * d_combined)
-        model.backward_pre(model.backward_post(model.backward_heads(d_closed, d_dummy)))
+        d_mixed = model.backward_post(model.backward_heads(grad_scale * d_combined, aug, tape), tape)
+        model.backward_pre(d_mixed, tape)
     return loss

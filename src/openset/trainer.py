@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datastore import LabeledSet
+from .datastore import LabeledSet, check_int
 from .gradcore import Array, SgdMomentum, cross_entropy_from_logits
 from .network import SplitMlp
 from .placeholders import MIX_MODES, build_mix_pairs, loss_classifier_placeholder, loss_data_placeholder
@@ -44,19 +44,17 @@ class TrainConfig:
             raise ValueError(f"beta must be nonnegative and finite, got {self.beta}")
         if not 0 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be nonnegative and finite, got {self.gamma}")
-        if not self.num_dummy >= 1:
-            raise ValueError(f"num_dummy must be at least 1, got {self.num_dummy}")
+        check_int("num_dummy", self.num_dummy, 1)
         if not 0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not self.batch_size >= 2:
-            raise ValueError(f"batch_size must be at least 2, got {self.batch_size}")
-        if not (self.pretrain_epochs >= 0 and self.finetune_epochs >= 0):
-            raise ValueError("pretrain_epochs and finetune_epochs must be nonnegative, "
-                             f"got {self.pretrain_epochs} and {self.finetune_epochs}")
+        check_int("batch_size", self.batch_size, 2)
+        check_int("pretrain_epochs", self.pretrain_epochs, 0)
+        check_int("finetune_epochs", self.finetune_epochs, 0)
+        check_int("seed", self.seed, 0)
         if self.mix_mode not in MIX_MODES:
             raise ValueError(f"mix_mode must be one of {MIX_MODES}, got {self.mix_mode!r}")
         if self.train_mode not in TRAIN_MODES:
@@ -83,7 +81,7 @@ def _train_epochs(model: SplitMlp, dataset: LabeledSet, config: TrainConfig, rng
     mean loss or parameter after an epoch raises ValueError naming stage and
     epoch."""
     params, grads = model.pack()
-    optimizer = SgdMomentum([params], config.learning_rate, config.momentum)
+    optimizer = SgdMomentum(params, config.learning_rate, config.momentum)
     for epoch in range(epochs):
         losses, hits = [], []
         perm = rng.permutation(len(dataset))
@@ -94,7 +92,7 @@ def _train_epochs(model: SplitMlp, dataset: LabeledSet, config: TrainConfig, rng
             if result is None:
                 continue
             l1, l2, logits, labels = result
-            optimizer.step([grads])
+            optimizer.step(grads)
             losses.append((l1, l2))
             hits.append(logits.argmax(axis=1) == labels)
         l1, l2 = (float(np.mean(values)) for values in zip(*losses))
@@ -121,9 +119,10 @@ def pretrain_closed(dataset: LabeledSet, config: TrainConfig,
     model = SplitMlp.create(dataset.dim, num_known, config.num_dummy, rng)
 
     def step(xb: Array, yb: Array):
-        logits = model.closed_head.forward(model.embed_post(model.embed_pre(xb)))
+        tape = [xb]
+        logits = model.closed_head.forward(model.embed_post(model.embed_pre(xb, tape), tape))
         loss, d_logits = cross_entropy_from_logits(logits, yb)
-        model.backward_pre(model.backward_post(model.closed_head.backward(d_logits)))
+        model.backward_pre(model.backward_post(model.closed_head.backward(d_logits, tape[-1], logits), tape), tape)
         return loss, 0.0, logits, yb
 
     return _train_epochs(model, dataset, config, rng, "pretrain", config.pretrain_epochs, step, log_lines)

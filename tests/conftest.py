@@ -1,4 +1,5 @@
-"""Shared oracle helpers: numerical gradient checking and norm-based errors."""
+"""Shared oracle helpers: numerical gradient checking, norm-based errors, and
+access to the gradients a DenseLayer or SplitMlp has accumulated."""
 
 from __future__ import annotations
 
@@ -13,6 +14,22 @@ def rel_error(a, b) -> float:
     if denom == 0.0:
         return 0.0
     return float(np.linalg.norm(a - b) / denom)
+
+
+def _layers(layer_or_model) -> list:
+    return layer_or_model.layers() if hasattr(layer_or_model, "layers") else [layer_or_model]
+
+
+def zero_grads(layer_or_model) -> None:
+    """Zero the parameter gradients of a DenseLayer or of every layer of a SplitMlp."""
+    for layer in _layers(layer_or_model):
+        layer.grad_weights[:] = 0.0
+        layer.grad_biases[:] = 0.0
+
+
+def gradients(layer_or_model) -> list[np.ndarray]:
+    """The gradient arrays of a DenseLayer or SplitMlp, in `parameters()` order."""
+    return [g for layer in _layers(layer_or_model) for g in (layer.grad_weights, layer.grad_biases)]
 
 
 def finite_difference_gradients(loss_fn, params: list[np.ndarray], h: float = 1e-5) -> list[np.ndarray]:

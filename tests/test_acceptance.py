@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import finite_difference_gradients, rel_error
+from conftest import finite_difference_gradients, gradients, rel_error, zero_grads
 from openset.calibration import candidate_biases, known_rate, logit_gaps
 from openset.cli import main
 from openset.datastore import LabeledSet, OpenSplit, fit_standardization, gen_gaussian_blobs
@@ -108,9 +108,11 @@ def test_criterion_2_gradient_suite():
                          float(rng.uniform(0.1, 0.9)))
 
         def plain_ce():
-            logits = model.closed_head.forward(model.embed_post(model.embed_pre(x)))
+            tape = [x]
+            logits = model.closed_head.forward(model.embed_post(model.embed_pre(x, tape), tape))
             loss, d = cross_entropy_from_logits(logits, y)
-            model.backward_pre(model.backward_post(model.closed_head.backward(d)))
+            d_embedding = model.closed_head.backward(d, tape[-1], logits)
+            model.backward_pre(model.backward_post(d_embedding, tape), tape)
             return loss
 
         losses = [
@@ -122,9 +124,9 @@ def test_criterion_2_gradient_suite():
         ]
         for name, loss_fn in losses:
             numeric = finite_difference_gradients(loss_fn, model.parameters(), h=1e-5)
-            model.zero_grads()
+            zero_grads(model)
             loss_fn()
-            for analytic, fd in zip(model.gradients(), numeric):
+            for analytic, fd in zip(gradients(model), numeric):
                 err = rel_error(analytic, fd)
                 worst = max(worst, err)
                 assert err <= 1e-4, f"{name} seed {seed}: rel err {err}"
@@ -169,7 +171,7 @@ def test_criterion_4_reduction_properties():
 
     # beta=0 reduces the classifier-placeholder loss to plain CE bit-exactly
     expected, _ = cross_entropy_from_logits(model.augmented_logits(x).combined, y)
-    model.zero_grads()
+    zero_grads(model)
     assert loss_classifier_placeholder(model, x, y, beta=0.0)[0] == expected
 
     # gamma=0 full mode equals dummy_only: identical final weights, same seed
@@ -193,11 +195,11 @@ def test_criterion_4_reduction_properties():
     twin = SplitMlp.create(3, 3, 2, np.random.default_rng(8), pre_widths=(), post_widths=(4,))
     xm = np.random.default_rng(9).uniform(-1, 1, size=(6, 3))
     pairs = MixPairs(np.array([0, 2, 4]), np.array([1, 3, 5]), 0.35)
-    flat.zero_grads()
-    twin.zero_grads()
+    zero_grads(flat)
+    zero_grads(twin)
     assert loss_data_placeholder(flat, xm, pairs, "hidden") == \
         loss_data_placeholder(twin, xm, pairs, "input")
-    for ga, gb in zip(flat.gradients(), twin.gradients()):
+    for ga, gb in zip(gradients(flat), gradients(twin)):
         assert ga.tobytes() == gb.tobytes()
 
     _passed(4, "bias=-1e9 argmax, beta=0 CE, gamma=0 ≡ dummy_only, empty-pre mode equality")

@@ -12,6 +12,7 @@ import pytest
 from openset.checkpoint import load_checkpoint
 from openset.cli import (
     ConfigError,
+    grid_csv,
     load_run_config,
     main,
     parse_dataset_block,
@@ -148,6 +149,17 @@ class TestRun:
         path = _write_config(tmp_path, doc)
         assert main(["run", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("block,key,value", [("train", "batch_size", 16.5),
+                                                 ("split", "seed", 1.5),
+                                                 ("calibration", "intervals", 2.5)])
+    def test_non_integer_field_exits_2_naming_it(self, tmp_path, capsys, block, key, value):
+        out = tmp_path / "out"
+        doc = _tiny_config(out)
+        doc[block][key] = value
+        assert main(["run", "--config", str(_write_config(tmp_path, doc))]) == 2
+        assert f"{key} must be an integer of at least" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestGolden:
     def test_blobs6_reproduces_the_committed_artifacts(self, tmp_path):
@@ -229,6 +241,24 @@ class TestBoundaryGrid:
         assert main(["boundary-grid", "--checkpoint", str(tmp_path / "out" / "checkpoint.json"),
                      "--out", str(tmp_path / "g.csv"),
                      "--range", "0", "1", "0", "1"]) == 1
+
+
+def _grid_csv_row_loop(grid, labels, scores) -> str:
+    """The per-row f-string writer `grid_csv` replaced, kept as its oracle."""
+    lines = ["x,y,label,score\n"]
+    for (x, y), label, s in zip(grid, labels, scores):
+        lines.append(f"{float(x)!r},{float(y)!r},{int(label)},{float(s)!r}\n")
+    return "".join(lines)
+
+
+def test_grid_csv_matches_the_row_loop():
+    special = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 2.0, -3.0, 1e16, 123456789.0, 0.1, 1 / 3]
+    rng = np.random.default_rng(0)
+    values = np.concatenate([special, rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40)])
+    grid = np.column_stack([values, rng.permutation(values)])
+    labels = rng.integers(0, 7, len(values))
+    scores = values[::-1].copy()
+    assert grid_csv(grid, labels, scores) == _grid_csv_row_loop(grid, labels, scores)
 
 
 class TestGenData:

@@ -20,6 +20,7 @@ from openset.datastore import (
     save_csv,
     split_known_unknown,
 )
+from conftest import gradients, zero_grads
 from openset.gradcore import DenseLayer, SgdMomentum, cross_entropy_from_logits
 
 
@@ -42,12 +43,14 @@ class TestGaussianBlobs:
         stats = fit_standardization(data.features)
         x = stats.apply(data.features)
         layer = DenseLayer(np.zeros((2, 2)), np.zeros(2), "linear")
-        opt = SgdMomentum(layer.parameters(), learning_rate=0.5, momentum=0.0)
+        opts = [SgdMomentum(p, learning_rate=0.5, momentum=0.0) for p in layer.parameters()]
         for _ in range(200):
-            layer.zero_grad()
-            loss, d = cross_entropy_from_logits(layer.forward(x), data.labels)
-            layer.backward(d)
-            opt.step(layer.gradients())
+            zero_grads(layer)
+            logits = layer.forward(x)
+            loss, d = cross_entropy_from_logits(logits, data.labels)
+            layer.backward(d, x, logits)
+            for opt, g in zip(opts, gradients(layer)):
+                opt.step(g)
         acc = (layer.forward(x).argmax(axis=1) == data.labels).mean()
         assert acc == 1.0
 
@@ -252,6 +255,11 @@ class TestSplitKnownUnknown:
         split = OpenSplit(known_class_ids=[0, 7], val_fraction=0.2, test_fraction=0.2)
         with pytest.raises(ValueError):
             split_known_unknown(data, split)
+
+    @pytest.mark.parametrize("seed", [1.5, -1, True])
+    def test_non_integer_or_negative_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            OpenSplit(known_class_ids=[0, 1], seed=seed)
 
     def test_overlapping_split_rejected(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import cross_entropy_row_oracle, finite_difference_gradients, rel_error
+from conftest import cross_entropy_row_oracle, finite_difference_gradients, gradients, rel_error, zero_grads
 from openset.gradcore import (
     DenseLayer,
     SgdMomentum,
@@ -110,9 +110,8 @@ class TestDenseLayer:
         rng = np.random.default_rng(0)
         layer = DenseLayer(rng.standard_normal((3, 2)), np.zeros(2), "linear")
         x = rng.standard_normal((4, 3))
-        layer.forward(x)
         g = np.ones((4, 2))
-        layer.backward(g)
+        layer.backward(g, x, layer.forward(x))
         np.testing.assert_allclose(layer.grad_weights, x.T @ g, atol=1e-12)
 
     @pytest.mark.parametrize("activation", ["linear", "relu"])
@@ -126,29 +125,25 @@ class TestDenseLayer:
             return float((layer.forward(x) * d_out).sum())
 
         fd = finite_difference_gradients(loss, layer.parameters(), h=1e-5)
-        layer.zero_grad()
-        layer.forward(x)
-        layer.backward(d_out)
+        zero_grads(layer)
+        layer.backward(d_out, x, layer.forward(x))
         assert rel_error(layer.grad_weights, fd[0]) <= 1e-6
         assert rel_error(layer.grad_biases, fd[1]) <= 1e-6
 
     def test_relu_all_negative_blocks_gradient(self):
         layer = DenseLayer(np.eye(2), np.array([-5.0, -5.0]), "relu")
-        layer.forward(np.array([[1.0, 1.0]]))
-        grad_in = layer.backward(np.ones((1, 2)))
+        x = np.array([[1.0, 1.0]])
+        grad_in = layer.backward(np.ones((1, 2)), x, layer.forward(x))
         np.testing.assert_array_equal(grad_in, np.zeros((1, 2)))
 
-    def test_backward_before_forward_is_an_error(self):
-        layer = DenseLayer(np.eye(2), np.zeros(2))
-        with pytest.raises(RuntimeError):
-            layer.backward(np.ones((1, 2)))
-
-    def test_backward_consumes_the_cache(self):
-        layer = DenseLayer(np.eye(2), np.zeros(2))
-        layer.forward(np.ones((1, 2)))
-        layer.backward(np.ones((1, 2)))
-        with pytest.raises(RuntimeError):
-            layer.backward(np.ones((1, 2)))
+    @pytest.mark.parametrize("activation", ["linear", "relu"])
+    def test_forward_keeps_no_state(self, activation):
+        layer = DenseLayer.create(3, 4, activation, np.random.default_rng(0))
+        before = dict(vars(layer))
+        layer.forward(np.ones((2, 3)))
+        after = vars(layer)
+        assert after.keys() == before.keys()
+        assert all(after[key] is value for key, value in before.items())
 
     def test_forward_shape_mismatch(self):
         layer = DenseLayer(np.eye(2), np.zeros(2))
@@ -162,11 +157,9 @@ class TestDenseLayer:
         d_out = rng.standard_normal((5, 4))
         full = DenseLayer.create(3, 4, activation, np.random.default_rng(1))
         lean = DenseLayer.create(3, 4, activation, np.random.default_rng(1))
-        full.forward(x)
-        lean.forward(x)
-        assert full.backward(d_out).shape == (5, 3)
-        assert lean.backward(d_out, input_grad=False) is None
-        for a, b in zip(full.gradients(), lean.gradients()):
+        assert full.backward(d_out, x, full.forward(x)).shape == (5, 3)
+        assert lean.backward(d_out, x, lean.forward(x), input_grad=False) is None
+        for a, b in zip(gradients(full), gradients(lean)):
             assert a.tobytes() == b.tobytes()
 
 
@@ -174,41 +167,41 @@ class TestSgdMomentum:
     def test_zero_momentum_is_plain_descent(self):
         w = np.array([1.0, -2.0])
         g = np.array([0.5, 0.5])
-        SgdMomentum([w], learning_rate=0.1, momentum=0.0).step([g])
+        SgdMomentum(w, learning_rate=0.1, momentum=0.0).step(g)
         np.testing.assert_allclose(w, [0.95, -2.05], atol=1e-15)
 
     def test_two_step_hand_recurrence(self):
         # v1 = 1, w = 0.9; v2 = 0.9 + 1 = 1.9, w = 0.9 - 0.19 = 0.71
         w = np.array([1.0])
-        opt = SgdMomentum([w], learning_rate=0.1, momentum=0.9)
-        opt.step([np.array([1.0])])
-        opt.step([np.array([1.0])])
+        opt = SgdMomentum(w, learning_rate=0.1, momentum=0.9)
+        opt.step(np.array([1.0]))
+        opt.step(np.array([1.0]))
         assert w[0] == pytest.approx(0.71, abs=1e-15)
 
     def test_zero_gradients_leave_weights_alone(self):
         w = np.array([3.0])
-        opt = SgdMomentum([w], learning_rate=0.1, momentum=0.9)
+        opt = SgdMomentum(w, learning_rate=0.1, momentum=0.9)
         for _ in range(10):
-            opt.step([np.array([0.0])])
+            opt.step(np.array([0.0]))
         assert w[0] == 3.0
 
     def test_velocity_decays_geometrically_without_gradient(self):
         w = np.array([0.0])
-        opt = SgdMomentum([w], learning_rate=0.1, momentum=0.5)
-        opt.step([np.array([1.0])])
+        opt = SgdMomentum(w, learning_rate=0.1, momentum=0.5)
+        opt.step(np.array([1.0]))
         for expected in (0.5, 0.25, 0.125):
-            opt.step([np.array([0.0])])
-            assert opt.velocities[0][0] == pytest.approx(expected, abs=1e-15)
+            opt.step(np.array([0.0]))
+            assert opt.velocity[0] == pytest.approx(expected, abs=1e-15)
 
     def test_shape_mismatch(self):
-        opt = SgdMomentum([np.zeros(2)], learning_rate=0.1, momentum=0.0)
+        opt = SgdMomentum(np.zeros(2), learning_rate=0.1, momentum=0.0)
         with pytest.raises(ValueError):
-            opt.step([np.zeros(3)])
+            opt.step(np.zeros(3))
 
     @pytest.mark.parametrize("lr", [0.0, -0.1, math.nan, math.inf])
     def test_learning_rate_must_be_positive_and_finite(self, lr):
         with pytest.raises(ValueError, match="learning_rate"):
-            SgdMomentum([np.zeros(2)], learning_rate=lr, momentum=0.0)
+            SgdMomentum(np.zeros(2), learning_rate=lr, momentum=0.0)
 
 
 class TestBetaSample:

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import gradients
 from openset.calibration import logit_gaps
 from openset.checkpoint import (
     CheckpointError,
@@ -16,6 +19,7 @@ from openset.checkpoint import (
 )
 from openset.gradcore import DenseLayer
 from openset.network import (
+    SCORE_CHUNK,
     SplitMlp,
     baseline_confidence,
     knownness_score,
@@ -23,6 +27,8 @@ from openset.network import (
     split_combined_grad,
 )
 from openset.trainer import TrainConfig
+
+BLOBS6_CHECKPOINT = Path(__file__).resolve().parent.parent / "out" / "blobs6" / "checkpoint.json"
 
 
 def _fixed_logit_model(closed_rows, dummy_rows):
@@ -78,14 +84,15 @@ class TestEmbedding:
         assert not grads.any()
         params += 1.0
         grads += 2.0
-        for p, old, g in zip(model.parameters(), before, model.gradients()):
+        for p, old, g in zip(model.parameters(), before, gradients(model)):
             np.testing.assert_array_equal(p, old + 1.0)
             np.testing.assert_array_equal(g, 2.0)
 
     def test_backward_pre_returns_no_input_gradient(self):
         model = SplitMlp.create(3, 2, 1, np.random.default_rng(0), pre_widths=(4, 4))
-        h = model.embed_pre(np.ones((2, 3)))
-        assert model.backward_pre(np.ones_like(h)) is None
+        tape = [np.ones((2, 3))]
+        h = model.embed_pre(tape[0], tape)
+        assert model.backward_pre(np.ones_like(h), tape) is None
         assert all(layer.grad_weights.any() for layer in model.pre_layers)
 
     def test_shape_mismatch(self):
@@ -226,6 +233,68 @@ class TestScores:
             aug.knownness(0.0)
         with pytest.raises(ValueError, match="2 of 3 scores are non-finite"):
             aug.max_softmax()
+
+
+def _one_pass_combined(model, x):
+    """Reference scoring: one gemm per layer over all rows at once."""
+    def affine(layer, h):
+        out = h @ layer.weights + layer.biases
+        return np.maximum(out, 0.0) if layer.activation == "relu" else out
+
+    h = x
+    for layer in [*model.pre_layers, *model.post_layers]:
+        h = affine(layer, h)
+    dummy_max = affine(model.dummy_head, h).max(axis=1)
+    return np.concatenate([affine(model.closed_head, h), dummy_max[:, None]], axis=1)
+
+
+def _blobs6_grid(resolution=300):
+    """The inputs of `boundary-grid --resolution 300 --range -7 7 -7 7` on
+    the committed blobs6 checkpoint: 90k rows."""
+    model, _, stats = load_checkpoint(BLOBS6_CHECKPOINT)
+    axis = np.linspace(-7.0, 7.0, resolution)
+    gx, gy = np.meshgrid(axis, axis)
+    return model, stats.apply(np.column_stack([gx.ravel(), gy.ravel()]))
+
+
+class TestStatelessScoring:
+    def test_scoring_leaves_every_layer_as_it_was(self):
+        model = SplitMlp.create(3, 4, 2, np.random.default_rng(0), pre_widths=(6,), post_widths=(5,))
+        before = [dict(vars(layer)) for layer in model.layers()]
+        model.augmented_logits(np.random.default_rng(1).standard_normal((SCORE_CHUNK * 2, 3)))
+        for layer, old in zip(model.layers(), before):
+            assert vars(layer).keys() == old.keys()
+            assert all(vars(layer)[key] is value for key, value in old.items())
+
+    @pytest.mark.parametrize("rows", [SCORE_CHUNK + 5, SCORE_CHUNK + 1])
+    def test_chunked_scoring_matches_one_pass_on_a_wide_input_layer(self, rows):
+        # BLAS rounds a 784-input gemm of under ~20 rows differently from the
+        # same rows inside a big batch, so a short tail chunk would show here
+        rng = np.random.default_rng(8)
+        model = SplitMlp.create(784, 6, 5, rng)
+        x = rng.standard_normal((rows, 784))
+        assert model.augmented_logits(x).combined.tobytes() == _one_pass_combined(model, x).tobytes()
+
+    def test_chunked_scoring_matches_one_pass_on_the_blobs6_checkpoint(self):
+        model, grid = _blobs6_grid()
+        x = grid[:2 * SCORE_CHUNK + 1]
+        aug = model.augmented_logits(x)
+        reference = _one_pass_combined(model, x)
+        assert aug.combined.tobytes() == reference.tobytes()
+        assert aug.closed.tobytes() == reference[:, :model.num_known].tobytes()
+
+    def test_scoring_90k_rows_holds_bounded_memory(self):
+        model, grid = _blobs6_grid()
+        tracemalloc.start()
+        try:
+            aug = model.augmented_logits(grid)
+            aug.knownness(model.calibration_bias)
+            aug.predictions(model.calibration_bias)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(grid) == 90_000
+        assert peak < 40e6, f"scoring peaked at {peak / 1e6:.1f} MB"
 
 
 class TestCheckpoint:

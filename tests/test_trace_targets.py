@@ -1,9 +1,10 @@
 """The benchmark's tracer can wrap every function it names.
 
 `perfbench/tracer.py` wraps named functions and methods of `openset` with
-timing spans. A renamed or moved target would only fail a traced benchmark
-run; this test fails first. It loads the tracer's target table without
-installing anything.
+timing spans. A renamed or moved target, or a changed layer signature,
+would only fail a traced benchmark run; these tests fail first. They load
+the tracer's target table without installing anything, and install it only
+in a child process.
 """
 
 from __future__ import annotations
@@ -11,9 +12,28 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+REPO = Path(__file__).resolve().parent.parent
+TRACER = REPO / "perfbench" / "tracer.py"
+
+# runs `openset run --config argv[1]` with every tracer target installed and
+# prints the exit code and the per-layer metrics as one JSON line
+TRACED_RUN = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_tracer", sys.argv[2])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+import openset.cli as cli
+spans = tracer.Tracer()
+tracer.install(spans)
+code = cli.main(["run", "--config", sys.argv[1]])
+print(json.dumps({"exit": code, **tracer.layer_metrics(spans.spans)}))
+"""
 
 
 def _traced_targets():
@@ -42,3 +62,22 @@ def test_layer_methods_take_their_rows_first():
 
     for method, arg in ((DenseLayer.forward, "x"), (DenseLayer.backward, "grad_out")):
         assert list(inspect.signature(method).parameters)[1] == arg
+
+
+def test_a_traced_run_counts_its_training_rows(tmp_path):
+    config = {
+        "dataset": {"generator": "blobs", "num_classes": 4, "per_class": 30, "dim": 2, "seed": 1},
+        "split": {"known_class_ids": [0, 1, 2], "unknown_class_ids": [3], "seed": 1},
+        "train": {"batch_size": 16, "pretrain_epochs": 2, "finetune_epochs": 2, "seed": 1},
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", TRACED_RUN, str(path), str(TRACER)],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert done.returncode == 0, done.stderr
+    metrics = json.loads(done.stdout.splitlines()[-1])
+    assert metrics["exit"] == 0
+    assert metrics["gradcore.forward.rows"] > 0
+    assert metrics["trainer.monitor_forward_rows"] == 0

@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import gradients, zero_grads
 from openset.checkpoint import checkpoint_text
 from openset.datastore import LabeledSet, fit_standardization, gen_gaussian_blobs
 from openset import trainer
@@ -55,6 +56,13 @@ class TestTrainConfig:
         {"gamma": math.inf},
         {"alpha": math.nan},
         {"alpha": math.inf},
+        {"batch_size": 16.5},
+        {"batch_size": 16.0},
+        {"num_dummy": 2.5},
+        {"seed": 1.5},
+        {"seed": -1},
+        {"pretrain_epochs": True},
+        {"finetune_epochs": 2.5},
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
@@ -263,14 +271,15 @@ def _per_layer_train_epochs(model, dataset, config, rng, stage, epochs, step, lo
     """Reference for `trainer._train_epochs`: the same batches and steps,
     with per-layer gradient zeroing and one momentum update per parameter
     array, as before the model was packed into flat buffers."""
-    optimizer = SgdMomentum(model.parameters(), config.learning_rate, config.momentum)
+    optimizers = [SgdMomentum(p, config.learning_rate, config.momentum) for p in model.parameters()]
     for _ in range(epochs):
         perm = rng.permutation(len(dataset))
         for start in range(0, len(dataset), config.batch_size):
             idx = perm[start:start + config.batch_size]
-            model.zero_grads()
+            zero_grads(model)
             if step(dataset.features[idx], dataset.labels[idx]) is not None:
-                optimizer.step(model.gradients())
+                for optimizer, g in zip(optimizers, gradients(model)):
+                    optimizer.step(g)
     return model
 
 
