@@ -12,7 +12,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .datastore import Standardization
+from .datastore import Standardization, json_text
 from .gradcore import DenseLayer
 from .network import SplitMlp
 from .trainer import TrainConfig
@@ -29,8 +29,8 @@ def _layer_doc(layer: DenseLayer) -> dict:
         "in": layer.in_dim,
         "out": layer.out_dim,
         "activation": layer.activation,
-        "weights": layer.weights.tolist(),
-        "biases": layer.biases.tolist(),
+        "weights": layer.weights,
+        "biases": layer.biases,
     }
 
 
@@ -69,11 +69,11 @@ def checkpoint_text(model: SplitMlp, config: TrainConfig,
         "calibration_bias": model.calibration_bias,
         "train_config": asdict(config),
         "standardization": None if standardization is None else {
-            "mean": standardization.mean.tolist(),
-            "std": standardization.std.tolist(),
+            "mean": standardization.mean,
+            "std": standardization.std,
         },
     }
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    return json_text(doc) + "\n"
 
 
 def save_checkpoint(path, model: SplitMlp, config: TrainConfig,

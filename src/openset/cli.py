@@ -23,6 +23,7 @@ from .datastore import (
     check_int,
     gen_gaussian_blobs,
     gen_rings,
+    json_text,
     load_csv,
     load_idx,
     save_csv,
@@ -40,6 +41,7 @@ GENERATOR_DEFAULTS = {
               "center_scale": 4.0, "spread": 0.6, "seed": 0},
     "rings": {"num_classes": 3, "per_class": 300, "noise": 0.05, "seed": 0},
 }
+GENERATOR_INT_MINIMUMS = {"num_classes": 1, "per_class": 1, "dim": 1, "seed": 0}
 
 
 class ConfigError(ValueError):
@@ -69,10 +71,7 @@ class CalibrationConfig:
     def __post_init__(self):
         if not 0.0 < self.target_rate <= 1.0:
             raise ConfigError(f"target_rate must be in (0, 1], got {self.target_rate}")
-        try:
-            check_int("intervals", self.intervals, 1)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        _config_int("intervals", self.intervals, 1)
 
 
 @dataclass
@@ -82,6 +81,13 @@ class RunConfig:
     train: TrainConfig
     calibration: CalibrationConfig
     output_dir: str
+
+
+def _config_int(name: str, value, minimum: int) -> None:
+    try:
+        check_int(name, value, minimum)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _check_keys(block: dict, allowed: set[str], where: str) -> None:
@@ -100,6 +106,9 @@ def parse_dataset_block(block) -> DatasetConfig:
         defaults = GENERATOR_DEFAULTS[name]
         _check_keys(block, {"generator", *defaults}, f"dataset ({name})")
         params = {**defaults, **{k: v for k, v in block.items() if k != "generator"}}
+        for key, minimum in GENERATOR_INT_MINIMUMS.items():
+            if key in params:
+                _config_int(key, params[key], minimum)
         return DatasetConfig(name, params)
     if "csv" in block:
         _check_keys(block, {"csv"}, "dataset (csv)")
@@ -167,7 +176,7 @@ def cmd_run(config_path) -> int:
 
     save_checkpoint(out_dir / "checkpoint.json", model, cfg.train, stats)
     (out_dir / "training_log.tsv").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
-    (out_dir / "calibration.json").write_text(json.dumps(asdict(calib), indent=2, allow_nan=False) + "\n", encoding="utf-8")
+    (out_dir / "calibration.json").write_text(json_text(asdict(calib)) + "\n", encoding="utf-8")
     (out_dir / "report.json").write_text(report.to_text(), encoding="utf-8")
     return EXIT_OK
 
@@ -197,16 +206,26 @@ def cmd_boundary_grid(checkpoint_path, out_path, x_range, y_range, resolution: i
     inputs = stats.apply(grid) if stats is not None else grid
     aug = model.augmented_logits(inputs)
     bias = model.calibration_bias
-    Path(out_path).write_text(grid_csv(grid, aug.predictions(bias), aug.knownness(bias)), encoding="utf-8")
+    labels, scores = aug.predictions(bias), aug.knownness(bias)
+    with open(out_path, "w", encoding="utf-8") as f:
+        write_grid_csv(f, xs, ys, labels, scores)
     return EXIT_OK
 
 
-def grid_csv(grid, labels, scores) -> str:
-    """`x,y,label,score` rows with every float written as its `repr`, so it
-    reads back exactly."""
-    rows = map("{},{},{},{}\n".format, map(repr, grid[:, 0].tolist()), map(repr, grid[:, 1].tolist()),
-               labels.tolist(), map(repr, scores.tolist()))
-    return "x,y,label,score\n" + "".join(rows)
+def write_grid_csv(f, xs, ys, labels, scores) -> None:
+    """Write `x,y,label,score` rows to the text file `f`, x varying fastest,
+    as `np.meshgrid(xs, ys)` orders them; `labels` are class indices. Every
+    float is written as its `repr`, so it reads back exactly. Each axis value
+    and label is formatted once, and one grid row (len(xs) lines) is built
+    and written at a time."""
+    x_texts = [f"{x!r}," for x in xs.tolist()]
+    label_texts = [f",{c}," for c in range(int(labels.max()) + 1)]
+    f.write("x,y,label,score\n")
+    for i, y in enumerate(ys.tolist()):
+        row = slice(i * len(xs), (i + 1) * len(xs))
+        line = ("{}" + repr(y) + "{}{}\n").format
+        f.write("".join(map(line, x_texts, map(label_texts.__getitem__, labels[row].tolist()),
+                            map(repr, scores[row].tolist()))))
 
 
 def cmd_gen_data(config_path, out_path) -> int:

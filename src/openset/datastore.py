@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import struct
 from dataclasses import dataclass, field
@@ -19,6 +20,57 @@ def check_int(name: str, value, minimum: int) -> None:
     `minimum`; a bool, or an integral float such as 2.0, is not an int."""
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+
+
+def json_text(doc) -> str:
+    """The text `json.dumps` writes for `doc` with a two-space indent and
+    `allow_nan=False`, byte for byte, where `doc` may also hold numpy int
+    and float arrays. Their numbers are formatted with `repr` in bulk: a
+    1-D array with one join, a 2-D one with one format call per row. A
+    non-finite number raises ValueError; an array of another dtype, such as
+    bool, raises TypeError."""
+    return _json(doc, "\n")
+
+
+def _json(value, newline: str) -> str:
+    inner = newline + "  "
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind not in "iuf":
+            raise TypeError(f"cannot write a {value.dtype} array as JSON")
+        if not np.isfinite(value).all():
+            raise ValueError("cannot write a non-finite number as JSON")
+        return _json_array(value, newline)
+    if isinstance(value, dict):
+        if any(not isinstance(key, str) for key in value):
+            raise TypeError("JSON object keys must be strings")
+        return _block("{}", [f"{json.dumps(key)}: {_json(v, inner)}" for key, v in value.items()], newline)
+    if isinstance(value, (list, tuple)):
+        return _block("[]", [_json(v, inner) for v in value], newline)
+    return json.dumps(value, allow_nan=False)
+
+
+def _json_array(a: Array, newline: str) -> str:
+    if a.ndim == 0:
+        return repr(a.item())
+    inner = newline + "  "
+    if a.ndim == 1:
+        items = list(map(repr, a.tolist()))
+    elif a.ndim == 2 and a.shape[1]:
+        # one format call per row, filled from the columns' reprs
+        row = _block("[]", ["{}"] * a.shape[1], inner).format
+        items = list(map(row, *(map(repr, column) for column in a.T.tolist())))
+    else:
+        items = [_json_array(row, inner) for row in a]
+    return _block("[]", items, newline)
+
+
+def _block(brackets: str, items: list[str], newline: str) -> str:
+    """`items` between `brackets`, one per line, laid out as `json.dumps`
+    lays them out with a two-space indent."""
+    if not items:
+        return brackets
+    inner = newline + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
 
 
 @dataclass

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datastore import LabeledSet
+from .datastore import LabeledSet, json_text
 from .gradcore import Array
 from .network import SplitMlp
 
@@ -115,10 +114,10 @@ class EvalReport:
             "openness_pct": self.openness_pct,
             "rejection_rate": self.rejection_rate,
             "flags": list(self.flags),
-            "roc": [[fpr, tpr] for fpr, tpr in self.roc],
-            "confusion": [[int(v) for v in row] for row in self.confusion],
+            "roc": np.array(self.roc, dtype=np.float64).reshape(-1, 2),
+            "confusion": self.confusion,
         }
-        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        return json_text(doc) + "\n"
 
 
 def evaluate(model: SplitMlp, test_set: LabeledSet, score: str = "knownness",

@@ -129,11 +129,19 @@ class SplitMlp:
         return AugmentedLogits(closed, dummy_all, dummy_max, dummy_argmax, combined)
 
     def augmented_logits(self, x) -> AugmentedLogits:
-        """Score `x` in chunks of SCORE_CHUNK or more rows, bit-identical to one pass."""
+        """Score `x` in chunks of SCORE_CHUNK or more rows, bit-identical to one
+        pass. The first chunk's fields set the shapes of the whole result,
+        which is allocated once and filled chunk by chunk."""
         x = as_matrix(x)
-        parts = [self.heads_from_embedding(self.embed_post(self.embed_pre(chunk)))
-                 for chunk in np.array_split(x, max(1, len(x) // SCORE_CHUNK))]
-        return AugmentedLogits(*(np.concatenate(field) for field in zip(*(vars(p).values() for p in parts))))
+        out, start = None, 0
+        for chunk in np.array_split(x, max(1, len(x) // SCORE_CHUNK)):
+            part = vars(self.heads_from_embedding(self.embed_post(self.embed_pre(chunk))))
+            if out is None:
+                out = AugmentedLogits(*(np.empty((len(x), *f.shape[1:]), f.dtype) for f in part.values()))
+            for whole, piece in zip(vars(out).values(), part.values()):
+                whole[start:start + len(chunk)] = piece
+            start += len(chunk)
+        return out
 
     # -- backward ---------------------------------------------------------
 

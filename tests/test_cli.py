@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,11 +14,11 @@ import pytest
 from openset.checkpoint import load_checkpoint
 from openset.cli import (
     ConfigError,
-    grid_csv,
     load_run_config,
     main,
     parse_dataset_block,
     parse_run_config,
+    write_grid_csv,
 )
 from openset.datastore import LabeledSet, load_csv, split_known_unknown
 from openset.metrics import SCORE_KINDS, evaluate
@@ -33,6 +35,8 @@ GOLDEN_SHA256 = {
     "calibration.json": "d7dd775eca84e6d2ab9b43429f582264314e60185cfd9caa6ee67202126e361b",
     "training_log.tsv": "8ef0afb4185ea83d8c4584d20f0cf3332149676bf83dd7b52c5e670134d274e1",
 }
+# `boundary-grid --resolution 300 --range -7 7 -7 7` on the committed checkpoint
+GRID_300_SHA256 = "916d007e2415776852734988ff1afae4fb9725248d7dfd37601286a53beb0712"
 
 
 def _tiny_config(out_dir, train_mode="full", train_overrides=None, split_overrides=None):
@@ -160,6 +164,20 @@ class TestRun:
         assert f"{key} must be an integer of at least" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key,value", [("per_class", 2.5), ("per_class", True), ("per_class", 0),
+                                           ("num_classes", 5.0), ("dim", "2"), ("seed", -1)])
+    def test_bad_generator_count_exits_2_naming_it(self, tmp_path, capsys, key, value):
+        out = tmp_path / "out"
+        doc = _tiny_config(out)
+        doc["dataset"][key] = value
+        path = _write_config(tmp_path, doc)
+        csv = tmp_path / "data.csv"
+        assert main(["run", "--config", str(path)]) == 2
+        assert main(["gen-data", "--config", str(path), "--out", str(csv)]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"{key} must be an integer of at least") == 2, err
+        assert not out.exists() and not csv.exists()
+
 
 class TestGolden:
     def test_blobs6_reproduces_the_committed_artifacts(self, tmp_path):
@@ -244,7 +262,7 @@ class TestBoundaryGrid:
 
 
 def _grid_csv_row_loop(grid, labels, scores) -> str:
-    """The per-row f-string writer `grid_csv` replaced, kept as its oracle."""
+    """The per-row f-string writer `write_grid_csv` replaced, kept as its oracle."""
     lines = ["x,y,label,score\n"]
     for (x, y), label, s in zip(grid, labels, scores):
         lines.append(f"{float(x)!r},{float(y)!r},{int(label)},{float(s)!r}\n")
@@ -254,11 +272,45 @@ def _grid_csv_row_loop(grid, labels, scores) -> str:
 def test_grid_csv_matches_the_row_loop():
     special = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 2.0, -3.0, 1e16, 123456789.0, 0.1, 1 / 3]
     rng = np.random.default_rng(0)
-    values = np.concatenate([special, rng.standard_normal(40) * 10.0 ** rng.integers(-300, 300, 40)])
-    grid = np.column_stack([values, rng.permutation(values)])
-    labels = rng.integers(0, 7, len(values))
-    scores = values[::-1].copy()
-    assert grid_csv(grid, labels, scores) == _grid_csv_row_loop(grid, labels, scores)
+
+    def axis(n):
+        return np.concatenate([special, rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)])
+
+    # both axes hold every special value; their lengths differ, so a writer
+    # that swapped the loop order would not match
+    xs, ys = axis(40), rng.permutation(axis(21))
+    gx, gy = np.meshgrid(xs, ys)
+    grid = np.column_stack([gx.ravel(), gy.ravel()])
+    labels = rng.integers(0, 7, len(grid))
+    scores = rng.permutation(np.resize(xs, len(grid)))
+    out = io.StringIO()
+    write_grid_csv(out, xs, ys, labels, scores)
+    assert out.getvalue() == _grid_csv_row_loop(grid, labels, scores)
+
+
+class TestBlobs6Grid:
+    def test_300_grid_keeps_its_bytes(self, tmp_path):
+        out = tmp_path / "grid.csv"
+        assert main(["boundary-grid", "--checkpoint", str(GOLDEN / "checkpoint.json"), "--out", str(out),
+                     "--resolution", "300", "--range", "-7", "7", "-7", "7"]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GRID_300_SHA256
+
+    def test_writing_the_300_grid_holds_bounded_memory(self, tmp_path):
+        model, _, stats = load_checkpoint(GOLDEN / "checkpoint.json")
+        axis = np.linspace(-7.0, 7.0, 300)
+        gx, gy = np.meshgrid(axis, axis)
+        aug = model.augmented_logits(stats.apply(np.column_stack([gx.ravel(), gy.ravel()])))
+        labels, scores = aug.predictions(model.calibration_bias), aug.knownness(model.calibration_bias)
+        out = tmp_path / "grid.csv"
+        with open(out, "w", encoding="utf-8") as f:
+            tracemalloc.start()
+            try:
+                write_grid_csv(f, axis, axis, labels, scores)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GRID_300_SHA256
+        assert peak < 2e6, f"writing the grid peaked at {peak / 1e6:.2f} MB"
 
 
 class TestGenData:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from openset.datastore import (
     LabeledSet,
@@ -15,6 +17,7 @@ from openset.datastore import (
     fit_standardization,
     gen_gaussian_blobs,
     gen_rings,
+    json_text,
     load_csv,
     load_idx,
     save_csv,
@@ -275,3 +278,48 @@ class TestSplitKnownUnknown:
         assert len(train) + len(val) + len(test) == len(data)
         assert train.labels.max() < 3 and val.labels.max() < 3
         assert set(np.unique(test.labels)) <= {0, 1, 2, 3}
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 1e300, -1e300, 2.0, 0.1, 1 / 3]
+_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+_shapes = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
+_arrays = st.one_of(hnp.arrays(np.float64, _shapes, elements=_floats),
+                    hnp.arrays(st.sampled_from([np.int64, np.uint8]), _shapes))
+_scalars = st.one_of(st.none(), st.booleans(), st.integers(), _floats, st.text(max_size=4))
+_documents = st.recursive(
+    st.one_of(_scalars, _arrays),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=12,
+)
+
+
+def _as_lists(doc):
+    """`doc` with every numpy array turned into nested lists, for json.dumps."""
+    if isinstance(doc, np.ndarray):
+        return doc.tolist()
+    if isinstance(doc, dict):
+        return {key: _as_lists(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_as_lists(value) for value in doc]
+    return doc
+
+
+class TestJsonText:
+    @settings(max_examples=300, deadline=None)
+    @given(_documents)
+    @example({"roc": np.zeros((0, 2)), "empty": np.array([]), "rows": np.zeros((2, 0)), "none": [{}, []]})
+    @example([np.array(SPECIAL_FLOATS), np.array(SPECIAL_FLOATS).reshape(1, -1, 1), *SPECIAL_FLOATS])
+    def test_matches_json_dumps_on_the_same_lists(self, doc):
+        assert json_text(doc) == json.dumps(_as_lists(doc), indent=2, allow_nan=False)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("wrap", [lambda v: v, lambda v: [1.0, v], lambda v: {"a": {"b": v}},
+                                      np.array, lambda v: {"a": np.array([[0.0], [v]])}])
+    def test_non_finite_numbers_are_refused(self, bad, wrap):
+        with pytest.raises(ValueError):
+            json_text(wrap(bad))
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 2)])
+    def test_bool_arrays_are_refused(self, shape):
+        with pytest.raises(TypeError, match="bool"):
+            json_text({"flags": np.ones(shape, dtype=bool)})

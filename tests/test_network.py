@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import tracemalloc
 from pathlib import Path
@@ -17,6 +18,7 @@ from openset.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from openset.datastore import Standardization
 from openset.gradcore import DenseLayer
 from openset.network import (
     SCORE_CHUNK,
@@ -283,7 +285,9 @@ class TestStatelessScoring:
         assert aug.combined.tobytes() == reference.tobytes()
         assert aug.closed.tobytes() == reference[:, :model.num_known].tobytes()
 
-    def test_scoring_90k_rows_holds_bounded_memory(self):
+    @staticmethod
+    def _scoring_peak() -> float:
+        """Traced bytes at the peak of scoring the 90k-row blobs6 grid."""
         model, grid = _blobs6_grid()
         tracemalloc.start()
         try:
@@ -294,7 +298,17 @@ class TestStatelessScoring:
         finally:
             tracemalloc.stop()
         assert len(grid) == 90_000
+        return peak
+
+    def test_scoring_90k_rows_holds_bounded_memory(self):
+        peak = self._scoring_peak()
         assert peak < 40e6, f"scoring peaked at {peak / 1e6:.1f} MB"
+
+    def test_scoring_fills_one_result_without_a_second_copy(self):
+        # the five result arrays alone take 14.4 MB; concatenating chunk
+        # results held them twice and peaked at 28.8 MB
+        peak = self._scoring_peak()
+        assert peak < 24e6, f"scoring peaked at {peak / 1e6:.1f} MB"
 
 
 class TestCheckpoint:
@@ -315,6 +329,18 @@ class TestCheckpoint:
         assert loaded.calibration_bias == model.calibration_bias
         assert loaded_config == config
         assert stats is None
+
+    def test_wide_checkpoint_save_load_save_is_byte_exact(self, tmp_path):
+        rng = np.random.default_rng(5)
+        model = SplitMlp.create(784, 6, 5, rng)
+        model.calibration_bias = float(rng.standard_normal())
+        stats = Standardization(rng.standard_normal(784), rng.uniform(0.1, 3.0, 784))
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_checkpoint(first, model, TrainConfig(seed=5), stats)
+        save_checkpoint(second, *load_checkpoint(first))
+        text = first.read_text()
+        assert second.read_text() == text
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
     def test_serialisation_is_deterministic(self):
         a = checkpoint_text(*self._model_and_config())
