@@ -42,6 +42,7 @@ GENERATOR_DEFAULTS = {
     "rings": {"num_classes": 3, "per_class": 300, "noise": 0.05, "seed": 0},
 }
 GENERATOR_INT_MINIMUMS = {"num_classes": 1, "per_class": 1, "dim": 1, "seed": 0}
+GENERATOR_FLOAT_FIELDS = ("center_scale", "spread", "noise")
 
 
 class ConfigError(ValueError):
@@ -54,13 +55,18 @@ class DatasetConfig:
     params: dict
 
     def load(self) -> LabeledSet:
-        if self.kind == "blobs":
-            return gen_gaussian_blobs(**self.params)
-        if self.kind == "rings":
-            return gen_rings(**self.params)
-        if self.kind == "csv":
-            return load_csv(self.params["csv"])
-        return load_idx(self.params["idx_images"], self.params["idx_labels"])
+        """The dataset; a malformed dataset file, or generator parameters
+        that overflow, raise ConfigError."""
+        try:
+            if self.kind == "blobs":
+                return gen_gaussian_blobs(**self.params)
+            if self.kind == "rings":
+                return gen_rings(**self.params)
+            if self.kind == "csv":
+                return load_csv(self.params["csv"])
+            return load_idx(self.params["idx_images"], self.params["idx_labels"])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
 
 @dataclass
@@ -90,6 +96,12 @@ def _config_int(name: str, value, minimum: int) -> None:
         raise ConfigError(str(exc)) from None
 
 
+def _config_float(name: str, value) -> None:
+    """A generator's float field: a finite JSON number of at least 0."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= sys.float_info.max:
+        raise ConfigError(f"{name} must be a finite number of at least 0, got {value!r}")
+
+
 def _check_keys(block: dict, allowed: set[str], where: str) -> None:
     unknown = set(block) - allowed
     if unknown:
@@ -109,6 +121,9 @@ def parse_dataset_block(block) -> DatasetConfig:
         for key, minimum in GENERATOR_INT_MINIMUMS.items():
             if key in params:
                 _config_int(key, params[key], minimum)
+        for key in GENERATOR_FLOAT_FIELDS:
+            if key in params:
+                _config_float(key, params[key])
         return DatasetConfig(name, params)
     if "csv" in block:
         _check_keys(block, {"csv"}, "dataset (csv)")
@@ -162,9 +177,9 @@ def load_run_config(path) -> RunConfig:
 
 def cmd_run(config_path) -> int:
     cfg = load_run_config(config_path)
+    train, val, test, stats = prepare(cfg.dataset.load(), cfg.split)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    train, val, test, stats = prepare(cfg.dataset.load(), cfg.split)
 
     # Both stages are called through this module's globals: perfbench/child.py
     # rebinds the two names here to mark where training starts and ends.
@@ -184,10 +199,9 @@ def cmd_run(config_path) -> int:
 def cmd_evaluate(checkpoint_path, config_path) -> int:
     model, _, stats = load_checkpoint(checkpoint_path)
     cfg = load_run_config(config_path)
-    data = cfg.dataset.load()
-    _, _, test = split_known_unknown(data, cfg.split)
+    _, _, test = split_known_unknown(cfg.dataset.load(), cfg.split)
     if stats is not None:
-        test = LabeledSet(stats.apply(test.features), test.labels)
+        stats.apply(test.features, out=test.features)
     report = evaluate_split(model, test, cfg.split, cfg.train.train_mode)
     sys.stdout.write(report.to_text())
     return EXIT_OK

@@ -134,8 +134,11 @@ class Standardization:
     mean: Array
     std: Array
 
-    def apply(self, features) -> Array:
-        return (np.asarray(features, dtype=np.float64) - self.mean) / self.std
+    def apply(self, features, out: Array | None = None) -> Array:
+        """`(features - mean) / std`, written into `out` when given (which may
+        be `features` itself, to standardize in place), else into a new array."""
+        z = np.subtract(np.asarray(features, dtype=np.float64), self.mean, out=out)
+        return np.divide(z, self.std, out=z)
 
 
 def fit_standardization(features) -> Standardization:
@@ -153,6 +156,8 @@ def gen_gaussian_blobs(num_classes: int, per_class: int, dim: int = 2,
     Gaussian around their center with standard deviation `spread`."""
     if num_classes < 1 or per_class < 1 or dim < 1:
         raise ValueError("num_classes, per_class, and dim must be positive")
+    if not math.isfinite(2.0 * center_scale):
+        raise ValueError(f"center_scale {center_scale!r} is too large: the range of centers overflows")
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-center_scale, center_scale, size=(num_classes, dim))
     features = np.empty((num_classes * per_class, dim))
@@ -161,6 +166,7 @@ def gen_gaussian_blobs(num_classes: int, per_class: int, dim: int = 2,
         block = slice(c * per_class, (c + 1) * per_class)
         features[block] = centers[c] + spread * rng.standard_normal((per_class, dim))
         labels[block] = c
+    _check_generated(features, f"center_scale {center_scale!r} and spread {spread!r}")
     return LabeledSet(features, labels)
 
 
@@ -180,7 +186,13 @@ def gen_rings(num_classes: int, per_class: int, noise: float = 0.05, seed: int =
         features[block, 0] = radii * np.cos(angles)
         features[block, 1] = radii * np.sin(angles)
         labels[block] = c
+    _check_generated(features, f"noise {noise!r}")
     return LabeledSet(features, labels)
+
+
+def _check_generated(features: Array, params: str) -> None:
+    if not np.isfinite(features).all():
+        raise ValueError(f"{params} give non-finite features")
 
 
 def _finite_float(cell: str) -> float:
@@ -191,39 +203,48 @@ def _finite_float(cell: str) -> float:
 
 
 def load_csv(path) -> LabeledSet:
-    """Each data line: D finite decimal features then an integer label,
-    comma-separated. An optional non-numeric header line is skipped. Line
-    numbers in errors are 1-based file lines."""
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    """Each data line: D finite decimal features then a nonnegative integer
+    label, comma-separated. The first nonblank line is skipped as a header
+    unless every cell is a number. Every error is a ValueError naming the
+    file, and for a bad line its 1-based line number."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = f.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     rows: list[list[float]] = []
     labels: list[int] = []
     width: int | None = None
+    header_allowed = True
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
         cells = [c.strip() for c in line.split(",")]
-        if width is None:
+        if header_allowed:
+            header_allowed = False
             try:
                 [float(c) for c in cells]
             except ValueError:
                 continue  # header
+        where = f"{path}: line {lineno}"
         if len(cells) < 2:
-            raise ValueError(f"line {lineno}: need at least one feature and a label")
+            raise ValueError(f"{where}: need at least one feature and a label")
         if width is not None and len(cells) != width + 1:
-            raise ValueError(f"line {lineno}: expected {width} features, got {len(cells) - 1}")
+            raise ValueError(f"{where}: expected {width} features, got {len(cells) - 1}")
         try:
             feats = [_finite_float(c) for c in cells[:-1]]
             label = int(cells[-1])
         except ValueError as exc:
-            raise ValueError(f"line {lineno}: non-numeric cell ({exc})") from None
+            raise ValueError(f"{where}: non-numeric cell ({exc})") from None
+        if not 0 <= label <= np.iinfo(np.int64).max:
+            raise ValueError(f"{where}: label {label} is not in [0, 2**63)")
         if width is None:
             width = len(feats)
         rows.append(feats)
         labels.append(label)
     if not rows:
         raise ValueError(f"no data rows in {path}")
-    return LabeledSet(np.array(rows), np.array(labels))
+    return LabeledSet(np.array(rows), np.array(labels, dtype=np.int64))
 
 
 def save_csv(dataset: LabeledSet, path) -> None:
@@ -253,7 +274,7 @@ def load_idx(images_path, labels_path) -> LabeledSet:
     (n_img, rows, cols), offset = _read_idx_header(image_data, images_path, IDX_IMAGE_MAGIC, 3)
     (n_lab,), lab_offset = _read_idx_header(label_data, labels_path, IDX_LABEL_MAGIC, 1)
     if n_img != n_lab:
-        raise ValueError(f"count mismatch: {n_img} images vs {n_lab} labels")
+        raise ValueError(f"{images_path}, {labels_path}: count mismatch: {n_img} images vs {n_lab} labels")
     n_pixels = n_img * rows * cols
     if len(image_data) - offset != n_pixels:
         raise ValueError(
@@ -264,7 +285,8 @@ def load_idx(images_path, labels_path) -> LabeledSet:
             f"{labels_path}: expected {n_lab} label bytes, got {len(label_data) - lab_offset}"
         )
     pixels = np.frombuffer(image_data, dtype=np.uint8, offset=offset)
-    features = pixels.reshape(n_img, rows * cols).astype(np.float64) / 255.0
+    features = pixels.reshape(n_img, rows * cols).astype(np.float64)
+    np.divide(features, 255.0, out=features)
     labels = np.frombuffer(label_data, dtype=np.uint8, offset=lab_offset).astype(np.int64)
     return LabeledSet(features, labels)
 
@@ -303,14 +325,15 @@ def split_known_unknown(dataset: LabeledSet, split: OpenSplit) -> tuple[LabeledS
         test_idx.append(rows[n_val:n_val + n_test])
         train_idx.append(rows[n_val + n_test:])
 
-    def _known_set(chunks: list[Array]) -> LabeledSet:
-        idx = np.concatenate(chunks)
-        labels = np.searchsorted(known_sorted, dataset.labels[idx]).astype(np.int64)
-        return LabeledSet(dataset.features[idx].copy(), labels)
-
-    known_test = _known_set(test_idx)
-    unknown_rows = np.nonzero(np.isin(dataset.labels, split.unknown_class_ids))[0]
-    unknown_labels = np.full(unknown_rows.size, len(known_sorted), dtype=np.int64)
-    test = LabeledSet(np.concatenate([known_test.features, dataset.features[unknown_rows]]),
-                      np.concatenate([known_test.labels, unknown_labels]))
-    return _known_set(train_idx), _known_set(val_idx), test
+    # one gather in the order train, val, known test, unknown; each part is
+    # a contiguous row slice of it, so no part is copied a second time
+    unknown_rows = np.flatnonzero(np.isin(dataset.labels, split.unknown_class_ids))
+    order = np.concatenate([*train_idx, *val_idx, *test_idx, unknown_rows])
+    features = dataset.features[order]
+    labels = np.searchsorted(known_sorted, dataset.labels[order]).astype(np.int64)
+    labels[order.size - unknown_rows.size:] = len(known_sorted)
+    n_train = sum(map(len, train_idx))
+    n_val = n_train + sum(map(len, val_idx))
+    return (LabeledSet(features[:n_train], labels[:n_train]),
+            LabeledSet(features[n_train:n_val], labels[n_train:n_val]),
+            LabeledSet(features[n_val:], labels[n_val:]))

@@ -40,22 +40,23 @@ def auc(known_scores, unknown_scores) -> float:
     return u_stat / (k.size * u.size)
 
 
-def roc_points(known_scores, unknown_scores) -> list[tuple[float, float]]:
-    """(false-positive-rate, true-positive-rate) sweep from (0,0) to (1,1),
-    thresholding "known" at score >= t for descending unique thresholds."""
+def roc_points(known_scores, unknown_scores) -> Array:
+    """(false-positive-rate, true-positive-rate) rows of an (n, 2) array,
+    sweeping from (0,0) to (1,1) and thresholding "known" at score >= t for
+    descending unique thresholds."""
     k = np.asarray(known_scores, dtype=np.float64).reshape(-1)
     u = np.asarray(unknown_scores, dtype=np.float64).reshape(-1)
     if k.size == 0 or u.size == 0:
         raise ValueError("roc needs at least one score on each side")
     thresholds = np.unique(np.concatenate([k, u]))[::-1]
 
-    def rate(scores: Array) -> list[float]:
+    points = np.zeros((thresholds.size + 1, 2))
+    for column, scores in enumerate((u, k)):
         # count of scores >= t; NaN sorts last and never passes, as with `>=`
         n_ordered = np.count_nonzero(~np.isnan(scores))
         passed = n_ordered - np.searchsorted(np.sort(scores), thresholds, "left")
-        return (passed / scores.size).tolist()
-
-    return [(0.0, 0.0), *zip(rate(u), rate(k))]
+        np.divide(passed, scores.size, out=points[1:, column])
+    return points
 
 
 def confusion_matrix(predictions, labels, num_classes: int) -> Array:
@@ -101,7 +102,7 @@ class EvalReport:
     closed_accuracy: float
     openness_pct: float
     rejection_rate: float
-    roc: list[tuple[float, float]]
+    roc: Array        # n x 2, (false-positive-rate, true-positive-rate) rows
     confusion: Array  # (K+1) x (K+1), rows = true
     flags: list[str] = field(default_factory=list)
 
@@ -114,7 +115,7 @@ class EvalReport:
             "openness_pct": self.openness_pct,
             "rejection_rate": self.rejection_rate,
             "flags": list(self.flags),
-            "roc": np.array(self.roc, dtype=np.float64).reshape(-1, 2),
+            "roc": self.roc,
             "confusion": self.confusion,
         }
         return json_text(doc) + "\n"
@@ -147,7 +148,7 @@ def evaluate(model: SplitMlp, test_set: LabeledSet, score: str = "knownness",
 
     flags: list[str] = []
     auc_value: float | None = None
-    roc: list[tuple[float, float]] = []
+    roc = np.zeros((0, 2))
     if known_mask.all() or not known_mask.any():
         flags.append("auc_omitted_one_sided_test_set")
     else:

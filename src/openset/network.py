@@ -44,7 +44,15 @@ class AugmentedLogits:
         """Per row: argmax over [closed logits, dummy_max + bias]. Label K means
         "unknown"; ties go to the known class, so rejection needs strictly
         higher dummy evidence."""
-        return np.concatenate([self.closed, (self.dummy_max + bias)[:, None]], axis=1).argmax(axis=1)
+        # the argmax of the (K+1)-column concatenation, without building it:
+        # a NaN closed logit wins where it stands, a NaN dummy logit wins
+        # over finite ones, as np.argmax lets the first NaN win. The logit at
+        # the argmax is the row max (NaN where the row has one), and gathering
+        # it is much cheaper than a max along the short closed axis.
+        labels = self.closed.argmax(axis=1)
+        closed_max = np.take_along_axis(self.closed, labels[:, None], axis=1)[:, 0]
+        labels[~(self.dummy_max + bias <= closed_max) & ~np.isnan(closed_max)] = self.closed.shape[1]
+        return labels
 
     def max_softmax(self) -> Array:
         """Max softmax probability over the K closed logits (dummy head ignored)."""

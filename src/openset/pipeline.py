@@ -19,11 +19,14 @@ from .trainer import TRAIN_MODES, TrainConfig, finetune_placeholders
 
 def prepare(data: LabeledSet, split: OpenSplit) -> tuple[LabeledSet, LabeledSet, LabeledSet, Standardization]:
     """Train, validation and test parts, all standardized with statistics
-    fitted on the train part alone, plus those statistics."""
+    fitted on the train part alone, plus those statistics. The parts are
+    fresh from the split, so they are standardized in place; `data` is left
+    as it was."""
     train, val, test = split_known_unknown(data, split)
     stats = fit_standardization(train.features)
-    apply = lambda s: LabeledSet(stats.apply(s.features), s.labels)
-    return apply(train), apply(val), apply(test), stats
+    for part in (train, val, test):
+        stats.apply(part.features, out=part.features)
+    return train, val, test, stats
 
 
 def evaluate_split(model: SplitMlp, test: LabeledSet, split: OpenSplit, train_mode: str) -> EvalReport:

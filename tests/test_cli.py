@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import struct
 import tracemalloc
 from pathlib import Path
 
@@ -176,6 +177,74 @@ class TestRun:
         assert main(["gen-data", "--config", str(path), "--out", str(csv)]) == 2
         err = capsys.readouterr().err
         assert err.count(f"{key} must be an integer of at least") == 2, err
+        assert not out.exists() and not csv.exists()
+
+    @pytest.mark.parametrize("generator,key,value,message", [
+        ("blobs", "center_scale", -float("inf"), "center_scale must be a finite number of at least 0, got -inf"),
+        ("blobs", "spread", "x", "spread must be a finite number of at least 0, got 'x'"),
+        ("blobs", "spread", float("nan"), "spread must be a finite number of at least 0, got nan"),
+        ("blobs", "spread", float("inf"), "spread must be a finite number of at least 0, got inf"),
+        ("blobs", "spread", -1, "spread must be a finite number of at least 0, got -1"),
+        ("blobs", "spread", True, "spread must be a finite number of at least 0, got True"),
+        ("blobs", "center_scale", 10 ** 400, "center_scale must be a finite number of at least 0, got 1000"),
+        ("rings", "noise", -1, "noise must be a finite number of at least 0, got -1"),
+        ("rings", "noise", float("nan"), "noise must be a finite number of at least 0, got nan"),
+        ("blobs", "center_scale", 1e308, "center_scale 1e+308 is too large"),
+        ("blobs", "spread", 1e308, "spread 1e+308 give non-finite features"),
+        ("rings", "noise", 1e308, "noise 1e+308 give non-finite features"),
+    ])
+    def test_bad_generator_float_exits_2_naming_it(self, tmp_path, capsys, generator, key, value, message):
+        out = tmp_path / "out"
+        doc = _tiny_config(out)
+        if generator == "rings":
+            doc["dataset"] = {"generator": "rings", "num_classes": 5, "per_class": 40, "seed": 3}
+        doc["dataset"][key] = value
+        path = _write_config(tmp_path, doc)
+        csv = tmp_path / "data.csv"
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--config", str(path)]) == 2
+            assert main(["gen-data", "--config", str(path), "--out", str(csv)]) == 2
+        err = capsys.readouterr().err
+        assert err.count(message) == 2, err
+        assert not out.exists() and not csv.exists()
+
+
+_IDX_IMAGES = struct.pack(">4I", 0x00000803, 2, 2, 2) + bytes(range(8))
+_IDX_LABELS = struct.pack(">2I", 0x00000801, 2) + bytes([1, 0])
+MALFORMED_DATASETS = {
+    "csv_ragged": {"data.csv": b"f0,f1,label\n1.0,2.0,0\n1.0,2.0,3.0,1\n"},
+    "csv_non_numeric": {"data.csv": b"1.0,2.0,0\n1.0,x,1\n"},
+    "csv_negative_label": {"data.csv": b"1.0,2.0,0\n1.0,2.0,-1\n"},
+    "idx_bad_magic": {"img.idx": b"\0\0\x08\x01" + _IDX_IMAGES[4:], "lab.idx": _IDX_LABELS},
+    "idx_count_mismatch": {"img.idx": _IDX_IMAGES, "lab.idx": _IDX_LABELS[:7] + b"\3" + _IDX_LABELS[8:]},
+    "idx_truncated_header": {"img.idx": _IDX_IMAGES[:10], "lab.idx": _IDX_LABELS},
+    "idx_truncated_payload": {"img.idx": _IDX_IMAGES[:-3], "lab.idx": _IDX_LABELS},
+    "idx_truncated_labels": {"img.idx": _IDX_IMAGES, "lab.idx": _IDX_LABELS[:-1]},
+}
+
+
+class TestDatasetFiles:
+    @pytest.mark.parametrize("case", MALFORMED_DATASETS)
+    def test_malformed_file_exits_2_naming_it(self, tmp_path, capsys, case):
+        files = MALFORMED_DATASETS[case]
+        for name, content in files.items():
+            (tmp_path / name).write_bytes(content)
+        out = tmp_path / "out"
+        doc = _tiny_config(out)
+        if "data.csv" in files:
+            doc["dataset"] = {"csv": str(tmp_path / "data.csv")}
+        else:
+            doc["dataset"] = {"idx_images": str(tmp_path / "img.idx"), "idx_labels": str(tmp_path / "lab.idx")}
+        path = _write_config(tmp_path, doc)
+        csv = tmp_path / "written.csv"
+        assert main(["run", "--config", str(path)]) == 2
+        assert main(["evaluate", "--checkpoint", str(GOLDEN / "checkpoint.json"), "--config", str(path)]) == 2
+        assert main(["gen-data", "--config", str(path), "--out", str(csv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 3 and all(line.startswith("error: ") for line in lines), captured.err
+        assert all(any(str(tmp_path / name) in line for name in files) for line in lines), captured.err
         assert not out.exists() and not csv.exists()
 
 

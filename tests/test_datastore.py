@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
+import re
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -61,6 +63,12 @@ class TestGaussianBlobs:
         with pytest.raises(ValueError):
             gen_gaussian_blobs(0, 10)
 
+    @pytest.mark.parametrize("kwargs,named", [({"center_scale": 1e308}, "center_scale"),
+                                              ({"spread": 1e308}, "spread")])
+    def test_overflowing_parameters_are_named(self, kwargs, named):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=named):
+            gen_gaussian_blobs(3, 10, **kwargs)
+
 
 class TestRings:
     def test_zero_noise_lies_on_circles(self):
@@ -78,6 +86,38 @@ class TestRings:
         a = gen_rings(2, 30, seed=5)
         b = gen_rings(2, 30, seed=5)
         assert a.features.tobytes() == b.features.tobytes()
+
+    def test_overflowing_noise_is_named(self):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="noise"):
+            gen_rings(2, 30, noise=1e308)
+
+
+# cell texts: numbers, near-numbers and arbitrary text without a comma or a
+# line break, so a cell edit keeps the file's lines and widths
+_csv_cells = st.one_of(
+    st.sampled_from(["", " ", "x", "nan", "NaN", "inf", "-inf", "1e999", "1e-400", "-1", "1.5", "+2", "0x1",
+                     "1_0", "-0", " 7 ", "9223372036854775807", "9223372036854775808", "\u0663"]),
+    st.text(st.characters(exclude_categories=("Cs",), exclude_characters=",\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+            max_size=6),
+)
+
+
+def _csv_shape(lines: list[list[str]]) -> tuple[int, int] | None:
+    """The (rows, features) shape that `lines` of cells describe as CSV data
+    rows, or None where they are malformed: ragged, no feature, a feature
+    that is not a finite number, or a label that is not an int64 of at least 0."""
+    widths = {len(cells) for cells in lines}
+    if len(widths) != 1 or min(widths) < 2:
+        return None
+    for cells in lines:
+        try:
+            features = [float(c.strip()) for c in cells[:-1]]
+            label = int(cells[-1].strip())
+        except ValueError:
+            return None
+        if not all(map(math.isfinite, features)) or not 0 <= label < 2 ** 63:
+            return None
+    return len(lines), widths.pop() - 1
 
 
 class TestCsv:
@@ -120,8 +160,52 @@ class TestCsv:
         for text, line in (("1.0,2.0,0\nx,2.0,1\n", 2), ("1.0,2.0,0\n1,nan,0\n", 2),
                            ("inf,2,1\n1.0,2.0,0\n", 1)):
             path.write_text(text)
-            with pytest.raises(ValueError, match=f"line {line}: non-numeric cell"):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line {line}: non-numeric cell"):
                 load_csv(path)
+
+    def test_only_the_first_line_can_be_a_header(self, tmp_path):
+        # a broken first data row is an error, not a second header
+        path = tmp_path / "h.csv"
+        path.write_text("f0,f1,label\n1.0,x,0\n3.0,4.0,1\n")
+        with pytest.raises(ValueError, match="line 2: non-numeric cell"):
+            load_csv(path)
+
+    @pytest.mark.parametrize("label", ["-1", "9223372036854775808"])
+    def test_label_outside_int64_range_names_line(self, tmp_path, label):
+        path = tmp_path / "l.csv"
+        path.write_text(f"1.0,2.0,0\n3.0,4.0,{label}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2: label {label} is not in"):
+            load_csv(path)
+
+    def test_non_utf8_file_is_named(self, tmp_path):
+        path = tmp_path / "b.csv"
+        path.write_bytes(b"1.0,2.0,0\n\xff,4.0,1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+            load_csv(path)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.integers(1, 3), dim=st.integers(1, 3), edit=st.sampled_from(["cell", "add", "drop"]),
+           text=_csv_cells, data=st.data())
+    def test_mutated_file_loads_to_its_shape_or_names_the_file(self, tmp_path, rows, dim, edit, text, data):
+        lines = [[repr(0.25 * (r + c) - 1.0) for c in range(dim)] + [str(r)] for r in range(rows)]
+        line = data.draw(st.integers(0, rows - 1))
+        if edit == "cell":
+            lines[line][data.draw(st.integers(0, dim))] = text
+        elif edit == "add":
+            lines[line].insert(data.draw(st.integers(0, dim + 1)), text)
+        else:
+            del lines[line][data.draw(st.integers(0, dim))]
+        path = tmp_path / "m.csv"
+        path.write_text("\n".join([",".join([*(f"f{i}" for i in range(dim)), "label"]),
+                                   *(",".join(cells) for cells in lines)]) + "\n", encoding="utf-8")
+        shape = _csv_shape(lines)
+        if shape is None:
+            with pytest.raises(ValueError, match=re.escape(str(path))):
+                load_csv(path)
+        else:
+            loaded = load_csv(path)
+            assert loaded.features.shape == shape
+            assert loaded.labels.tolist() == [int(cells[-1]) for cells in lines]
 
 
 def _idx_fixture_bytes(images=True):
@@ -130,6 +214,20 @@ def _idx_fixture_bytes(images=True):
         pixels = bytes([0, 255, 128, 64, 255, 0, 32, 16])
         return header + pixels
     return struct.pack(">II", 0x00000801, 2) + bytes([1, 0])
+
+
+def _idx_shape(images: bytes, labels: bytes) -> tuple[int, int] | None:
+    """The (rows, pixels per row) shape that an IDX image and label pair
+    describes, or None where the pair is malformed."""
+    if len(images) < 16 or len(labels) < 8:
+        return None
+    magic, n, rows, cols = struct.unpack(">4I", images[:16])
+    label_magic, n_labels = struct.unpack(">2I", labels[:8])
+    if (magic, label_magic) != (0x00000803, 0x00000801) or n != n_labels:
+        return None
+    if len(images) != 16 + n * rows * cols or len(labels) != 8 + n:
+        return None
+    return n, rows * cols
 
 
 class TestIdx:
@@ -168,6 +266,31 @@ class TestIdx:
         with pytest.raises(ValueError):
             load_idx(img, lab)
 
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(target=st.sampled_from(["images", "labels"]), cut=st.booleans(), data=st.data())
+    def test_cut_or_mutated_pair_loads_to_its_shape_or_names_the_file(self, tmp_path, target, cut, data):
+        files = {"images": _idx_fixture_bytes(images=True), "labels": _idx_fixture_bytes(images=False)}
+        raw = files[target]
+        if cut:
+            raw = raw[:data.draw(st.integers(0, len(raw)))]
+        else:
+            at = data.draw(st.integers(0, len(raw) - 1))
+            raw = raw[:at] + bytes([data.draw(st.integers(0, 255))]) + raw[at + 1:]
+        files[target] = raw
+        paths = {name: tmp_path / f"{name}.idx" for name in files}
+        for name, path in paths.items():
+            path.write_bytes(files[name])
+        shape = _idx_shape(files["images"], files["labels"])
+        if shape is None:
+            with pytest.raises(ValueError, match=re.escape(str(paths[target]))):
+                load_idx(paths["images"], paths["labels"])
+        else:
+            loaded = load_idx(paths["images"], paths["labels"])
+            assert loaded.features.shape == shape
+            pixels = np.frombuffer(files["images"], np.uint8, offset=16).reshape(shape)
+            assert loaded.features.tobytes() == (pixels / 255.0).tobytes()
+            assert loaded.labels.tolist() == list(files["labels"][8:])
+
 
 class TestStandardization:
     def test_train_statistics(self):
@@ -183,8 +306,70 @@ class TestStandardization:
         z = fit_standardization(x).apply(x)
         assert np.isfinite(z).all()
 
+    def test_in_place_equals_apply_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((60, 6)) * 10.0 ** rng.integers(-100, 100, 6)
+        x[:, 0] = 3.0  # constant: std guarded to 1
+        x[::7, 1] = [-0.0, 0.0, 5e-324, -5e-324, 1e150, -1e150, 0.1, 1 / 3, 2.0]
+        stats = fit_standardization(x[:40])
+        original = x.copy()
+        fresh = stats.apply(x)
+        assert x.tobytes() == original.tobytes()
+        assert fresh.tobytes() == ((x - stats.mean) / stats.std).tobytes()
+        assert stats.apply(x, out=x) is x
+        assert x.tobytes() == fresh.tobytes()
+
+
+def _copying_split(dataset: LabeledSet, split: OpenSplit) -> tuple[LabeledSet, LabeledSet, LabeledSet]:
+    """The split as it was built before it gathered each row once: a fancy
+    index and a copy per part, the unknown rows appended to the known test
+    rows with a feature concatenation. Kept as the oracle of
+    `split_known_unknown`."""
+    known_sorted = np.sort(split.known_class_ids)
+    rng = np.random.default_rng(split.seed)
+    train_idx, val_idx, test_idx = [], [], []
+    for orig in known_sorted.tolist():
+        rows = np.nonzero(dataset.labels == orig)[0]
+        rows = rows[rng.permutation(rows.size)]
+        n_val = max(1, int(split.val_fraction * rows.size))
+        n_test = max(1, int(split.test_fraction * rows.size))
+        val_idx.append(rows[:n_val])
+        test_idx.append(rows[n_val:n_val + n_test])
+        train_idx.append(rows[n_val + n_test:])
+
+    def known_set(chunks):
+        idx = np.concatenate(chunks)
+        labels = np.searchsorted(known_sorted, dataset.labels[idx]).astype(np.int64)
+        return LabeledSet(dataset.features[idx].copy(), labels)
+
+    known_test = known_set(test_idx)
+    unknown_rows = np.nonzero(np.isin(dataset.labels, split.unknown_class_ids))[0]
+    unknown_labels = np.full(unknown_rows.size, len(known_sorted), dtype=np.int64)
+    test = LabeledSet(np.concatenate([known_test.features, dataset.features[unknown_rows]]),
+                      np.concatenate([known_test.labels, unknown_labels]))
+    return known_set(train_idx), known_set(val_idx), test
+
 
 class TestSplitKnownUnknown:
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_parts_are_byte_equal_to_the_copying_split(self, seed):
+        rng = np.random.default_rng(seed)
+        ids = rng.choice(50, size=int(rng.integers(3, 9)), replace=False)
+        labels = rng.permutation(np.repeat(ids, rng.integers(10, 40, ids.size)))
+        data = LabeledSet(rng.standard_normal((labels.size, int(rng.integers(1, 5)))), labels)
+        shuffled = rng.permutation(ids).tolist()
+        n_known = int(rng.integers(2, ids.size + 1))
+        unknown = shuffled[n_known:][:int(rng.integers(0, ids.size - n_known + 1))]
+        split = OpenSplit(shuffled[:n_known], unknown, val_fraction=float(rng.uniform(0.05, 0.3)),
+                          test_fraction=float(rng.uniform(0.05, 0.4)), seed=seed)
+        for got, want in zip(split_known_unknown(data, split), _copying_split(data, split)):
+            assert got.features.flags.c_contiguous
+            assert got.features.shape == want.features.shape
+            assert got.features.tobytes() == want.features.tobytes()
+            assert got.labels.dtype == want.labels.dtype
+            assert got.labels.tobytes() == want.labels.tobytes()
+
     def _data_and_split(self, per_class=100, seed=0):
         data = gen_gaussian_blobs(10, per_class, dim=2, seed=seed)
         split = OpenSplit(known_class_ids=[0, 1, 2, 3, 4, 5],

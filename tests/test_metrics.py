@@ -143,13 +143,14 @@ class TestRoc:
     @settings(max_examples=300)
     def test_equals_loop_reference_exactly(self, known, unknown):
         got = roc_points(known, unknown)
-        assert all(type(x) is float and type(y) is float for x, y in got)
-        assert got == roc_points_loop(known, unknown)
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.array(roc_points_loop(known, unknown)).tobytes()
 
     def test_endpoints(self):
         pts = roc_points([0.9, 0.4], [0.5, 0.1])
-        assert pts[0] == (0.0, 0.0)
-        assert pts[-1] == (1.0, 1.0)
+        assert pts.shape == (5, 2)
+        assert pts[0].tolist() == [0.0, 0.0]
+        assert pts[-1].tolist() == [1.0, 1.0]
 
     def test_trapezoid_area_equals_auc_for_tie_free_scores(self):
         rng = np.random.default_rng(8)
@@ -281,13 +282,14 @@ class TestEvaluate:
         assert report.openness_pct == pytest.approx(openness(3, 5))
         assert 0.0 <= report.macro_f1 <= 1.0
         assert report.auc is not None and 0.0 <= report.auc <= 1.0
-        assert report.roc[0] == (0.0, 0.0) and report.roc[-1] == (1.0, 1.0)
+        assert report.roc[0].tolist() == [0.0, 0.0] and report.roc[-1].tolist() == [1.0, 1.0]
 
     def test_no_unknown_rows_flags_auc(self):
         model, data = self._model_and_data()
         known_only = LabeledSet(data.features, np.zeros(len(data), dtype=np.int64))
         report = evaluate(model, known_only)
         assert report.auc is None
+        assert report.roc.shape == (0, 2) and report.roc.dtype == np.float64
         assert "auc_omitted_one_sided_test_set" in report.flags
         assert report.openness_pct == 0.0
 

@@ -9,6 +9,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import gradients
 from openset.calibration import logit_gaps
@@ -22,6 +25,7 @@ from openset.datastore import Standardization
 from openset.gradcore import DenseLayer
 from openset.network import (
     SCORE_CHUNK,
+    AugmentedLogits,
     SplitMlp,
     baseline_confidence,
     knownness_score,
@@ -31,6 +35,10 @@ from openset.network import (
 from openset.trainer import TrainConfig
 
 BLOBS6_CHECKPOINT = Path(__file__).resolve().parent.parent / "out" / "blobs6" / "checkpoint.json"
+
+
+_special_logits = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0, 2.0]),
+                            st.floats(-3.0, 3.0))
 
 
 def _fixed_logit_model(closed_rows, dummy_rows):
@@ -173,6 +181,23 @@ class TestPredictOpen:
             for b in np.linspace(-5.0, 5.0, 101)
         ]
         assert all(a >= b for a, b in zip(fractions, fractions[1:]))
+
+    @settings(max_examples=500, deadline=None)
+    @given(logits=hnp.arrays(np.float64, st.tuples(st.integers(0, 8), st.integers(3, 5)), elements=_special_logits),
+           bias=_special_logits)
+    @example(np.array([[1.0, 1.0, 1.0], [np.nan, 2.0, np.inf], [-np.inf, -np.inf, -np.inf],
+                       [0.0, -0.0, -0.0], [-0.0, 0.0, 0.0], [1.0, np.nan, np.nan]]), 0.0)
+    @example(np.array([[np.inf, 1.0, np.inf], [2.0, 1.0, np.inf]]), -np.inf)
+    def test_equals_the_argmax_of_the_concatenation(self, logits, bias):
+        # the last column is the dummy maximum; ties, signed zeros,
+        # infinities and NaN in any column or in the bias
+        closed, dummy_max = logits[:, :-1], logits[:, -1]
+        aug = AugmentedLogits(closed, dummy_max[:, None], dummy_max, np.zeros(len(logits), np.intp), logits)
+        with np.errstate(invalid="ignore"):
+            want = np.concatenate([closed, (dummy_max + bias)[:, None]], axis=1).argmax(axis=1)
+            got = aug.predictions(bias)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 class TestScores:

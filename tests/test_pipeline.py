@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import runpy
 import sys
+import tracemalloc
 from pathlib import Path
 
-from openset.datastore import OpenSplit, gen_gaussian_blobs
+import numpy as np
+
+from openset.datastore import LabeledSet, OpenSplit, gen_gaussian_blobs, split_known_unknown
 from openset.pipeline import mode_sweep, prepare
 from openset.trainer import TRAIN_MODES, TrainConfig, pretrain_closed
 
@@ -35,6 +38,28 @@ def test_mode_sweep_trains_copies_and_leaves_pretrained_untouched():
     assert _param_bytes(baseline) == before
     for mode in TRAIN_MODES[1:]:
         assert _param_bytes(results[mode][0]) != before, f"{mode} did not fine-tune"
+
+
+def test_prepare_holds_one_copy_of_the_split_and_leaves_data_untouched():
+    rng = np.random.default_rng(0)
+    rows = 3000
+    data = LabeledSet(rng.random((rows, 784)), rng.permutation(np.arange(rows) % 10))
+    original = data.features.copy()
+    split = OpenSplit(list(range(6)), list(range(6, 10)), seed=0)
+    prepare(LabeledSet(data.features[:200], data.labels[:200]), split)  # first-call imports
+    tracemalloc.start()
+    try:
+        train, val, test, stats = prepare(data, split)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the split parts (1x) plus fitting the statistics on the train part;
+    # copying the parts and standardizing into new arrays peaked at 2.6x
+    assert peak <= 1.5 * data.features.nbytes, f"prepare peaked at {peak / data.features.nbytes:.2f}x the data"
+    assert data.features.tobytes() == original.tobytes()
+    for part, fresh in zip((train, val, test), split_known_unknown(data, split)):
+        assert part.features.tobytes() == stats.apply(fresh.features).tobytes()
+        assert part.labels.tobytes() == fresh.labels.tobytes()
 
 
 def _run_script(name, argv, monkeypatch, capsys) -> list[str]:
