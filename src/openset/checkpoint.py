@@ -12,7 +12,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .datastore import Standardization, json_text
+from .datastore import Standardization, check_int, json_text
 from .gradcore import DenseLayer
 from .network import SplitMlp
 from .trainer import TrainConfig
@@ -41,6 +41,8 @@ def _finite(field: str, value):
 
 
 def _layer_from_doc(doc: dict, field: str) -> DenseLayer:
+    check_int(f"{field}.in", doc["in"], 1)
+    check_int(f"{field}.out", doc["out"], 1)
     layer = DenseLayer(_finite(f"{field}.weights", np.array(doc["weights"], dtype=np.float64)),
                        _finite(f"{field}.biases", np.array(doc["biases"], dtype=np.float64)),
                        doc["activation"])
@@ -84,28 +86,37 @@ def save_checkpoint(path, model: SplitMlp, config: TrainConfig,
 
 
 def load_checkpoint(path) -> tuple[SplitMlp, TrainConfig, Standardization | None]:
-    with open(path, "r", encoding="utf-8") as f:
-        raw = f.read()
+    """The model, its training config and its standardization (or None).
+    A file that is not a consistent checkpoint raises CheckpointError
+    naming it: every width must chain from `input_dim` through the layers
+    to both heads, and the standardization must be `input_dim` long with
+    a finite, positive std."""
     try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+        with open(path, "r", encoding="utf-8") as f:
+            doc = json.loads(f.read())
+    except ValueError as exc:  # invalid JSON or UTF-8, or an integer too long to parse
         raise CheckpointError(f"{path}: not a valid checkpoint ({exc})") from None
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise CheckpointError(f"{path}: missing format_version")
     version = doc["format_version"]
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise CheckpointError(
-            f"{path}: checkpoint format version {version}, this build reads version {FORMAT_VERSION}"
+            f"{path}: checkpoint format version {version!r}, this build reads version {FORMAT_VERSION}"
         )
     try:
         arch = doc["architecture"]
+        for key, minimum in (("split_index", 0), ("num_known", 2), ("num_dummy", 1)):
+            check_int(f"architecture.{key}", arch[key], minimum)
+        bias = doc["calibration_bias"]
+        if isinstance(bias, bool) or not isinstance(bias, (int, float)):
+            raise CheckpointError(f"calibration_bias must be a number, got {bias!r}")
         model = SplitMlp(
             pre_layers=[_layer_from_doc(d, f"pre_layers[{i}]") for i, d in enumerate(doc["pre_layers"])],
             post_layers=[_layer_from_doc(d, f"post_layers[{i}]") for i, d in enumerate(doc["post_layers"])],
             closed_head=_layer_from_doc(doc["closed_head"], "closed_head"),
             dummy_head=_layer_from_doc(doc["dummy_head"], "dummy_head"),
             input_dim=arch["input_dim"],
-            calibration_bias=_finite("calibration_bias", float(doc["calibration_bias"])),
+            calibration_bias=_finite("calibration_bias", float(bias)),
         )
         if arch["split_index"] != len(model.pre_layers):
             raise CheckpointError("split_index does not match the stored pre-layers")
@@ -117,8 +128,15 @@ def load_checkpoint(path) -> tuple[SplitMlp, TrainConfig, Standardization | None
             _finite("standardization.mean", np.array(std_doc["mean"], dtype=np.float64)),
             _finite("standardization.std", np.array(std_doc["std"], dtype=np.float64)),
         )
+        if standardization is not None:
+            for key, values in vars(standardization).items():
+                if values.shape != (model.input_dim,):
+                    raise CheckpointError(f"standardization.{key} has shape {values.shape}, "
+                                          f"expected ({model.input_dim},)")
+            if not (standardization.std > 0).all():
+                raise CheckpointError("standardization.std must be positive")
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CheckpointError(f"{path}: malformed checkpoint ({exc})") from None
     return model, config, standardization

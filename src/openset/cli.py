@@ -21,6 +21,7 @@ from .datastore import (
     LabeledSet,
     OpenSplit,
     check_int,
+    check_real,
     gen_gaussian_blobs,
     gen_rings,
     json_text,
@@ -75,9 +76,10 @@ class CalibrationConfig:
     intervals: int = 100
 
     def __post_init__(self):
+        _config_check(check_real, "target_rate", self.target_rate)
         if not 0.0 < self.target_rate <= 1.0:
             raise ConfigError(f"target_rate must be in (0, 1], got {self.target_rate}")
-        _config_int("intervals", self.intervals, 1)
+        _config_check(check_int, "intervals", self.intervals, 1)
 
 
 @dataclass
@@ -89,11 +91,18 @@ class RunConfig:
     output_dir: str
 
 
-def _config_int(name: str, value, minimum: int) -> None:
+def _config_check(check, name: str, value, *args) -> None:
+    """Run a `datastore.check_*` function, its ValueError as a ConfigError."""
     try:
-        check_int(name, value, minimum)
+        check(name, value, *args)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+
+
+def _config_path(name: str, value) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{name} must be a non-empty string, got {value!r}")
+    return value
 
 
 def _config_float(name: str, value) -> None:
@@ -113,27 +122,26 @@ def parse_dataset_block(block) -> DatasetConfig:
         raise ConfigError("dataset block must be an object")
     if "generator" in block:
         name = block["generator"]
-        if name not in GENERATOR_DEFAULTS:
+        if not isinstance(name, str) or name not in GENERATOR_DEFAULTS:
             raise ConfigError(f"unknown generator {name!r}, expected one of {sorted(GENERATOR_DEFAULTS)}")
         defaults = GENERATOR_DEFAULTS[name]
         _check_keys(block, {"generator", *defaults}, f"dataset ({name})")
         params = {**defaults, **{k: v for k, v in block.items() if k != "generator"}}
         for key, minimum in GENERATOR_INT_MINIMUMS.items():
             if key in params:
-                _config_int(key, params[key], minimum)
+                _config_check(check_int, key, params[key], minimum)
         for key in GENERATOR_FLOAT_FIELDS:
             if key in params:
                 _config_float(key, params[key])
         return DatasetConfig(name, params)
     if "csv" in block:
         _check_keys(block, {"csv"}, "dataset (csv)")
-        return DatasetConfig("csv", {"csv": block["csv"]})
+        return DatasetConfig("csv", {"csv": _config_path("csv", block["csv"])})
     if "idx_images" in block or "idx_labels" in block:
         _check_keys(block, {"idx_images", "idx_labels"}, "dataset (idx)")
         if "idx_images" not in block or "idx_labels" not in block:
             raise ConfigError("idx datasets need both idx_images and idx_labels")
-        return DatasetConfig("idx", {"idx_images": block["idx_images"],
-                                     "idx_labels": block["idx_labels"]})
+        return DatasetConfig("idx", {key: _config_path(key, block[key]) for key in ("idx_images", "idx_labels")})
     raise ConfigError("dataset block needs a 'generator', 'csv', or 'idx_images'/'idx_labels'")
 
 
@@ -159,7 +167,7 @@ def parse_run_config(doc) -> RunConfig:
         split=_parse_block(doc["split"], OpenSplit, "split"),
         train=_parse_block(doc["train"], TrainConfig, "train"),
         calibration=_parse_block(doc.get("calibration", {}), CalibrationConfig, "calibration"),
-        output_dir=str(doc["output_dir"]),
+        output_dir=_config_path("output_dir", doc["output_dir"]),
     )
 
 
@@ -167,7 +175,7 @@ def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as f:
             return json.load(f)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON or UTF-8, or an integer too long to parse
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
 
 
@@ -215,10 +223,14 @@ def cmd_boundary_grid(checkpoint_path, out_path, x_range, y_range, resolution: i
         raise ValueError(f"resolution must be at least 1, got {resolution}")
     xs = np.linspace(x_range[0], x_range[1], resolution)
     ys = np.linspace(y_range[0], y_range[1], resolution)
-    gx, gy = np.meshgrid(xs, ys)
-    grid = np.column_stack([gx.ravel(), gy.ravel()])
-    inputs = stats.apply(grid) if stats is not None else grid
-    aug = model.augmented_logits(inputs)
+    # the rows of np.meshgrid(xs, ys), raveled, built once and standardized in place
+    grid = np.empty((len(ys), len(xs), 2))
+    grid[:, :, 0] = xs
+    grid[:, :, 1] = ys[:, None]
+    grid = grid.reshape(-1, 2)
+    if stats is not None:
+        stats.apply(grid, out=grid)
+    aug = model.augmented_logits(grid)
     bias = model.calibration_bias
     labels, scores = aug.predictions(bias), aug.knownness(bias)
     with open(out_path, "w", encoding="utf-8") as f:

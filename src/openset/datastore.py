@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import struct
 from dataclasses import dataclass, field
 
@@ -20,6 +21,25 @@ def check_int(name: str, value, minimum: int) -> None:
     `minimum`; a bool, or an integral float such as 2.0, is not an int."""
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+
+
+def check_real(name: str, value) -> None:
+    """Raise ValueError naming `name` unless `value` is a real number; a bool
+    or a string is not. Callers check the range themselves."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def check_class_ids(name: str, ids) -> list[int]:
+    """`ids` as a new list, after checking that it is a list (or tuple) of
+    distinct ints of at least 0; raises ValueError naming `name` otherwise."""
+    if not isinstance(ids, (list, tuple)):
+        raise ValueError(f"{name} must be a list of class ids, got {ids!r}")
+    for i, value in enumerate(ids):
+        check_int(f"{name}[{i}]", value, 0)
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"duplicate class ids in {name}: {list(ids)}")
+    return list(ids)
 
 
 def json_text(doc) -> str:
@@ -109,15 +129,15 @@ class OpenSplit:
     seed: int = 0
 
     def __post_init__(self):
-        self.known_class_ids = [int(c) for c in self.known_class_ids]
-        self.unknown_class_ids = [int(c) for c in self.unknown_class_ids]
+        self.known_class_ids = check_class_ids("known_class_ids", self.known_class_ids)
+        self.unknown_class_ids = check_class_ids("unknown_class_ids", self.unknown_class_ids)
         if len(self.known_class_ids) < 2:
             raise ValueError("need at least 2 known classes")
-        if len(set(self.known_class_ids)) != len(self.known_class_ids):
-            raise ValueError("duplicate known class ids")
         overlap = set(self.known_class_ids) & set(self.unknown_class_ids)
         if overlap:
             raise ValueError(f"classes cannot be both known and unknown: {sorted(overlap)}")
+        check_real("val_fraction", self.val_fraction)
+        check_real("test_fraction", self.test_fraction)
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
         if not 0.0 < self.test_fraction < 1.0:

@@ -1,4 +1,4 @@
-"""Softmax, cross-entropy, differentiable dense layers, SGD with momentum,
+"""Log-softmax, cross-entropy, differentiable dense layers, SGD with momentum,
 and Beta sampling.
 
 Everything is float64 numpy. Layers are stateless: `forward` keeps nothing,
@@ -23,13 +23,6 @@ def as_matrix(values) -> Array:
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
     return a
-
-
-def softmax_rows(logits) -> Array:
-    """Row-wise softmax, stabilised by per-row max subtraction."""
-    z = as_matrix(logits)
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def log_softmax_rows(logits) -> Array:

@@ -9,7 +9,8 @@ the selected dummy column.
 Layers keep no activations. A training step keeps them on a tape: a list
 that starts with the forward's input and gets each layer's output from
 `embed_pre` and `embed_post`; the backward helpers pop them off again, last
-layer first. Scoring keeps no tape and runs in row chunks.
+layer first. Scoring keeps no tape, runs in row chunks and keeps K+1
+numbers per row: the closed logits and the dummy max.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradcore import Array, DenseLayer, as_matrix, softmax_rows
+from .datastore import check_int
+from .gradcore import Array, DenseLayer, as_matrix
 
 DEFAULT_PRE_WIDTHS = (64, 64)
 DEFAULT_POST_WIDTHS = (32, 16)
@@ -28,13 +30,17 @@ SCORE_CHUNK = 4096  # minimum rows per scoring pass: BLAS rounds short ones diff
 
 @dataclass
 class AugmentedLogits:
-    """Closed logits plus the winning dummy logit as one extra column."""
+    """What the open-set rule reads of each row: the K closed logits and the
+    winning dummy logit. Scoring (`SplitMlp.augmented_logits`) holds only these."""
 
-    closed: Array        # B x K
-    dummy_all: Array     # B x C
-    dummy_max: Array     # B
-    dummy_argmax: Array  # B, lowest index on ties
-    combined: Array      # B x (K+1), column K is dummy_max
+    closed: Array     # B x K
+    dummy_max: Array  # B
+
+    @property
+    def combined(self) -> Array:
+        """B x (K+1): the closed logits with `dummy_max` as column K, built
+        anew on each access."""
+        return np.concatenate([self.closed, self.dummy_max[:, None]], axis=1)
 
     def knownness(self, bias: float) -> Array:
         """Best closed logit minus the calibrated dummy logit; higher = more known."""
@@ -55,8 +61,21 @@ class AugmentedLogits:
         return labels
 
     def max_softmax(self) -> Array:
-        """Max softmax probability over the K closed logits (dummy head ignored)."""
-        return _finite(softmax_rows(self.closed).max(axis=1))
+        """Max softmax probability over the K closed logits (dummy head ignored).
+        The exponential at the row max is exactly 1, and division is
+        monotone, so 1 / (row sum) is the row max of `softmax_rows`, bit for
+        bit, without the (B, K) probability matrix."""
+        shifted = self.closed - self.closed.max(axis=1, keepdims=True)
+        return _finite(1.0 / np.exp(shifted, out=shifted).sum(axis=1))
+
+
+@dataclass
+class HeadLogits(AugmentedLogits):
+    """A training forward's heads: every dummy logit and the per-row argmax
+    dummy, which route the gradient of column K back to one dummy column."""
+
+    dummy_all: Array     # B x C
+    dummy_argmax: Array  # B, lowest index on ties
 
 
 def _finite(scores: Array) -> Array:
@@ -74,10 +93,15 @@ class SplitMlp:
             raise ValueError(f"need at least 2 known classes, got {closed_head.out_dim}")
         if dummy_head.out_dim < 1:
             raise ValueError("need at least 1 dummy classifier")
-        if closed_head.in_dim != dummy_head.in_dim:
-            raise ValueError(
-                f"heads disagree on embedding width: {closed_head.in_dim} vs {dummy_head.in_dim}"
-            )
+        check_int("input_dim", input_dim, 1)
+        width = input_dim
+        for i, layer in enumerate([*pre_layers, *post_layers]):
+            if layer.in_dim != width:
+                raise ValueError(f"layer {i} reads {layer.in_dim} inputs, but gets {width}")
+            width = layer.out_dim
+        for name, head in (("closed", closed_head), ("dummy", dummy_head)):
+            if head.in_dim != width:
+                raise ValueError(f"the {name} head reads {head.in_dim} inputs, but the embedding is {width} wide")
         self.pre_layers = pre_layers
         self.post_layers = post_layers
         self.closed_head = closed_head
@@ -128,32 +152,30 @@ class SplitMlp:
     def embed_post(self, h, tape: list[Array] | None = None) -> Array:
         return _forward(self.post_layers, as_matrix(h), tape)
 
-    def heads_from_embedding(self, embedding) -> AugmentedLogits:
+    def heads_from_embedding(self, embedding) -> HeadLogits:
         closed = self.closed_head.forward(embedding)
         dummy_all = self.dummy_head.forward(embedding)
         dummy_argmax = dummy_all.argmax(axis=1)
         dummy_max = dummy_all[np.arange(dummy_all.shape[0]), dummy_argmax]
-        combined = np.concatenate([closed, dummy_max[:, None]], axis=1)
-        return AugmentedLogits(closed, dummy_all, dummy_max, dummy_argmax, combined)
+        return HeadLogits(closed, dummy_max, dummy_all, dummy_argmax)
 
     def augmented_logits(self, x) -> AugmentedLogits:
         """Score `x` in chunks of SCORE_CHUNK or more rows, bit-identical to one
-        pass. The first chunk's fields set the shapes of the whole result,
-        which is allocated once and filled chunk by chunk."""
+        pass. The result holds K+1 numbers per row, the closed logits and the
+        dummy max; it is allocated once and filled chunk by chunk."""
         x = as_matrix(x)
-        out, start = None, 0
+        out = AugmentedLogits(np.empty((len(x), self.num_known)), np.empty(len(x)))
+        start = 0
         for chunk in np.array_split(x, max(1, len(x) // SCORE_CHUNK)):
-            part = vars(self.heads_from_embedding(self.embed_post(self.embed_pre(chunk))))
-            if out is None:
-                out = AugmentedLogits(*(np.empty((len(x), *f.shape[1:]), f.dtype) for f in part.values()))
-            for whole, piece in zip(vars(out).values(), part.values()):
-                whole[start:start + len(chunk)] = piece
-            start += len(chunk)
+            heads = self.heads_from_embedding(self.embed_post(self.embed_pre(chunk)))
+            rows = slice(start, start + len(chunk))
+            out.closed[rows], out.dummy_max[rows] = heads.closed, heads.dummy_max
+            start = rows.stop
         return out
 
     # -- backward ---------------------------------------------------------
 
-    def backward_heads(self, d_combined, aug: AugmentedLogits, tape: list[Array]) -> Array:
+    def backward_heads(self, d_combined, aug: HeadLogits, tape: list[Array]) -> Array:
         """Gradient into the embedding (the end of `tape`) from that of `aug.combined`."""
         d_closed, d_dummy_all = split_combined_grad(aug, d_combined)
         embedding = tape[-1]
@@ -208,7 +230,7 @@ def _forward(layers: list[DenseLayer], h: Array, tape: list[Array] | None) -> Ar
     return h
 
 
-def split_combined_grad(aug: AugmentedLogits, d_combined) -> tuple[Array, Array]:
+def split_combined_grad(aug: HeadLogits, d_combined) -> tuple[Array, Array]:
     """Route the gradient of the combined logits back to the two heads.
 
     Column K flows only into the per-row argmax dummy column; the other

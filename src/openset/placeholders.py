@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gradcore import Array, as_matrix, beta_sample, cross_entropy_from_logits
-from .network import AugmentedLogits, SplitMlp
+from .network import HeadLogits, SplitMlp
 
 # large enough that exp(logit - max) underflows to exactly 0 in float64
 MASK_SENTINEL = -1e30
@@ -83,7 +83,7 @@ def masked_logits(combined, targets) -> Array:
     return out
 
 
-def loss_classifier_placeholder(model: SplitMlp, features, labels, beta: float) -> tuple[float, AugmentedLogits]:
+def loss_classifier_placeholder(model: SplitMlp, features, labels, beta: float) -> tuple[float, HeadLogits]:
     """Cross-entropy of the combined logits against the true label, plus
     beta times cross-entropy of the masked logits against the dummy class.
 
@@ -97,9 +97,10 @@ def loss_classifier_placeholder(model: SplitMlp, features, labels, beta: float) 
     tape = [features]
     aug = model.heads_from_embedding(model.embed_post(model.embed_pre(features, tape), tape))
     k = model.num_known
-    loss, d_combined = cross_entropy_from_logits(aug.combined, labels)
+    combined = aug.combined
+    loss, d_combined = cross_entropy_from_logits(combined, labels)
     if beta != 0.0:
-        masked = masked_logits(aug.combined, labels)
+        masked = masked_logits(combined, labels)
         dummy_targets = np.full(labels.shape, k, dtype=np.int64)
         mask_loss, d_masked = cross_entropy_from_logits(masked, dummy_targets)
         # the sentinel entry is a constant, no gradient flows through it

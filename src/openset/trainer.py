@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datastore import LabeledSet, check_int
+from .datastore import LabeledSet, check_int, check_real
 from .gradcore import Array, SgdMomentum, cross_entropy_from_logits
 from .network import SplitMlp
 from .placeholders import MIX_MODES, build_mix_pairs, loss_classifier_placeholder, loss_data_placeholder
@@ -38,6 +38,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("beta", "gamma", "alpha", "learning_rate", "momentum"):
+            check_real(name, getattr(self, name))
         # each test reads `not <valid range>`, so NaN, which fails every
         # comparison, is rejected too
         if not 0 <= self.beta < math.inf:

@@ -56,6 +56,14 @@ def finite_difference_gradients(loss_fn, params: list[np.ndarray], h: float = 1e
     return grads
 
 
+def softmax_rows(logits) -> np.ndarray:
+    """Row-wise softmax, stabilised by per-row max subtraction: the (B, K)
+    probability matrix that `AugmentedLogits.max_softmax` avoids."""
+    z = np.asarray(logits, dtype=np.float64)
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def softmax_row_oracle(row):
     """Scalar softmax oracle for a single row, no vectorisation."""
     import math
@@ -73,3 +81,11 @@ def cross_entropy_row_oracle(row, target) -> float:
     m = max(row)
     lse = m + math.log(sum(math.exp(v - m) for v in row))
     return lse - row[target]
+
+
+def json_paths(doc, prefix=()):
+    """The key path of every value nested in a parsed JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield (*prefix, key)
+        yield from json_paths(value, (*prefix, key))

@@ -11,7 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from conftest import json_paths
 from openset.checkpoint import load_checkpoint
 from openset.cli import (
     ConfigError,
@@ -209,6 +212,54 @@ class TestRun:
         assert not out.exists() and not csv.exists()
 
 
+    @pytest.mark.parametrize("block,key,value,message", [
+        ("split", "known_class_ids", [0, 1.5, 2], "known_class_ids[1] must be an integer of at least 0, got 1.5"),
+        ("split", "known_class_ids", [0, True, 2], "known_class_ids[1] must be an integer of at least 0, got True"),
+        ("split", "known_class_ids", "012", "known_class_ids must be a list of class ids, got '012'"),
+        ("split", "unknown_class_ids", [3, 3], "duplicate class ids in unknown_class_ids: [3, 3]"),
+        ("split", "val_fraction", True, "val_fraction must be a number, got True"),
+        ("calibration", "target_rate", True, "target_rate must be a number, got True"),
+        ("train", "learning_rate", True, "learning_rate must be a number, got True"),
+        ("train", "momentum", "0.5", "momentum must be a number, got '0.5'"),
+        (None, "output_dir", None, "output_dir must be a non-empty string, got None"),
+        (None, "output_dir", "", "output_dir must be a non-empty string, got ''"),
+    ])
+    def test_wrong_json_type_exits_2_naming_the_field(self, tmp_path, capsys, monkeypatch, block, key, value,
+                                                      message):
+        monkeypatch.chdir(tmp_path)
+        doc = _tiny_config("out")
+        (doc if block is None else doc[block])[key] = value
+        assert main(["run", "--config", str(_write_config(tmp_path, doc))]) == 2
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_one_mutated_config_value_never_raises(self, tmp_path, monkeypatch, data):
+        # configs/blobs6.json, shrunk to a fraction of a second of training
+        monkeypatch.chdir(tmp_path)
+        doc = json.loads((REPO / "configs" / "blobs6.json").read_text())
+        doc["dataset"]["per_class"] = 12
+        doc["train"].update(pretrain_epochs=2, finetune_epochs=1, batch_size=32)
+        doc["output_dir"] = "out"
+        *parents, key = data.draw(st.sampled_from(list(json_paths(doc))))
+        container = doc
+        for step in parents:
+            container = container[step]
+        container[key] = data.draw(_CONFIG_VALUES)
+        path = _write_config(tmp_path, doc)
+        with np.errstate(all="ignore"):
+            assert main(["run", "--config", str(path)]) in (0, 1, 2)
+
+
+# small numbers only: a count such as per_class or an epoch count is taken as it is
+_CONFIG_VALUES = st.one_of(
+    st.sampled_from([None, True, False, 0, 1, -1, 2, 0.0, 0.5, 1.5, -0.5, 1e308, float("nan"), float("inf"),
+                     "", "x", "1", "012345", "input", "baseline", [], {}, [0, 1], [0, 1.5], [0, 0]]),
+    st.floats(-2.0, 2.0),
+)
+
+
 _IDX_IMAGES = struct.pack(">4I", 0x00000803, 2, 2, 2) + bytes(range(8))
 _IDX_LABELS = struct.pack(">2I", 0x00000801, 2) + bytes([1, 0])
 MALFORMED_DATASETS = {
@@ -279,6 +330,40 @@ class TestEvaluate:
         path = _write_config(tmp_path, _tiny_config(tmp_path / "out"))
         assert main(["evaluate", "--checkpoint", str(tmp_path / "none.json"),
                      "--config", str(path)]) == 2
+
+
+def _narrow_first_layer(doc):
+    layer = doc["pre_layers"][0]
+    layer.update({"out": 32, "weights": [row[:32] for row in layer["weights"]], "biases": layer["biases"][:32]})
+
+
+INCONSISTENT_CHECKPOINTS = {
+    "input_dim_3": lambda doc: doc["architecture"].update(input_dim=3),
+    "input_dim_string": lambda doc: doc["architecture"].update(input_dim="2"),
+    "32_outputs_into_64_inputs": _narrow_first_layer,
+    "mean_of_length_3": lambda doc: doc["standardization"]["mean"].append(0.0),
+    "std_0": lambda doc: doc["standardization"]["std"].__setitem__(0, 0.0),
+    "std_negative": lambda doc: doc["standardization"]["std"].__setitem__(1, -1.0),
+    "bias_true": lambda doc: doc.update(calibration_bias=True),
+    "bias_string": lambda doc: doc.update(calibration_bias="1.5"),
+}
+
+
+class TestInconsistentCheckpoint:
+    @pytest.mark.parametrize("case", INCONSISTENT_CHECKPOINTS)
+    def test_evaluate_and_grid_exit_2_naming_the_file(self, tmp_path, capsys, case):
+        doc = json.loads((GOLDEN / "checkpoint.json").read_text())
+        INCONSISTENT_CHECKPOINTS[case](doc)
+        ckpt = tmp_path / "bad.json"
+        ckpt.write_text(json.dumps(doc))
+        grid = tmp_path / "grid.csv"
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--config", str(REPO / "configs" / "blobs6.json")]) == 2
+        assert main(["boundary-grid", "--checkpoint", str(ckpt), "--out", str(grid),
+                     "--resolution", "3", "--range", "0", "1", "0", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not grid.exists()
+        lines = captured.err.splitlines()
+        assert len(lines) == 2 and all(line.startswith(f"error: {ckpt}: ") for line in lines), captured.err
 
 
 class TestBoundaryGrid:

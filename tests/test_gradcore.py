@@ -9,14 +9,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import cross_entropy_row_oracle, finite_difference_gradients, gradients, rel_error, zero_grads
+from conftest import (
+    cross_entropy_row_oracle,
+    finite_difference_gradients,
+    gradients,
+    rel_error,
+    softmax_rows,
+    zero_grads,
+)
 from openset.gradcore import (
     DenseLayer,
     SgdMomentum,
     beta_sample,
     cross_entropy_from_logits,
     log_softmax_rows,
-    softmax_rows,
 )
 
 finite_rows = st.lists(

@@ -9,11 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import gradients
+from conftest import gradients, json_paths, softmax_rows
 from openset.calibration import logit_gaps
 from openset.checkpoint import (
     CheckpointError,
@@ -37,7 +37,14 @@ from openset.trainer import TrainConfig
 BLOBS6_CHECKPOINT = Path(__file__).resolve().parent.parent / "out" / "blobs6" / "checkpoint.json"
 
 
-_special_logits = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0, 2.0]),
+_json_values = st.one_of(
+    st.sampled_from([None, True, False, 0, 1, -1, 2, 3, 32, 64, 0.0, -0.0, 1.5, -1.0, 1e308, 10 ** 400,
+                     math.nan, math.inf, "", "2", "1.5", "relu", "tanh", [], {}, [0.0], [[1.0]]]),
+    st.integers(-5, 100), st.floats(allow_nan=True, allow_infinity=True),
+)
+
+_special_logits = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1.0, -1.0, 2.0,
+                                             1e308, -1e308, 5e-324, -5e-324]),
                             st.floats(-3.0, 3.0))
 
 
@@ -111,6 +118,11 @@ class TestEmbedding:
             model.embed_pre(np.zeros((1, 4)))
 
 
+def _heads(model, x):
+    """The training forward's heads on `x`, which keep every dummy logit."""
+    return model.heads_from_embedding(model.embed_post(model.embed_pre(x)))
+
+
 class TestAugmentedLogits:
     def test_single_dummy_column(self):
         model = _fixed_logit_model([[1.0, 2.0, 3.0]], [[1.5]])
@@ -121,12 +133,11 @@ class TestAugmentedLogits:
         model = _fixed_logit_model([[1.0, 2.0, 3.0]], [[0.5, 1.5]])
         aug = model.augmented_logits(np.eye(1))
         np.testing.assert_array_equal(aug.combined, [[1.0, 2.0, 3.0, 1.5]])
-        assert aug.dummy_argmax[0] == 1
+        assert _heads(model, np.eye(1)).dummy_argmax[0] == 1
 
     def test_duplicate_max_takes_lowest_index(self):
         model = _fixed_logit_model([[0.0, 0.0]], [[2.0, 2.0, 1.0]])
-        aug = model.augmented_logits(np.eye(1))
-        assert aug.dummy_argmax[0] == 0
+        assert _heads(model, np.eye(1)).dummy_argmax[0] == 0
 
     def test_combined_always_k_plus_one_columns(self):
         rng = np.random.default_rng(1)
@@ -138,10 +149,26 @@ class TestAugmentedLogits:
 
     def test_combined_grad_routes_to_argmax_column_only(self):
         model = _fixed_logit_model([[1.0, 2.0]], [[0.5, 1.5, -1.0]])
-        aug = model.augmented_logits(np.eye(1))
-        d_closed, d_dummy = split_combined_grad(aug, np.array([[1.0, 2.0, 3.0]]))
+        heads = _heads(model, np.eye(1))
+        d_closed, d_dummy = split_combined_grad(heads, np.array([[1.0, 2.0, 3.0]]))
         np.testing.assert_array_equal(d_closed, [[1.0, 2.0]])
         np.testing.assert_array_equal(d_dummy, [[0.0, 3.0, 0.0]])
+
+    def test_scored_result_holds_k_plus_one_numbers_per_row(self):
+        rng = np.random.default_rng(2)
+        model = SplitMlp.create(3, 4, 5, rng, pre_widths=(6,), post_widths=(5,))
+        n = SCORE_CHUNK * 2 + 3
+        aug = model.augmented_logits(rng.standard_normal((n, 3)))
+        assert sum(a.nbytes for a in vars(aug).values()) == n * (4 + 1) * 8
+
+    def test_scoring_equals_the_training_heads(self):
+        rng = np.random.default_rng(3)
+        model = SplitMlp.create(3, 4, 5, rng, pre_widths=(6,), post_widths=(5,))
+        x = rng.standard_normal((30, 3))
+        aug, heads = model.augmented_logits(x), _heads(model, x)
+        for name, scored in vars(aug).items():
+            assert scored.tobytes() == getattr(heads, name).tobytes()
+        assert aug.combined.tobytes() == heads.combined.tobytes()
 
 
 class TestPredictOpen:
@@ -192,8 +219,8 @@ class TestPredictOpen:
         # the last column is the dummy maximum; ties, signed zeros,
         # infinities and NaN in any column or in the bias
         closed, dummy_max = logits[:, :-1], logits[:, -1]
-        aug = AugmentedLogits(closed, dummy_max[:, None], dummy_max, np.zeros(len(logits), np.intp), logits)
-        with np.errstate(invalid="ignore"):
+        aug = AugmentedLogits(closed, dummy_max)
+        with np.errstate(invalid="ignore", over="ignore"):
             want = np.concatenate([closed, (dummy_max + bias)[:, None]], axis=1).argmax(axis=1)
             got = aug.predictions(bias)
         assert got.dtype == want.dtype
@@ -250,6 +277,21 @@ class TestScores:
         assert baseline_confidence(model, x).tobytes() == aug.max_softmax().tobytes()
         assert logit_gaps(model, x).tobytes() == aug.knownness(0.0).tobytes()
 
+    @settings(max_examples=500, deadline=None)
+    @given(closed=hnp.arrays(np.float64, st.tuples(st.integers(0, 8), st.integers(1, 5)),
+                             elements=_special_logits))
+    @example(np.array([[0.0, -0.0], [-0.0, 0.0], [1e308, -1e308], [5e-324, -5e-324], [2.0, 2.0]]))
+    @example(np.array([[np.inf, 1.0], [-np.inf, -np.inf], [np.nan, 1.0], [np.inf, np.inf]]))
+    def test_max_softmax_equals_the_row_max_of_the_softmax_matrix(self, closed):
+        aug = AugmentedLogits(closed, np.zeros(len(closed)))
+        with np.errstate(all="ignore"):
+            want = softmax_rows(closed).max(axis=1)
+            if np.isfinite(want).all():
+                assert aug.max_softmax().tobytes() == want.tobytes()
+            else:
+                with pytest.raises(ValueError, match="non-finite"):
+                    aug.max_softmax()
+
     def test_non_finite_scores_raise_with_their_count(self):
         model = _fixed_logit_model([[1.0, 0.0], [1.0, 2.0], [3.0, 0.0]], [[0.5], [1.5], [0.0]])
         x = np.eye(3)
@@ -262,7 +304,7 @@ class TestScores:
             aug.max_softmax()
 
 
-def _one_pass_combined(model, x):
+def _one_pass(model, x):
     """Reference scoring: one gemm per layer over all rows at once."""
     def affine(layer, h):
         out = h @ layer.weights + layer.biases
@@ -271,8 +313,15 @@ def _one_pass_combined(model, x):
     h = x
     for layer in [*model.pre_layers, *model.post_layers]:
         h = affine(layer, h)
-    dummy_max = affine(model.dummy_head, h).max(axis=1)
-    return np.concatenate([affine(model.closed_head, h), dummy_max[:, None]], axis=1)
+    return AugmentedLogits(affine(model.closed_head, h), affine(model.dummy_head, h).max(axis=1))
+
+
+def _assert_same_bytes(aug, reference):
+    """Every field of the scoring result, and the combined logits, byte for byte."""
+    assert vars(aug).keys() == vars(reference).keys()
+    for name, value in vars(aug).items():
+        assert value.tobytes() == getattr(reference, name).tobytes(), name
+    assert aug.combined.tobytes() == reference.combined.tobytes()
 
 
 def _blobs6_grid(resolution=300):
@@ -300,15 +349,12 @@ class TestStatelessScoring:
         rng = np.random.default_rng(8)
         model = SplitMlp.create(784, 6, 5, rng)
         x = rng.standard_normal((rows, 784))
-        assert model.augmented_logits(x).combined.tobytes() == _one_pass_combined(model, x).tobytes()
+        _assert_same_bytes(model.augmented_logits(x), _one_pass(model, x))
 
     def test_chunked_scoring_matches_one_pass_on_the_blobs6_checkpoint(self):
         model, grid = _blobs6_grid()
         x = grid[:2 * SCORE_CHUNK + 1]
-        aug = model.augmented_logits(x)
-        reference = _one_pass_combined(model, x)
-        assert aug.combined.tobytes() == reference.tobytes()
-        assert aug.closed.tobytes() == reference[:, :model.num_known].tobytes()
+        _assert_same_bytes(model.augmented_logits(x), _one_pass(model, x))
 
     @staticmethod
     def _scoring_peak() -> float:
@@ -330,10 +376,16 @@ class TestStatelessScoring:
         assert peak < 40e6, f"scoring peaked at {peak / 1e6:.1f} MB"
 
     def test_scoring_fills_one_result_without_a_second_copy(self):
-        # the five result arrays alone take 14.4 MB; concatenating chunk
-        # results held them twice and peaked at 28.8 MB
+        # concatenating chunk results held the result twice and peaked at 28.8 MB
         peak = self._scoring_peak()
         assert peak < 24e6, f"scoring peaked at {peak / 1e6:.1f} MB"
+
+    def test_scoring_holds_only_the_closed_logits_and_the_dummy_max(self):
+        # 90k rows x (K+1) = 7 float64 columns are 5.04 MB; a result that also
+        # held every dummy logit, their argmax and the combined logits took
+        # 14.4 MB and peaked at 19.6 MB
+        peak = self._scoring_peak()
+        assert peak < 12e6, f"scoring peaked at {peak / 1e6:.1f} MB"
 
 
 class TestCheckpoint:
@@ -386,6 +438,33 @@ class TestCheckpoint:
         path.write_text("not json at all {")
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_one_mutated_value_loads_a_working_model_or_raises_checkpoint_error(self, tmp_path, data):
+        model, config = self._model_and_config()
+        stats = Standardization(np.array([0.5, -1.0, 2.0]), np.array([1.0, 0.25, 3.0]))
+        doc = json.loads(checkpoint_text(model, config, stats))
+        paths = list(json_paths(doc))
+        *parents, key = data.draw(st.sampled_from(paths))
+        container = doc
+        for step in parents:
+            container = container[step]
+        if isinstance(container, dict) and data.draw(st.booleans()):
+            del container[key]
+        else:
+            container[key] = data.draw(_json_values)
+        path = tmp_path / "mutated.json"
+        path.write_text(json.dumps(doc))
+        try:
+            loaded, _, loaded_stats = load_checkpoint(path)
+        except CheckpointError as exc:
+            assert str(exc).startswith(f"{path}: ")
+            return
+        x = np.zeros((3, loaded.input_dim))
+        with np.errstate(all="ignore"):
+            aug = loaded.augmented_logits(x if loaded_stats is None else loaded_stats.apply(x))
+        assert aug.closed.shape == (3, loaded.num_known)
 
     def test_non_finite_weights_are_refused_and_nothing_is_written(self, tmp_path):
         model, config = self._model_and_config()

@@ -15,9 +15,10 @@ from conftest import (
     gradients,
     rel_error,
     softmax_row_oracle,
+    softmax_rows,
     zero_grads,
 )
-from openset.gradcore import cross_entropy_from_logits, softmax_rows
+from openset.gradcore import cross_entropy_from_logits
 from openset.network import SplitMlp
 from openset.placeholders import (
     build_mix_pairs,
