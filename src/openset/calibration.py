@@ -50,12 +50,6 @@ def candidate_biases(gaps, intervals: int = 100) -> Array:
     return np.linspace(lo, hi, intervals + 1)
 
 
-def known_rate(gaps, bias: float) -> float:
-    """Fraction of instances with gap strictly above the bias."""
-    gaps = np.asarray(gaps, dtype=np.float64)
-    return float((gaps > bias).mean())
-
-
 def select_bias(model: SplitMlp, val_set, target_rate: float = 0.95,
                 intervals: int = 100) -> CalibrationResult:
     """Largest candidate bias whose known-rate still meets target_rate.
@@ -67,20 +61,17 @@ def select_bias(model: SplitMlp, val_set, target_rate: float = 0.95,
     features = getattr(val_set, "features", val_set)
     gaps = logit_gaps(model, features)
     candidates = candidate_biases(gaps, intervals)
-    chosen = None
-    for bias in candidates:  # ascending; rate is non-increasing
-        if known_rate(gaps, bias) >= target_rate:
-            chosen = float(bias)
-        else:
-            break
-    target_met = chosen is not None
-    if chosen is None:
-        chosen = float(candidates[0])
+    # each candidate's known rate: the share of gaps strictly above it
+    rates = (gaps.size - np.searchsorted(np.sort(gaps), candidates, "right")) / gaps.size
+    # ascending candidates, non-increasing rates: the passing prefix
+    failing = np.flatnonzero(~(rates >= target_rate))
+    passed = int(failing[0]) if failing.size else len(candidates)
+    chosen = max(passed - 1, 0)
     return CalibrationResult(
-        chosen_bias=chosen,
-        achieved_known_rate=known_rate(gaps, chosen),
+        chosen_bias=float(candidates[chosen]),
+        achieved_known_rate=float(rates[chosen]),
         candidate_count=len(candidates),
         gap_min=float(gaps.min()),
         gap_max=float(gaps.max()),
-        target_met=target_met,
+        target_met=passed > 0,
     )

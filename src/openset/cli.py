@@ -44,6 +44,7 @@ GENERATOR_DEFAULTS = {
 }
 GENERATOR_INT_MINIMUMS = {"num_classes": 1, "per_class": 1, "dim": 1, "seed": 0}
 GENERATOR_FLOAT_FIELDS = ("center_scale", "spread", "noise")
+MAX_INTERVALS = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -80,6 +81,8 @@ class CalibrationConfig:
         if not 0.0 < self.target_rate <= 1.0:
             raise ConfigError(f"target_rate must be in (0, 1], got {self.target_rate}")
         _config_check(check_int, "intervals", self.intervals, 1)
+        if self.intervals > MAX_INTERVALS:
+            raise ConfigError(f"intervals must be at most {MAX_INTERVALS}, got {self.intervals}")
 
 
 @dataclass
@@ -95,6 +98,16 @@ def _config_check(check, name: str, value, *args) -> None:
     """Run a `datastore.check_*` function, its ValueError as a ConfigError."""
     try:
         check(name, value, *args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _config_split(split_fn, dataset: LabeledSet, split: OpenSplit):
+    """`split_fn(dataset, split)`; a split that does not fit the dataset,
+    such as a class it lacks or too few rows for the fractions, raises
+    ConfigError."""
+    try:
+        return split_fn(dataset, split)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -185,7 +198,7 @@ def load_run_config(path) -> RunConfig:
 
 def cmd_run(config_path) -> int:
     cfg = load_run_config(config_path)
-    train, val, test, stats = prepare(cfg.dataset.load(), cfg.split)
+    train, val, test, stats = _config_split(prepare, cfg.dataset.load(), cfg.split)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -207,7 +220,7 @@ def cmd_run(config_path) -> int:
 def cmd_evaluate(checkpoint_path, config_path) -> int:
     model, _, stats = load_checkpoint(checkpoint_path)
     cfg = load_run_config(config_path)
-    _, _, test = split_known_unknown(cfg.dataset.load(), cfg.split)
+    _, _, test = _config_split(split_known_unknown, cfg.dataset.load(), cfg.split)
     if stats is not None:
         stats.apply(test.features, out=test.features)
     report = evaluate_split(model, test, cfg.split, cfg.train.train_mode)
@@ -242,16 +255,21 @@ def write_grid_csv(f, xs, ys, labels, scores) -> None:
     """Write `x,y,label,score` rows to the text file `f`, x varying fastest,
     as `np.meshgrid(xs, ys)` orders them; `labels` are class indices. Every
     float is written as its `repr`, so it reads back exactly. Each axis value
-    and label is formatted once, and one grid row (len(xs) lines) is built
-    and written at a time."""
-    x_texts = [f"{x!r}," for x in xs.tolist()]
-    label_texts = [f",{c}," for c in range(int(labels.max()) + 1)]
-    f.write("x,y,label,score\n")
+    and label is formatted once. Each line starts with its newline, so one
+    grid row (len(xs) lines) is three parts per line, written with one join;
+    the header goes out without its newline and one newline ends the file."""
+    x_heads = ["\n" + repr(x) + "," for x in xs.tolist()]
+    label_texts = [f"{c}," for c in range(int(labels.max()) + 1)]
+    parts = [""] * (3 * len(xs))
+    f.write("x,y,label,score")
     for i, y in enumerate(ys.tolist()):
         row = slice(i * len(xs), (i + 1) * len(xs))
-        line = ("{}" + repr(y) + "{}{}\n").format
-        f.write("".join(map(line, x_texts, map(label_texts.__getitem__, labels[row].tolist()),
-                            map(repr, scores[row].tolist()))))
+        y_text = repr(y) + ","
+        parts[0::3] = [head + y_text for head in x_heads]
+        parts[1::3] = map(label_texts.__getitem__, labels[row].tolist())
+        parts[2::3] = map(repr, scores[row].tolist())
+        f.write("".join(parts))
+    f.write("\n")
 
 
 def cmd_gen_data(config_path, out_path) -> int:

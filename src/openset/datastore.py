@@ -46,9 +46,8 @@ def json_text(doc) -> str:
     """The text `json.dumps` writes for `doc` with a two-space indent and
     `allow_nan=False`, byte for byte, where `doc` may also hold numpy int
     and float arrays. Their numbers are formatted with `repr` in bulk: a
-    1-D array with one join, a 2-D one with one format call per row. A
-    non-finite number raises ValueError; an array of another dtype, such as
-    bool, raises TypeError."""
+    1-D or 2-D array with one join. A non-finite number raises ValueError;
+    an array of another dtype, such as bool, raises TypeError."""
     return _json(doc, "\n")
 
 
@@ -75,10 +74,16 @@ def _json_array(a: Array, newline: str) -> str:
     inner = newline + "  "
     if a.ndim == 1:
         items = list(map(repr, a.tolist()))
-    elif a.ndim == 2 and a.shape[1]:
-        # one format call per row, filled from the columns' reprs
-        row = _block("[]", ["{}"] * a.shape[1], inner).format
-        items = list(map(row, *(map(repr, column) for column in a.T.tolist())))
+    elif a.ndim == 2 and a.size:
+        # the whole array in one join: each number's repr after its
+        # separator, which opens the array, opens a row or just continues one
+        cell = inner + "  "
+        parts = ["," + cell] * (2 * a.size)
+        parts[0::2 * a.shape[1]] = [inner + "]," + inner + "[" + cell] * a.shape[0]
+        parts[0] = "[" + inner + "[" + cell
+        parts[1::2] = map(repr, a.ravel().tolist())
+        parts.append(inner + "]" + newline + "]")
+        return "".join(parts)
     else:
         items = [_json_array(row, inner) for row in a]
     return _block("[]", items, newline)

@@ -56,6 +56,13 @@ def finite_difference_gradients(loss_fn, params: list[np.ndarray], h: float = 1e
     return grads
 
 
+def known_rate(gaps, bias: float) -> float:
+    """Fraction of instances with gap strictly above the bias: the known
+    rate `calibration.select_bias` counts for every candidate at once."""
+    gaps = np.asarray(gaps, dtype=np.float64)
+    return float((gaps > bias).mean())
+
+
 def softmax_rows(logits) -> np.ndarray:
     """Row-wise softmax, stabilised by per-row max subtraction: the (B, K)
     probability matrix that `AugmentedLogits.max_softmax` avoids."""

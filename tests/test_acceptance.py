@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import finite_difference_gradients, gradients, rel_error, zero_grads
-from openset.calibration import candidate_biases, known_rate, logit_gaps
+from conftest import finite_difference_gradients, gradients, known_rate, rel_error, zero_grads
+from openset.calibration import candidate_biases, logit_gaps
 from openset.cli import main
 from openset.datastore import LabeledSet, OpenSplit, fit_standardization, gen_gaussian_blobs
 from openset.gradcore import cross_entropy_from_logits

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from openset.calibration import candidate_biases, known_rate, logit_gaps, select_bias
+from conftest import known_rate
+from openset.calibration import CalibrationResult, candidate_biases, logit_gaps, select_bias
 from openset.datastore import LabeledSet, fit_standardization, gen_gaussian_blobs
 from openset.gradcore import DenseLayer
 from openset.network import SplitMlp
@@ -133,3 +138,36 @@ class TestSelectBias:
         result = select_bias(model, rng.standard_normal((40, 2)))
         assert result.gap_min <= result.chosen_bias <= result.gap_max
         assert result.candidate_count == 101
+
+
+def _select_bias_loop(gaps, target_rate: float, intervals: int) -> CalibrationResult:
+    """The per-candidate loop `select_bias` replaced, kept as its oracle."""
+    candidates = candidate_biases(gaps, intervals)
+    chosen = None
+    for bias in candidates:  # ascending; rate is non-increasing
+        if known_rate(gaps, bias) >= target_rate:
+            chosen = float(bias)
+        else:
+            break
+    target_met = chosen is not None
+    if chosen is None:
+        chosen = float(candidates[0])
+    return CalibrationResult(chosen_bias=chosen, achieved_known_rate=known_rate(gaps, chosen),
+                             candidate_count=len(candidates), gap_min=float(gaps.min()),
+                             gap_max=float(gaps.max()), target_met=target_met)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gaps=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0]), st.floats(-50.0, 50.0)),
+                     min_size=1, max_size=40),
+       target_rate=st.one_of(st.sampled_from([1.0, 0.95, 0.5, 0.1]), st.floats(0.0, 1.0, exclude_min=True)),
+       intervals=st.integers(1, 300))
+@example([0.7] * 5, 1.0, 100)
+@example(np.linspace(0.01, 1.0, 100).tolist(), 0.95, 100)
+@example([-1.0, 2.0, 2.0, 2.0], 1.0, 3)
+def test_select_bias_equals_the_candidate_loop(gaps, target_rate, intervals):
+    # gap i is closed logit i minus dummy logit 0, on the one-hot input i
+    model = _fixed_logit_model([[g, -100.0] for g in gaps], [[0.0]] * len(gaps))
+    x = np.eye(len(gaps))
+    want = _select_bias_loop(logit_gaps(model, x), target_rate, intervals)
+    assert repr(asdict(select_bias(model, x, target_rate, intervals))) == repr(asdict(want))

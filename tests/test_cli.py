@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import json_paths
 from openset.checkpoint import load_checkpoint
@@ -68,6 +69,10 @@ def _tiny_config(out_dir, train_mode="full", train_overrides=None, split_overrid
         "calibration": {"target_rate": 0.95, "intervals": 100},
         "output_dir": str(out_dir),
     }
+
+
+def _no_training(*args, **kwargs):
+    raise AssertionError("training started")
 
 
 def _write_config(tmp_path, doc, name="config.json"):
@@ -167,6 +172,35 @@ class TestRun:
         assert main(["run", "--config", str(_write_config(tmp_path, doc))]) == 2
         assert f"{key} must be an integer of at least" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("dataset,split,message", [
+        ({}, {"unknown_class_ids": [3, 12]}, "class 12 not present in the dataset"),
+        ({"per_class": 1}, {}, "known class 0 has 1 rows, need at least 2"),
+        ({"per_class": 2}, {}, "known class 0 has 2 rows, too few for val_fraction 0.15 and test_fraction 0.3"),
+    ])
+    def test_split_that_does_not_fit_the_dataset_exits_2(self, tmp_path, capsys, dataset, split, message):
+        out = tmp_path / "out"
+        doc = _tiny_config(out, split_overrides=split)
+        doc["dataset"].update(dataset)
+        path = _write_config(tmp_path, doc)
+        assert main(["run", "--config", str(path)]) == 2
+        assert main(["evaluate", "--checkpoint", str(GOLDEN / "checkpoint.json"), "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n" * 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("intervals", [1_000_001, 10 ** 30])
+    def test_intervals_above_a_million_exit_2_before_training(self, tmp_path, capsys, monkeypatch, intervals):
+        monkeypatch.setattr("openset.cli.pretrain_closed", _no_training)
+        out = tmp_path / "out"
+        doc = _tiny_config(out)
+        doc["calibration"]["intervals"] = intervals
+        assert main(["run", "--config", str(_write_config(tmp_path, doc))]) == 2
+        assert f"intervals must be at most 1000000, got {intervals}" in capsys.readouterr().err
+        assert not out.exists()
+        doc["calibration"]["intervals"] = 1_000_000
+        assert parse_run_config(doc).calibration.intervals == 1_000_000
 
     @pytest.mark.parametrize("key,value", [("per_class", 2.5), ("per_class", True), ("per_class", 0),
                                            ("num_classes", 5.0), ("dim", "2"), ("seed", -1)])
@@ -440,6 +474,25 @@ def test_grid_csv_matches_the_row_loop():
     out = io.StringIO()
     write_grid_csv(out, xs, ys, labels, scores)
     assert out.getvalue() == _grid_csv_row_loop(grid, labels, scores)
+
+
+_GRID_FLOATS = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 2.0, 1e16, 0.1, 1 / 3,
+                                           float("nan"), float("inf"), -float("inf")]),
+                         st.floats())
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_grid_csv_matches_the_row_loop_on_drawn_grids(data):
+    xs = data.draw(hnp.arrays(np.float64, st.integers(1, 30), elements=_GRID_FLOATS))
+    ys = data.draw(hnp.arrays(np.float64, st.integers(1, 30), elements=_GRID_FLOATS))
+    label_count = data.draw(st.integers(1, 8))
+    labels = data.draw(hnp.arrays(np.int64, len(xs) * len(ys), elements=st.integers(0, label_count - 1)))
+    scores = data.draw(hnp.arrays(np.float64, len(xs) * len(ys), elements=_GRID_FLOATS))
+    gx, gy = np.meshgrid(xs, ys)
+    out = io.StringIO()
+    write_grid_csv(out, xs, ys, labels, scores)
+    assert out.getvalue() == _grid_csv_row_loop(np.column_stack([gx.ravel(), gy.ravel()]), labels, scores)
 
 
 class TestBlobs6Grid:

@@ -494,6 +494,9 @@ class TestJsonText:
     @given(_documents)
     @example({"roc": np.zeros((0, 2)), "empty": np.array([]), "rows": np.zeros((2, 0)), "none": [{}, []]})
     @example([np.array(SPECIAL_FLOATS), np.array(SPECIAL_FLOATS).reshape(1, -1, 1), *SPECIAL_FLOATS])
+    # a ROC-shaped float array, and a square int array two levels deep
+    @example({"roc": np.resize(SPECIAL_FLOATS, 100).reshape(50, 2) * np.arange(1, 51)[:, None]})
+    @example({"model": {"weights": np.arange(49).reshape(7, 7) - 24}})
     def test_matches_json_dumps_on_the_same_lists(self, doc):
         assert json_text(doc) == json.dumps(_as_lists(doc), indent=2, allow_nan=False)
 

@@ -48,6 +48,10 @@ _special_logits = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0,
                             st.floats(-3.0, 3.0))
 
 
+# few values, so that rows tie, between -0.0 and 0.0 too
+_tied_logits = st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 2.0])
+
+
 def _fixed_logit_model(closed_rows, dummy_rows):
     """A model whose heads reproduce the given logits for one-hot inputs.
 
@@ -291,6 +295,24 @@ class TestScores:
             else:
                 with pytest.raises(ValueError, match="non-finite"):
                     aug.max_softmax()
+
+    @settings(max_examples=500, deadline=None)
+    @given(logits=hnp.arrays(np.float64, st.tuples(st.integers(0, 8), st.integers(2, 6)), elements=_tied_logits),
+           bias=_tied_logits)
+    @example(np.array([[-0.0, 0.0, 0.0], [0.0, -0.0, 0.0], [-0.0, -0.0, 0.0], [2.0, 2.0, 1.0]]), 0.0)
+    @example(np.array([[-1.0, -0.0, 0.0, -0.0], [np.nan, 0.0, -0.0, 0.0], [-np.inf, -0.0, 0.0, 0.0]]), -0.0)
+    def test_knownness_equals_the_row_max_minus_the_biased_dummy(self, logits, bias):
+        # the row max decides the sign of a zero score: max(-0.0, 0.0) is
+        # the last tied zero, where an argmax would pick the first
+        closed, dummy_max = logits[:, :-1], logits[:, -1]
+        aug = AugmentedLogits(closed, dummy_max)
+        with np.errstate(invalid="ignore"):
+            want = closed.max(axis=1) - (dummy_max + bias)
+            if np.isfinite(want).all():
+                assert aug.knownness(bias).tobytes() == want.tobytes()
+            else:
+                with pytest.raises(ValueError, match="non-finite"):
+                    aug.knownness(bias)
 
     def test_non_finite_scores_raise_with_their_count(self):
         model = _fixed_logit_model([[1.0, 0.0], [1.0, 2.0], [3.0, 0.0]], [[0.5], [1.5], [0.0]])
