@@ -9,8 +9,9 @@ the selected dummy column.
 Layers keep no activations. A training step keeps them on a tape: a list
 that starts with the forward's input and gets each layer's output from
 `embed_pre` and `embed_post`; the backward helpers pop them off again, last
-layer first. Scoring keeps no tape, runs in row chunks and keeps K+1
-numbers per row: the closed logits and the dummy max.
+layer first; a hidden-mode fine-tuning step keeps a second tape from its
+mixed pre-embeddings on. Scoring keeps no tape, runs in row chunks and keeps
+K+1 numbers per row: the closed logits and the dummy max.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 Every fine-tuning batch is split into two halves: the first feeds the
 classifier-placeholder loss, the second is mixed within itself and feeds
-the data-placeholder loss. One optimizer step is taken on the summed loss.
-All randomness flows from the config seed; identical configs give
-bit-identical models.
+the data-placeholder loss. One network pass and one optimizer step are
+taken per batch, on the summed loss. All randomness flows from the config
+seed; identical configs give bit-identical models.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ import numpy as np
 from .datastore import LabeledSet, check_int, check_real
 from .gradcore import Array, SgdMomentum, cross_entropy_from_logits
 from .network import SplitMlp
-from .placeholders import MIX_MODES, build_mix_pairs, loss_classifier_placeholder, loss_data_placeholder
+from .placeholders import MixPairs, build_mix_pairs, loss_classifier_placeholder, loss_data_placeholder, mix_hidden
 
+MIX_MODES = ("hidden", "input")
 TRAIN_MODES = ("baseline", "dummy_only", "mixup_only", "full")
 
 
@@ -130,6 +131,47 @@ def pretrain_closed(dataset: LabeledSet, config: TrainConfig,
     return _train_epochs(model, dataset, config, rng, "pretrain", config.pretrain_epochs, step, log_lines)
 
 
+def _mix_rows(rows: Array, cut: int, pairs: MixPairs) -> Array:
+    """The first `cut` rows, then the mixes of the pairs of later rows."""
+    return np.concatenate([rows[:cut], mix_hidden(rows[cut + pairs.left], rows[cut + pairs.right], pairs.lam)])
+
+
+def finetune_step(model: SplitMlp, xb: Array, yb: Array, pairs: MixPairs | None, beta: float,
+                  gamma: float, mix_mode: str) -> tuple[float, float, Array, Array]:
+    """Run the network once on the first half's rows stacked over the mixes
+    of `pairs` (indices into the second half; mixed after the pre-layers in
+    mix_mode "hidden", as raw rows in "input"), take both losses on row
+    slices, and backpropagate l1 + gamma * l2 once into the model. Without
+    pairs only the first half is forwarded and l2 is 0. Returns (l1, l2,
+    closed logits of the first half, its labels)."""
+    (x1, y1), _ = split_batch_halves(xb, yb)
+    cut = len(y1)
+    mix = bool(pairs)
+    hidden = mix and mix_mode == "hidden"
+    rows = xb if hidden else _mix_rows(xb, cut, pairs) if mix else x1
+    pre_tape = [rows]
+    h = model.embed_pre(rows, pre_tape)
+    # a hidden-mode step starts a second tape at the mixed pre-embeddings
+    tape = [_mix_rows(h, cut, pairs)] if hidden else pre_tape
+    aug = model.heads_from_embedding(model.embed_post(tape[-1], tape))
+    combined = aug.combined
+    l1, d_combined = loss_classifier_placeholder(combined[:cut], y1, beta)
+    l2 = 0.0
+    if mix:
+        l2, d_mixed = loss_data_placeholder(combined[cut:])
+        d_combined = np.concatenate([d_combined, gamma * d_mixed])
+    d = model.backward_post(model.backward_heads(d_combined, aug, tape), tape)
+    if hidden:
+        # neither index array repeats an index (see MixPairs), so buffered
+        # fancy += on zeros is an exact scatter-add (and turns -0.0 into 0.0)
+        d_h = np.concatenate([d[:cut], np.zeros_like(h[cut:])])
+        d_h[cut + pairs.left] += pairs.lam * d[cut:]
+        d_h[cut + pairs.right] += (1.0 - pairs.lam) * d[cut:]
+        d = d_h
+    model.backward_pre(d, pre_tape)
+    return l1, l2, aug.closed[:cut], y1
+
+
 def finetune_placeholders(model: SplitMlp, dataset: LabeledSet, config: TrainConfig,
                           log_lines: list[str] | None = None) -> SplitMlp:
     """Fine-tune a pretrained model with the placeholder losses.
@@ -156,12 +198,7 @@ def finetune_placeholders(model: SplitMlp, dataset: LabeledSet, config: TrainCon
     def step(xb: Array, yb: Array):
         if len(yb) < 2:
             return None  # a trailing single row cannot be split
-        (x1, y1), (x2, y2) = split_batch_halves(xb, yb)
-        l1, aug = loss_classifier_placeholder(model, x1, y1, beta)
-        l2 = 0.0
-        if use_mix:
-            pairs = build_mix_pairs(y2, rng, config.alpha)
-            l2 = loss_data_placeholder(model, x2, pairs, config.mix_mode, grad_scale=config.gamma)
-        return l1, l2, aug.closed, y1
+        pairs = build_mix_pairs(split_batch_halves(xb, yb)[1][1], rng, config.alpha) if use_mix else None
+        return finetune_step(model, xb, yb, pairs, beta, config.gamma, config.mix_mode)
 
     return _train_epochs(model, dataset, config, rng, "finetune", config.finetune_epochs, step, log_lines)

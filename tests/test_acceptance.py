@@ -26,13 +26,8 @@ from openset.gradcore import cross_entropy_from_logits
 from openset.metrics import auc, macro_f1, openness
 from openset.network import SplitMlp, predict_open
 from openset.pipeline import mode_sweep, prepare
-from openset.placeholders import (
-    MixPairs,
-    build_mix_pairs,
-    loss_classifier_placeholder,
-    loss_data_placeholder,
-)
-from openset.trainer import TrainConfig, finetune_placeholders, pretrain_closed
+from openset.placeholders import MixPairs, build_mix_pairs
+from openset.trainer import TrainConfig, finetune_placeholders, finetune_step, pretrain_closed
 from test_metrics import auc_brute_force, macro_f1_by_hand
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -104,8 +99,14 @@ def test_criterion_2_gradient_suite():
             layer.biases[:] = rng.uniform(-0.5, 0.5, size=layer.biases.shape)
         x = rng.uniform(-1.0, 1.0, size=(6, 3))
         y = rng.integers(0, 3, size=6)
-        pairs = MixPairs(np.array([0, 1, 2]), np.array([3, 4, 5]),
+        # indices into the batch's second half, rows 3 to 5
+        pairs = MixPairs(np.array([0, 1, 2]), np.array([2, 0, 1]),
                          float(rng.uniform(0.1, 0.9)))
+
+        def step(mix, beta, mode):
+            # the loss whose gradient one step accumulates: l1 + gamma * l2, gamma 1
+            l1, l2, _, _ = finetune_step(model, x, y, mix, beta, 1.0, mode)
+            return l1 + l2
 
         def plain_ce():
             tape = [x]
@@ -117,10 +118,10 @@ def test_criterion_2_gradient_suite():
 
         losses = [
             ("plain_ce", plain_ce),
-            ("l1_beta0", lambda: loss_classifier_placeholder(model, x, y, 0.0)[0]),
-            ("l1_beta1", lambda: loss_classifier_placeholder(model, x, y, 1.0)[0]),
-            ("l2_hidden", lambda: loss_data_placeholder(model, x, pairs, "hidden")),
-            ("l2_input", lambda: loss_data_placeholder(model, x, pairs, "input")),
+            ("l1_beta0", lambda: step(None, 0.0, "hidden")),
+            ("l1_beta1", lambda: step(None, 1.0, "hidden")),
+            ("l2_hidden", lambda: step(pairs, 1.0, "hidden")),
+            ("l2_input", lambda: step(pairs, 1.0, "input")),
         ]
         for name, loss_fn in losses:
             numeric = finite_difference_gradients(loss_fn, model.parameters(), h=1e-5)
@@ -170,9 +171,9 @@ def test_criterion_4_reduction_properties():
     )
 
     # beta=0 reduces the classifier-placeholder loss to plain CE bit-exactly
-    expected, _ = cross_entropy_from_logits(model.augmented_logits(x).combined, y)
+    expected, _ = cross_entropy_from_logits(model.augmented_logits(x[:32]).combined, y[:32])
     zero_grads(model)
-    assert loss_classifier_placeholder(model, x, y, beta=0.0)[0] == expected
+    assert finetune_step(model, x, y, None, 0.0, 0.0, "hidden")[0] == expected
 
     # gamma=0 full mode equals dummy_only: identical final weights, same seed
     data = gen_gaussian_blobs(3, 40, dim=2, center_scale=5.0, spread=0.4, seed=5)
@@ -193,12 +194,13 @@ def test_criterion_4_reduction_properties():
     # empty pre-embedding makes hidden-mode mixup equal input-mode mixup
     flat = SplitMlp.create(3, 3, 2, np.random.default_rng(8), pre_widths=(), post_widths=(4,))
     twin = SplitMlp.create(3, 3, 2, np.random.default_rng(8), pre_widths=(), post_widths=(4,))
-    xm = np.random.default_rng(9).uniform(-1, 1, size=(6, 3))
+    xm = np.random.default_rng(9).uniform(-1, 1, size=(12, 3))
+    ym = np.random.default_rng(10).integers(0, 3, size=12)
     pairs = MixPairs(np.array([0, 2, 4]), np.array([1, 3, 5]), 0.35)
     zero_grads(flat)
     zero_grads(twin)
-    assert loss_data_placeholder(flat, xm, pairs, "hidden") == \
-        loss_data_placeholder(twin, xm, pairs, "input")
+    assert finetune_step(flat, xm, ym, pairs, 1.0, 0.1, "hidden")[:2] == \
+        finetune_step(twin, xm, ym, pairs, 1.0, 0.1, "input")[:2]
     for ga, gb in zip(gradients(flat), gradients(twin)):
         assert ga.tobytes() == gb.tobytes()
 

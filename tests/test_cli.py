@@ -18,6 +18,7 @@ from hypothesis.extra import numpy as hnp
 from conftest import json_paths
 from openset.checkpoint import load_checkpoint
 from openset.cli import (
+    MAX_RESOLUTION,
     ConfigError,
     load_run_config,
     main,
@@ -36,12 +37,12 @@ GOLDEN = REPO / "out" / "blobs6"
 # bytes must say why, re-freeze out/blobs6 and update the digests.
 GOLDEN_SHA256 = {
     "report.json": "07191e16d8b26dc753adaed2313725e81d141119c2957ce637b1cbc93edfe6cd",
-    "checkpoint.json": "cee38cfd69584fad7fc93277fbeb0c0e2d4f644cf13228a62b344194cabbfda1",
-    "calibration.json": "d7dd775eca84e6d2ab9b43429f582264314e60185cfd9caa6ee67202126e361b",
+    "checkpoint.json": "f3da3962555c866534190c05fca30548d30c3f8deb2a892af843acb00a641a19",
+    "calibration.json": "a869615553223404bc529af1da9f421f76780d086676d7ef4a4078bb49c92d96",
     "training_log.tsv": "8ef0afb4185ea83d8c4584d20f0cf3332149676bf83dd7b52c5e670134d274e1",
 }
 # `boundary-grid --resolution 300 --range -7 7 -7 7` on the committed checkpoint
-GRID_300_SHA256 = "916d007e2415776852734988ff1afae4fb9725248d7dfd37601286a53beb0712"
+GRID_300_SHA256 = "d0e7c9f0532cb9592f586aceae31ea66f7241a0b29780327adeeba8209ed30b4"
 
 
 def _tiny_config(out_dir, train_mode="full", train_overrides=None, split_overrides=None):
@@ -447,6 +448,22 @@ class TestBoundaryGrid:
         assert main(["boundary-grid", "--checkpoint", str(tmp_path / "out" / "checkpoint.json"),
                      "--out", str(tmp_path / "g.csv"),
                      "--range", "0", "1", "0", "1"]) == 1
+
+    # each exits 2 naming its flag, before the checkpoint is read (the path
+    # does not exist) and without writing a grid
+    @pytest.mark.parametrize("flags,named", [
+        (["--resolution", "0"], "--resolution"),
+        (["--resolution", str(MAX_RESOLUTION + 1)], "--resolution"),
+        (["--range", "nan", "7", "-7", "7"], "--range"),
+    ])
+    def test_usage_errors_exit_2_naming_the_flag(self, tmp_path, capsys, flags, named):
+        grid = tmp_path / "grid.csv"
+        argv = ["boundary-grid", "--checkpoint", str(tmp_path / "missing.json"), "--out", str(grid),
+                "--resolution", "3", "--range", "-7", "7", "-7", "7", *flags]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named} ") and "missing.json" not in err, err
+        assert not grid.exists()
 
 
 def _grid_csv_row_loop(grid, labels, scores) -> str:

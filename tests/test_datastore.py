@@ -177,6 +177,12 @@ class TestCsv:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2: label {label} is not in"):
             load_csv(path)
 
+    def test_label_cell_is_stripped_like_str_strip(self, tmp_path):
+        # "\x1f" is whitespace to str.strip, but int() alone rejects "0\x1f"
+        path = tmp_path / "s.csv"
+        path.write_text("1.0,2.0,0\x1f\n3.0,4.0,1\n", encoding="utf-8")
+        assert load_csv(path).labels.tolist() == [0, 1]
+
     def test_non_utf8_file_is_named(self, tmp_path):
         path = tmp_path / "b.csv"
         path.write_bytes(b"1.0,2.0,0\n\xff,4.0,1\n")
@@ -205,7 +211,7 @@ class TestCsv:
         else:
             loaded = load_csv(path)
             assert loaded.features.shape == shape
-            assert loaded.labels.tolist() == [int(cells[-1]) for cells in lines]
+            assert loaded.labels.tolist() == [int(cells[-1].strip()) for cells in lines]
 
 
 def _idx_fixture_bytes(images=True):

@@ -1,4 +1,5 @@
-"""Placeholder losses: ground-truth masking, mixup pairing, gradient checks."""
+"""Placeholder losses: ground-truth masking, mixup pairing, gradient checks of
+the pure losses and of the fine-tuning step that takes them."""
 
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ from openset.placeholders import (
     mix_hidden,
     MixPairs,
 )
+from openset.trainer import finetune_step
 
 
 def _tiny_model(input_dim=3, num_known=3, num_dummy=2, seed=0, pre_widths=(4,), post_widths=(3,)):
@@ -73,54 +75,39 @@ class TestMaskedLogits:
 
 class TestClassifierPlaceholderLoss:
     def test_beta_zero_is_plain_cross_entropy_bitwise(self):
-        model = _tiny_model()
-        x = np.random.default_rng(1).standard_normal((8, 3))
-        y = np.random.default_rng(2).integers(0, 3, size=8)
-        expected, _ = cross_entropy_from_logits(model.augmented_logits(x).combined, y)
-        zero_grads(model)
-        assert loss_classifier_placeholder(model, x, y, beta=0.0)[0] == expected
+        rng = np.random.default_rng(1)
+        combined = rng.standard_normal((8, 4)) * 3
+        y = rng.integers(0, 3, size=8)
+        expected, expected_grad = cross_entropy_from_logits(combined, y)
+        loss, grad = loss_classifier_placeholder(combined, y, beta=0.0)
+        assert loss == expected
+        assert grad.tobytes() == expected_grad.tobytes()
 
     def test_scalar_oracle_value(self):
-        # K=2, C=1, combined [2, 1, 0.5], y=0, beta=1:
+        # K=2, combined [2, 1, 0.5], y=0, beta=1:
         # CE([2,1,0.5], 0) + CE([-inf,1,0.5], 2) = 0.46447 + 0.97407 = 1.43854
         term1 = cross_entropy_row_oracle([2.0, 1.0, 0.5], 0)
         term2 = cross_entropy_row_oracle([1.0, 0.5], 1)
         assert term1 == pytest.approx(0.4644, abs=1e-4)
         assert term2 == pytest.approx(0.9741, abs=1e-4)
-
-        from openset.gradcore import DenseLayer
-
-        model = SplitMlp(
-            pre_layers=[],
-            post_layers=[DenseLayer(np.eye(1), np.zeros(1), "linear")],
-            closed_head=DenseLayer([[2.0, 1.0]], [0.0, 0.0], "linear"),
-            dummy_head=DenseLayer([[0.5]], [0.0], "linear"),
-            input_dim=1,
-        )
-        loss = loss_classifier_placeholder(model, [[1.0]], [0], beta=1.0)[0]
+        loss = loss_classifier_placeholder([[2.0, 1.0, 0.5]], [0], beta=1.0)[0]
         assert loss == pytest.approx(term1 + term2, rel=1e-12)
         assert loss == pytest.approx(1.4385, abs=1e-4)
 
     def test_empty_batch_rejected(self):
-        model = _tiny_model()
         with pytest.raises(ValueError):
-            loss_classifier_placeholder(model, np.zeros((0, 3)), [], beta=1.0)
+            loss_classifier_placeholder(np.zeros((0, 4)), [], beta=1.0)
 
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     def test_gradients_match_finite_differences(self, beta):
         for seed in range(5):
-            model = _tiny_model(seed=seed)
             rng = np.random.default_rng(100 + seed)
-            x = rng.uniform(-1, 1, size=(6, 3))
+            combined = rng.uniform(-2, 2, size=(6, 4))
             y = rng.integers(0, 3, size=6)
             fd = finite_difference_gradients(
-                lambda: loss_classifier_placeholder(model, x, y, beta)[0],
-                model.parameters(), h=1e-5,
-            )
-            zero_grads(model)
-            loss_classifier_placeholder(model, x, y, beta)
-            for analytic, numeric in zip(gradients(model), fd):
-                assert rel_error(analytic, numeric) <= 1e-4
+                lambda: loss_classifier_placeholder(combined, y, beta)[0], [combined], h=1e-5,
+            )[0]
+            assert rel_error(loss_classifier_placeholder(combined, y, beta)[1], fd) <= 1e-4
 
     def test_perturbing_unselected_dummy_column_leaves_loss_unchanged(self):
         model = _tiny_model(num_dummy=2)
@@ -129,9 +116,9 @@ class TestClassifierPlaceholderLoss:
         model.dummy_head.biases[1] = -1000.0
         x = np.random.default_rng(3).uniform(-1, 1, size=(6, 3))
         y = np.random.default_rng(4).integers(0, 3, size=6)
-        before = loss_classifier_placeholder(model, x, y, beta=1.0)[0]
+        before = finetune_step(model, x, y, None, 1.0, 0.0, "hidden")[0]
         model.dummy_head.weights[:, 1] += 1e-3
-        after = loss_classifier_placeholder(model, x, y, beta=1.0)[0]
+        after = finetune_step(model, x, y, None, 1.0, 0.0, "hidden")[0]
         assert before == after
 
 
@@ -173,8 +160,8 @@ class TestMixPairs:
            seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=200)
     def test_no_index_repeats_within_left_or_right(self, labels, seed):
-        # loss_data_placeholder scatters with d_h[left] += ... and
-        # d_h[right] += ..., which equals np.add.at only without repeats
+        # the hidden-mode step scatters with d_h[cut + left] += ... and
+        # d_h[cut + right] += ..., which equals np.add.at only without repeats
         rng = np.random.default_rng(seed)
         left, right = masked_pairs(labels, rng.permutation(len(labels)))
         pairs = build_mix_pairs(labels, rng)
@@ -216,85 +203,95 @@ class TestMixHidden:
             mix_hidden(np.zeros((1, 2)), np.zeros((2, 2)), 0.5)
 
 
+def _step_loss(model, x, y, pairs, beta, gamma, mode) -> float:
+    """The loss whose gradient one `finetune_step` accumulates: l1 + gamma * l2."""
+    l1, l2, _, _ = finetune_step(model, x, y, pairs, beta, gamma, mode)
+    return l1 + gamma * l2
+
+
 class TestDataPlaceholderLoss:
     def test_empty_pairs_contribute_zero(self):
-        model = _tiny_model()
-        pairs = MixPairs(np.array([], dtype=np.int64), np.array([], dtype=np.int64), 0.5)
-        x = np.random.default_rng(0).standard_normal((4, 3))
-        zero_grads(model)
-        assert loss_data_placeholder(model, x, pairs, "hidden") == 0.0
-        assert all(not g.any() for g in gradients(model))
+        # a batch whose second half is one class draws no pairs; its step
+        # is the no-mix step, byte for byte, in either mix mode
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((8, 3))
+        y = np.array([0, 1, 2, 0, 1, 1, 1, 1])
+        pairs = build_mix_pairs(y[4:], rng)
+        assert len(pairs) == 0
+        reference = _tiny_model()
+        zero_grads(reference)
+        expected = finetune_step(reference, x, y, None, 1.0, 0.0, "hidden")
+        for mode in ("hidden", "input"):
+            model = _tiny_model()
+            zero_grads(model)
+            l1, l2, closed, _ = finetune_step(model, x, y, pairs, 1.0, 0.5, mode)
+            assert (l1, l2) == (expected[0], 0.0)
+            assert closed.tobytes() == expected[2].tobytes()
+            assert [g.tobytes() for g in gradients(model)] == [g.tobytes() for g in gradients(reference)]
 
     def test_uniform_combined_logits_give_log_k_plus_one(self):
-        from openset.gradcore import DenseLayer
-
-        # embedding collapses to zero -> all combined logits equal 0
-        model = SplitMlp(
-            pre_layers=[],
-            post_layers=[DenseLayer(np.zeros((2, 2)), np.zeros(2), "linear")],
-            closed_head=DenseLayer(np.zeros((2, 3)), np.zeros(3), "linear"),
-            dummy_head=DenseLayer(np.zeros((2, 1)), np.zeros(1), "linear"),
-            input_dim=2,
-        )
-        pairs = MixPairs(np.array([0]), np.array([1]), 0.5)
-        x = np.array([[1.0, 0.0], [0.0, 1.0]])
-        loss = loss_data_placeholder(model, x, pairs, "hidden")
+        loss, _ = loss_data_placeholder(np.zeros((2, 4)))
         assert loss == pytest.approx(math.log(4.0), abs=1e-12)
+
+    def test_d_combined_matches_finite_differences(self):
+        for seed in range(5):
+            combined = np.random.default_rng(300 + seed).uniform(-2, 2, size=(5, 4))
+            fd = finite_difference_gradients(lambda: loss_data_placeholder(combined)[0], [combined], h=1e-5)[0]
+            assert rel_error(loss_data_placeholder(combined)[1], fd) <= 1e-4
 
     @pytest.mark.parametrize("mode", ["hidden", "input"])
     def test_gradients_match_finite_differences(self, mode):
-        for seed in range(5):
-            model = _tiny_model(seed=seed)
-            rng = np.random.default_rng(200 + seed)
-            x = rng.uniform(-1, 1, size=(6, 3))
-            pairs = MixPairs(np.array([0, 1, 2]), np.array([3, 4, 5]), 0.3)
-            fd = finite_difference_gradients(
-                lambda: loss_data_placeholder(model, x, pairs, mode),
-                model.parameters(), h=1e-5,
-            )
-            zero_grads(model)
-            loss_data_placeholder(model, x, pairs, mode)
-            for analytic, numeric in zip(gradients(model), fd):
-                assert rel_error(analytic, numeric) <= 1e-4
+        # the whole step: both losses, one forward, one backward
+        for beta in (0.0, 1.0):
+            for seed in range(5):
+                model = _tiny_model(seed=seed)
+                rng = np.random.default_rng(200 + seed)
+                x = rng.uniform(-1, 1, size=(6, 3))
+                y = rng.integers(0, 3, size=6)
+                pairs = MixPairs(np.array([0, 1, 2]), np.array([2, 0, 1]), 0.3)
+                fd = finite_difference_gradients(
+                    lambda: _step_loss(model, x, y, pairs, beta, 0.5, mode), model.parameters(), h=1e-5,
+                )
+                zero_grads(model)
+                finetune_step(model, x, y, pairs, beta, 0.5, mode)
+                for analytic, numeric in zip(gradients(model), fd):
+                    assert rel_error(analytic, numeric) <= 1e-4
 
     def test_left_branch_gradient_scales_with_lambda(self):
-        # with an identity pre-embedding, d loss / d x_left = lam * d loss / d mixed
+        # with an identity pre-embedding, d l2 / d x_left = lam * d l2 / d mixed
         model = _tiny_model(pre_widths=(), post_widths=(3,))
         rng = np.random.default_rng(7)
-        x = rng.uniform(-1, 1, size=(2, 3))
+        x = rng.uniform(-1, 1, size=(4, 3))
+        y = np.array([0, 1, 0, 1])
         lam = 0.3
         pairs = MixPairs(np.array([0]), np.array([1]), lam)
 
         fd_x = finite_difference_gradients(
-            lambda: loss_data_placeholder(model, x, pairs, "hidden"), [x], h=1e-5
+            lambda: finetune_step(model, x, y, pairs, 1.0, 1.0, "hidden")[1], [x], h=1e-5
         )[0]
 
-        mixed = (lam * x[0] + (1.0 - lam) * x[1])[None, :]
+        mixed = (lam * x[2] + (1.0 - lam) * x[3])[None, :]
 
         def loss_of_mixed():
             aug = model.heads_from_embedding(model.embed_post(mixed))
             return cross_entropy_from_logits(aug.combined, [model.num_known])[0]
 
         fd_mixed = finite_difference_gradients(loss_of_mixed, [mixed], h=1e-5)[0]
-        assert rel_error(fd_x[0], lam * fd_mixed[0]) <= 1e-4
-        assert rel_error(fd_x[1], (1.0 - lam) * fd_mixed[0]) <= 1e-4
+        assert not fd_x[:2].any()
+        assert rel_error(fd_x[2], lam * fd_mixed[0]) <= 1e-4
+        assert rel_error(fd_x[3], (1.0 - lam) * fd_mixed[0]) <= 1e-4
 
     def test_hidden_mode_with_empty_pre_equals_input_mode(self):
         model = _tiny_model(pre_widths=(), post_widths=(4, 3))
         twin = _tiny_model(pre_widths=(), post_widths=(4, 3))
         rng = np.random.default_rng(9)
-        x = rng.uniform(-1, 1, size=(6, 3))
+        x = rng.uniform(-1, 1, size=(12, 3))
+        y = rng.integers(0, 3, size=12)
         pairs = MixPairs(np.array([0, 2, 4]), np.array([1, 3, 5]), 0.7)
         zero_grads(model)
         zero_grads(twin)
-        hidden_loss = loss_data_placeholder(model, x, pairs, "hidden")
-        input_loss = loss_data_placeholder(twin, x, pairs, "input")
-        assert hidden_loss == input_loss
+        hidden = finetune_step(model, x, y, pairs, 1.0, 0.5, "hidden")
+        inputs = finetune_step(twin, x, y, pairs, 1.0, 0.5, "input")
+        assert hidden[:2] == inputs[:2]
         for a, b in zip(gradients(model), gradients(twin)):
-            np.testing.assert_array_equal(a, b)
-
-    def test_unknown_mode_rejected(self):
-        model = _tiny_model()
-        pairs = MixPairs(np.array([0]), np.array([1]), 0.5)
-        with pytest.raises(ValueError):
-            loss_data_placeholder(model, np.zeros((2, 3)), pairs, "sideways")
+            assert a.tobytes() == b.tobytes()

@@ -81,3 +81,8 @@ def test_a_traced_run_counts_its_training_rows(tmp_path):
     assert metrics["exit"] == 0
     assert metrics["gradcore.forward.rows"] > 0
     assert metrics["trainer.monitor_forward_rows"] == 0
+    # the fine-tuning step reaches both losses and the pairing by the names
+    # the tracer wraps
+    assert metrics["placeholders.classifier_loss.self_s"] > 0
+    assert metrics["placeholders.data_loss.self_s"] > 0
+    assert metrics["placeholders.mix_pairs.survival"] > 0

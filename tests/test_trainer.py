@@ -243,6 +243,24 @@ class TestOneForwardPerRow:
         rows = sum(n for layer, n in calls if layer is model.pre_layers[0])
         assert rows == cfg.finetune_epochs * len(data)
 
+    @pytest.mark.parametrize("mix_mode", ["hidden", "input"])
+    def test_full_finetune_runs_each_layer_once_per_step(self, monkeypatch, mix_mode):
+        # one forward and one backward per layer and step: 6 and 6 on the
+        # default net, where one pass per loss made 12 and 12
+        data = _standardized_blobs(3, 20, seed=0)
+        cfg = TrainConfig(pretrain_epochs=2, finetune_epochs=3, batch_size=32,
+                          train_mode="full", mix_mode=mix_mode, seed=0)
+        model = pretrain_closed(data, cfg)
+        calls = {"forward": 0, "backward": 0, "step": 0}
+        for owner, name in ((DenseLayer, "forward"), (DenseLayer, "backward"), (SgdMomentum, "step")):
+            def counted(*args, _original=getattr(owner, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+        finetune_placeholders(model, data, cfg, [])
+        assert calls["step"] == cfg.finetune_epochs * 2
+        assert calls["forward"] == calls["backward"] == 6 * calls["step"]
+
 
 class TestDivergence:
     def test_pretrain_raises_at_the_first_non_finite_epoch(self):
