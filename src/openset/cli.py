@@ -220,12 +220,18 @@ def cmd_run(config_path) -> int:
 
 
 def cmd_evaluate(checkpoint_path, config_path) -> int:
-    model, _, stats = load_checkpoint(checkpoint_path)
+    # the checkpoint is scored as it was trained: the config's train block is not read
+    model, train_config, stats = load_checkpoint(checkpoint_path)
     cfg = load_run_config(config_path)
     _, _, test = _config_split(split_known_unknown, cfg.dataset.load(), cfg.split)
+    if test.dim != model.input_dim:
+        raise ConfigError(f"the dataset has {test.dim} features, but the checkpoint's model takes {model.input_dim}")
+    known = len(cfg.split.known_class_ids)
+    if known != model.num_known:
+        raise ConfigError(f"the split has {known} known classes, but the checkpoint's model has {model.num_known}")
     if stats is not None:
         stats.apply(test.features, out=test.features)
-    report = evaluate_split(model, test, cfg.split, cfg.train.train_mode)
+    report = evaluate_split(model, test, cfg.split, train_config.train_mode)
     sys.stdout.write(report.to_text())
     return EXIT_OK
 

@@ -16,6 +16,7 @@ K+1 numbers per row: the closed logits and the dummy max.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,8 @@ SCORE_CHUNK = 1024
 @dataclass
 class AugmentedLogits:
     """What the open-set rule reads of each row: the K closed logits and the
-    winning dummy logit. Scoring (`SplitMlp.augmented_logits`) holds only these."""
+    winning dummy logit. Scoring (`SplitMlp.augmented_logits`) holds only these,
+    and the first score read adds `_closed_max`."""
 
     closed: Array     # B x K
     dummy_max: Array  # B
@@ -49,16 +51,20 @@ class AugmentedLogits:
         anew on each access."""
         return np.concatenate([self.closed, self.dummy_max[:, None]], axis=1)
 
-    def knownness(self, bias: float) -> Array:
-        """Best closed logit minus the calibrated dummy logit; higher = more known."""
-        # the logit at the argmax is the row max (NaN where the row has one),
-        # and a gather is much cheaper than a max along the short closed
-        # axis; only where that max is a zero can -0.0 and 0.0 tie, and
-        # there `max` decides, keeping its sign of the result
-        best = np.take_along_axis(self.closed, self.closed.argmax(axis=1)[:, None], axis=1)[:, 0]
+    @functools.cached_property
+    def _closed_max(self) -> tuple[Array, Array]:
+        """Per row: the closed argmax and max, taken once for the three scores.
+        The max is gathered at the argmax (NaN where the row has one), much
+        cheaper than a max along the short axis; at a zero max, `max` decides the sign."""
+        labels = self.closed.argmax(axis=1)
+        best = np.take_along_axis(self.closed, labels[:, None], axis=1)[:, 0]
         zero = best == 0
         best[zero] = self.closed[zero].max(axis=1)
-        return _finite(best - (self.dummy_max + bias))
+        return labels, best
+
+    def knownness(self, bias: float) -> Array:
+        """Best closed logit minus the calibrated dummy logit; higher = more known."""
+        return _finite(self._closed_max[1] - (self.dummy_max + bias))
 
     def predictions(self, bias: float) -> Array:
         """Per row: argmax over [closed logits, dummy_max + bias]. Label K means
@@ -66,20 +72,17 @@ class AugmentedLogits:
         higher dummy evidence."""
         # the argmax of the (K+1)-column concatenation, without building it:
         # a NaN closed logit wins where it stands, a NaN dummy logit wins
-        # over finite ones, as np.argmax lets the first NaN win. The logit at
-        # the argmax is the row max (NaN where the row has one), and gathering
-        # it is much cheaper than a max along the short closed axis.
-        labels = self.closed.argmax(axis=1)
-        closed_max = np.take_along_axis(self.closed, labels[:, None], axis=1)[:, 0]
-        labels[~(self.dummy_max + bias <= closed_max) & ~np.isnan(closed_max)] = self.closed.shape[1]
-        return labels
+        # over finite ones, as np.argmax lets the first NaN win
+        labels, closed_max = self._closed_max
+        unknown = ~(self.dummy_max + bias <= closed_max) & ~np.isnan(closed_max)
+        return np.where(unknown, self.closed.shape[1], labels)
 
     def max_softmax(self) -> Array:
         """Max softmax probability over the K closed logits (dummy head ignored).
         The exponential at the row max is exactly 1, and division is
         monotone, so 1 / (row sum) is the row max of `softmax_rows`, bit for
         bit, without the (B, K) probability matrix."""
-        shifted = self.closed - self.closed.max(axis=1, keepdims=True)
+        shifted = self.closed - self._closed_max[1][:, None]
         return _finite(1.0 / np.exp(shifted, out=shifted).sum(axis=1))
 
 

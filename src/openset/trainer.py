@@ -106,6 +106,16 @@ def _train_epochs(model: SplitMlp, dataset: LabeledSet, config: TrainConfig, rng
     return model
 
 
+def pretrain_step(model: SplitMlp, xb: Array, yb: Array) -> tuple[float, float, Array, Array]:
+    """Backpropagate the K-way cross-entropy of the closed head on the batch
+    into the model; returns (loss, 0.0, closed logits, labels), as `finetune_step` does."""
+    tape = [xb]
+    logits = model.closed_head.forward(model.embed_post(model.embed_pre(xb, tape), tape))
+    loss, d_logits = cross_entropy_from_logits(logits, yb)
+    model.backward_pre(model.backward_post(model.closed_head.backward(d_logits, tape[-1], logits), tape), tape)
+    return loss, 0.0, logits, yb
+
+
 def pretrain_closed(dataset: LabeledSet, config: TrainConfig,
                     log_lines: list[str] | None = None) -> SplitMlp:
     """Train a fresh model with K-way cross-entropy on the closed head only.
@@ -120,15 +130,8 @@ def pretrain_closed(dataset: LabeledSet, config: TrainConfig,
         raise ValueError(f"need at least 2 known classes, got {num_known}")
     rng = np.random.default_rng(config.seed)
     model = SplitMlp.create(dataset.dim, num_known, config.num_dummy, rng)
-
-    def step(xb: Array, yb: Array):
-        tape = [xb]
-        logits = model.closed_head.forward(model.embed_post(model.embed_pre(xb, tape), tape))
-        loss, d_logits = cross_entropy_from_logits(logits, yb)
-        model.backward_pre(model.backward_post(model.closed_head.backward(d_logits, tape[-1], logits), tape), tape)
-        return loss, 0.0, logits, yb
-
-    return _train_epochs(model, dataset, config, rng, "pretrain", config.pretrain_epochs, step, log_lines)
+    return _train_epochs(model, dataset, config, rng, "pretrain", config.pretrain_epochs,
+                         lambda xb, yb: pretrain_step(model, xb, yb), log_lines)
 
 
 def _mix_rows(rows: Array, cut: int, pairs: MixPairs) -> Array:

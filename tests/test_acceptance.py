@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, one printed pass line each.
 
-Criteria 6 and 7 share a 5-seed synthetic experiment (10-class 2-D blobs,
-6 known / 4 unknown, 300 rows per class) built once per session. Observed
+Criteria 5, 6 and 7 share a 5-seed experiment on the synthetic blob task
+(`pipeline.BLOB_TASK`), built once per session. Observed
 values from the first green run, frozen here as regression context:
 mean AUC baseline 0.565, dummy_only 0.523, mixup_only 0.633, full 0.639
 (margin over baseline +0.074, over best ablation +0.006); closed argmax
@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import json
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,18 +22,17 @@ import pytest
 from conftest import finite_difference_gradients, gradients, known_rate, rel_error, zero_grads
 from openset.calibration import candidate_biases, logit_gaps
 from openset.cli import main
-from openset.datastore import LabeledSet, OpenSplit, fit_standardization, gen_gaussian_blobs
+from openset.datastore import LabeledSet, fit_standardization, gen_gaussian_blobs
 from openset.gradcore import cross_entropy_from_logits
 from openset.metrics import auc, macro_f1, openness
 from openset.network import SplitMlp, predict_open
-from openset.pipeline import mode_sweep, prepare
+from openset.pipeline import BLOB_TASK, blob_experiment, closed_accuracy
 from openset.placeholders import MixPairs, build_mix_pairs
-from openset.trainer import TrainConfig, finetune_placeholders, finetune_step, pretrain_closed
+from openset.trainer import TrainConfig, finetune_placeholders, finetune_step, pretrain_closed, pretrain_step
 from test_metrics import auc_brute_force, macro_f1_by_hand
+from test_placeholders import step_loss
 
 SEEDS = (0, 1, 2, 3, 4)
-TASK = dict(num_classes=10, per_class=300, dim=2, center_scale=5.0, spread=0.35)
-RECIPE = dict(pretrain_epochs=200, finetune_epochs=150)
 
 
 def _passed(criterion: int, detail: str) -> None:
@@ -41,43 +41,17 @@ def _passed(criterion: int, detail: str) -> None:
 
 @pytest.fixture(scope="session")
 def experiment():
-    """Per seed: pretrained closed model, plus each mode fine-tuned,
-    calibrated, and evaluated on the open test set."""
-    results = {}
+    """Per seed: the blob task's experiment (pretrained model, validation and
+    test parts, mode -> (model, calibration, report)) and its seconds."""
+    runs = {}
     for seed in SEEDS:
         t0 = time.time()
-        data = gen_gaussian_blobs(seed=seed, **TASK)
-        split = OpenSplit(known_class_ids=list(range(6)), unknown_class_ids=list(range(6, 10)),
-                          val_fraction=0.1, test_fraction=0.3, seed=seed)
-        train, val, test, _ = prepare(data, split)
+        runs[seed] = (blob_experiment(seed, **BLOB_TASK), time.time() - t0)
+    return runs
 
-        config = TrainConfig(seed=seed, **RECIPE)
-        pretrained = pretrain_closed(train, config)
-        known = test.labels < 6
 
-        def argmax_accuracy(model):
-            preds = predict_open(model, test.features, bias=-1e9)
-            return float((preds[known] == test.labels[known]).mean())
-
-        per_mode = {
-            mode: {
-                "model": model,
-                "report": report,
-                "calibration": calib,
-                "argmax_accuracy": argmax_accuracy(model),
-            }
-            for mode, (model, calib, report) in mode_sweep(pretrained, train, val, test, split,
-                                                           config).items()
-        }
-        results[seed] = {
-            "pretrained": pretrained,
-            "pretrained_argmax_accuracy": argmax_accuracy(pretrained),
-            "val": val,
-            "test": test,
-            "modes": per_mode,
-            "seconds": time.time() - t0,
-        }
-    return results
+def _mean_auc(experiment, mode: str) -> float:
+    return float(np.mean([modes[mode][2].auc for (*_, modes), _ in experiment.values()]))
 
 
 def test_criterion_1_openness_reproduces_published_values():
@@ -103,25 +77,12 @@ def test_criterion_2_gradient_suite():
         pairs = MixPairs(np.array([0, 1, 2]), np.array([2, 0, 1]),
                          float(rng.uniform(0.1, 0.9)))
 
-        def step(mix, beta, mode):
-            # the loss whose gradient one step accumulates: l1 + gamma * l2, gamma 1
-            l1, l2, _, _ = finetune_step(model, x, y, mix, beta, 1.0, mode)
-            return l1 + l2
-
-        def plain_ce():
-            tape = [x]
-            logits = model.closed_head.forward(model.embed_post(model.embed_pre(x, tape), tape))
-            loss, d = cross_entropy_from_logits(logits, y)
-            d_embedding = model.closed_head.backward(d, tape[-1], logits)
-            model.backward_pre(model.backward_post(d_embedding, tape), tape)
-            return loss
-
         losses = [
-            ("plain_ce", plain_ce),
-            ("l1_beta0", lambda: step(None, 0.0, "hidden")),
-            ("l1_beta1", lambda: step(None, 1.0, "hidden")),
-            ("l2_hidden", lambda: step(pairs, 1.0, "hidden")),
-            ("l2_input", lambda: step(pairs, 1.0, "input")),
+            ("pretrain", lambda: pretrain_step(model, x, y)[0]),
+            ("l1_beta0", lambda: step_loss(model, x, y, None, 0.0, 1.0, "hidden")),
+            ("l1_beta1", lambda: step_loss(model, x, y, None, 1.0, 1.0, "hidden")),
+            ("l2_hidden", lambda: step_loss(model, x, y, pairs, 1.0, 1.0, "hidden")),
+            ("l2_input", lambda: step_loss(model, x, y, pairs, 1.0, 1.0, "input")),
         ]
         for name, loss_fn in losses:
             numeric = finite_difference_gradients(loss_fn, model.parameters(), h=1e-5)
@@ -180,14 +141,8 @@ def test_criterion_4_reduction_properties():
     data = LabeledSet(fit_standardization(data.features).apply(data.features), data.labels)
     base_cfg = TrainConfig(pretrain_epochs=20, finetune_epochs=10, batch_size=32, seed=5)
     pretrained = pretrain_closed(data, base_cfg)
-    a = finetune_placeholders(
-        copy.deepcopy(pretrained), data,
-        TrainConfig(train_mode="full", gamma=0.0, pretrain_epochs=20, finetune_epochs=10,
-                    batch_size=32, seed=5))
-    b = finetune_placeholders(
-        copy.deepcopy(pretrained), data,
-        TrainConfig(train_mode="dummy_only", pretrain_epochs=20, finetune_epochs=10,
-                    batch_size=32, seed=5))
+    a = finetune_placeholders(copy.deepcopy(pretrained), data, replace(base_cfg, train_mode="full", gamma=0.0))
+    b = finetune_placeholders(copy.deepcopy(pretrained), data, replace(base_cfg, train_mode="dummy_only"))
     for pa, pb in zip(a.parameters(), b.parameters()):
         assert pa.tobytes() == pb.tobytes()
 
@@ -208,10 +163,8 @@ def test_criterion_4_reduction_properties():
 
 
 def test_criterion_5_monotone_calibration(experiment):
-    for seed, result in experiment.items():
-        for mode, entry in result["modes"].items():
-            model = entry["model"]
-            val = result["val"]
+    for seed, ((_, val, _, modes), _) in experiment.items():
+        for mode, (model, calib, _) in modes.items():
             gaps = logit_gaps(model, val.features)
             sweep = np.linspace(gaps.min() - 1.0, gaps.max() + 1.0, 101)
             fractions = [
@@ -221,10 +174,7 @@ def test_criterion_5_monotone_calibration(experiment):
             assert all(a >= b for a, b in zip(fractions, fractions[1:])), \
                 f"seed {seed} {mode}: known-rate not monotone"
 
-            calib = entry["calibration"]
-            candidates = candidate_biases(gaps, 100)
-            any_qualifies = any(known_rate(gaps, b) >= 0.95 for b in candidates)
-            if any_qualifies:
+            if any(known_rate(gaps, b) >= 0.95 for b in candidate_biases(gaps, 100)):
                 assert calib.target_met
                 assert calib.achieved_known_rate >= 0.95, \
                     f"seed {seed} {mode}: rate {calib.achieved_known_rate}"
@@ -232,27 +182,24 @@ def test_criterion_5_monotone_calibration(experiment):
 
 
 def test_criterion_6_synthetic_experiment_margins(experiment):
-    full_auc = [experiment[s]["modes"]["full"]["report"].auc for s in SEEDS]
-    base_auc = [experiment[s]["modes"]["baseline"]["report"].auc for s in SEEDS]
-    margin = float(np.mean(full_auc)) - float(np.mean(base_auc))
+    full_auc, base_auc = _mean_auc(experiment, "full"), _mean_auc(experiment, "baseline")
+    margin = full_auc - base_auc
     assert margin >= 0.02, f"full-baseline AUC margin {margin:.4f} < 0.02"
 
-    pre_acc = float(np.mean([experiment[s]["pretrained_argmax_accuracy"] for s in SEEDS]))
-    full_acc = float(np.mean([experiment[s]["modes"]["full"]["argmax_accuracy"] for s in SEEDS]))
+    runs = [run for run, _ in experiment.values()]
+    pre_acc = float(np.mean([closed_accuracy(pretrained, test) for pretrained, _, test, _ in runs]))
+    full_acc = float(np.mean([closed_accuracy(modes["full"][0], test) for _, _, test, modes in runs]))
     drop = pre_acc - full_acc
     assert drop <= 0.01, f"closed accuracy drop {drop:.4f} > 1 point"
 
-    slowest = max(experiment[s]["seconds"] for s in SEEDS)
+    slowest = max(seconds for _, seconds in experiment.values())
     assert slowest < 60.0, f"slowest seed took {slowest:.1f}s (all four modes included)"
-    _passed(6, f"AUC margin {margin:+.4f} (full {np.mean(full_auc):.3f} vs baseline "
-               f"{np.mean(base_auc):.3f}); closed drop {drop:+.4f}; slowest seed {slowest:.1f}s")
+    _passed(6, f"AUC margin {margin:+.4f} (full {full_auc:.3f} vs baseline "
+               f"{base_auc:.3f}); closed drop {drop:+.4f}; slowest seed {slowest:.1f}s")
 
 
 def test_criterion_7_ablation_ordering(experiment):
-    means = {
-        mode: float(np.mean([experiment[s]["modes"][mode]["report"].auc for s in SEEDS]))
-        for mode in ("dummy_only", "mixup_only", "full")
-    }
+    means = {mode: _mean_auc(experiment, mode) for mode in ("dummy_only", "mixup_only", "full")}
     floor = max(means["dummy_only"], means["mixup_only"]) - 0.01
     assert means["full"] >= floor, f"full {means['full']:.4f} dominated (floor {floor:.4f})"
     _passed(7, f"full {means['full']:.3f} vs dummy {means['dummy_only']:.3f} / "

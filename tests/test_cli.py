@@ -355,6 +355,27 @@ class TestEvaluate:
         printed = capsys.readouterr().out
         assert printed == (out / "report.json").read_text()
 
+    def test_checkpoint_is_scored_as_it_was_trained(self, tmp_path, capsys):
+        # a baseline checkpoint read with a "full" config is still scored by max-softmax
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(_write_config(tmp_path, _tiny_config(out, "baseline")))]) == 0
+        full = _write_config(tmp_path, _tiny_config(out, "full"), "full.json")
+        assert main(["evaluate", "--checkpoint", str(out / "checkpoint.json"), "--config", str(full)]) == 0
+        assert capsys.readouterr().out == (out / "report.json").read_text()
+
+    @pytest.mark.parametrize("dataset,known,message", [
+        ({"dim": 3}, 6, "the dataset has 3 features, but the checkpoint's model takes 2"),
+        ({}, 7, "the split has 7 known classes, but the checkpoint's model has 6"),
+        ({}, 4, "the split has 4 known classes, but the checkpoint's model has 6"),
+    ], ids=["dim_3", "7_known", "4_known"])
+    def test_config_the_checkpoint_does_not_fit_exits_2_naming_both(self, tmp_path, capsys, dataset, known, message):
+        doc = json.loads((REPO / "configs" / "blobs6.json").read_text())
+        doc["dataset"].update(dataset)
+        doc["split"].update(known_class_ids=list(range(known)), unknown_class_ids=list(range(known, 10)))
+        path = _write_config(tmp_path, doc)
+        assert main(["evaluate", "--checkpoint", str(GOLDEN / "checkpoint.json"), "--config", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_corrupt_checkpoint_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{]")

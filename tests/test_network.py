@@ -224,11 +224,12 @@ class TestPredictOpen:
         # infinities and NaN in any column or in the bias
         closed, dummy_max = logits[:, :-1], logits[:, -1]
         aug = AugmentedLogits(closed, dummy_max)
-        with np.errstate(invalid="ignore", over="ignore"):
-            want = np.concatenate([closed, (dummy_max + bias)[:, None]], axis=1).argmax(axis=1)
-            got = aug.predictions(bias)
-        assert got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
+        for b in (bias, -bias):  # a second read must find the shared closed argmax as it was
+            with np.errstate(invalid="ignore", over="ignore"):
+                want = np.concatenate([closed, (dummy_max + b)[:, None]], axis=1).argmax(axis=1)
+                got = aug.predictions(b)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 class TestScores:
@@ -295,6 +296,18 @@ class TestScores:
             else:
                 with pytest.raises(ValueError, match="non-finite"):
                     aug.max_softmax()
+
+    @pytest.mark.parametrize("rows", [[[0.0, -1.0], [-0.0, 0.0], [0.0, -0.0]],
+                                      [[-0.0, -1.0], [-0.0, -0.0], [-np.inf, -0.0]],
+                                      [[np.nan, 1.0], [1.0, np.nan], [-np.inf, np.nan]], [[-np.inf, -np.inf]]],
+                             ids=["max +0.0", "max -0.0", "max NaN", "max -inf"])
+    def test_max_softmax_keeps_the_bytes_of_the_short_axis_max(self, rows, monkeypatch):
+        # the reference shifts by the short-axis `closed.max`; raw bytes, before the non-finite check
+        closed = np.array(rows)
+        monkeypatch.setattr("openset.network._finite", lambda scores: scores)
+        with np.errstate(invalid="ignore"):
+            want = 1.0 / np.exp(closed - closed.max(axis=1, keepdims=True)).sum(axis=1)
+            assert AugmentedLogits(closed, np.zeros(len(closed))).max_softmax().tobytes() == want.tobytes()
 
     @settings(max_examples=500, deadline=None)
     @given(logits=hnp.arrays(np.float64, st.tuples(st.integers(0, 8), st.integers(2, 6)), elements=_tied_logits),

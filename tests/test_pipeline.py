@@ -1,4 +1,4 @@
-"""The shared protocol: the mode sweep and the two experiment scripts on it."""
+"""The shared protocol: the experiment and the two scripts on it."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from openset.datastore import LabeledSet, OpenSplit, gen_gaussian_blobs, split_known_unknown
-from openset.pipeline import mode_sweep, prepare
+from openset.pipeline import experiment, prepare
 from openset.trainer import TRAIN_MODES, TrainConfig, pretrain_closed
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -20,16 +20,17 @@ def _param_bytes(model) -> list[bytes]:
     return [p.tobytes() for p in model.parameters()]
 
 
-def test_mode_sweep_trains_copies_and_leaves_pretrained_untouched():
+def test_experiment_trains_copies_and_leaves_pretrained_untouched():
     data = gen_gaussian_blobs(5, 40, dim=2, center_scale=5.0, spread=0.4, seed=3)
     split = OpenSplit([0, 1, 2], [3, 4], val_fraction=0.15, test_fraction=0.3, seed=3)
-    train, val, test, _ = prepare(data, split)
     config = TrainConfig(pretrain_epochs=10, finetune_epochs=5, batch_size=16, seed=3)
-    pretrained = pretrain_closed(train, config)
-    before = _param_bytes(pretrained)
+    train, val, test, _ = prepare(data, split)
+    before = _param_bytes(pretrain_closed(train, config))
 
-    results = mode_sweep(pretrained, train, val, test, split, config)
+    pretrained, got_val, got_test, results = experiment(data, split, config)
 
+    assert got_val.features.tobytes() == val.features.tobytes()
+    assert got_test.features.tobytes() == test.features.tobytes()
     assert list(results) == list(TRAIN_MODES)
     assert _param_bytes(pretrained) == before
     assert pretrained.calibration_bias == 0.0
@@ -62,25 +63,36 @@ def test_prepare_holds_one_copy_of_the_split_and_leaves_data_untouched():
         assert part.labels.tobytes() == fresh.labels.tobytes()
 
 
-def _run_script(name, argv, monkeypatch, capsys) -> list[str]:
+def _run_script(name, argv, monkeypatch, capsys) -> str:
     monkeypatch.setattr(sys, "argv", [name, *argv])
     runpy.run_path(str(SCRIPTS / name), run_name="__main__")
-    return capsys.readouterr().out.splitlines()
+    return capsys.readouterr().out
 
 
 TINY = ["--per-class", "30", "--pretrain-epochs", "2", "--finetune-epochs", "1"]
 
+# Each script's full stdout for these arguments: a change to the task, the
+# split, the training or the scoring shows here.
+SYNTHETIC_TINY = """\
+seed 0 done
+
+6 known / 4 unknown blobs, 1 seeds (mean ± std)
+mode                      AUC         macro-F1       closed acc
+baseline        0.549 ± 0.000    0.224 ± 0.000    0.296 ± 0.000
+dummy_only      0.656 ± 0.000    0.224 ± 0.000    0.296 ± 0.000
+mixup_only      0.652 ± 0.000    0.224 ± 0.000    0.296 ± 0.000
+full            0.657 ± 0.000    0.224 ± 0.000    0.296 ± 0.000
+"""
+OPENNESS_TINY = """\
+ unknown  openness    baseline  dummy_only  mixup_only        full
+       1     7.42%       0.180       0.180       0.180       0.180
+       2    13.40%       0.185       0.193       0.189       0.193
+"""
+
 
 def test_synthetic_benchmark_prints_a_row_per_mode(monkeypatch, capsys):
-    lines = _run_script("run_synthetic_benchmark.py", ["--seeds", "1", *TINY], monkeypatch, capsys)
-    assert lines[0] == "seed 0 done"
-    rows = [line.split() for line in lines[-len(TRAIN_MODES):]]
-    assert [row[0] for row in rows] == list(TRAIN_MODES)
-    assert all(len(row) == 1 + 3 * 3 for row in rows)  # mode, then 3 x "mean ± std"
+    assert _run_script("run_synthetic_benchmark.py", ["--seeds", "1", *TINY], monkeypatch, capsys) == SYNTHETIC_TINY
 
 
 def test_openness_sweep_prints_a_column_per_mode(monkeypatch, capsys):
-    lines = _run_script("openness_sweep.py", ["--unknown-counts", "1", "2", *TINY], monkeypatch, capsys)
-    assert lines[0].split() == ["unknown", "openness", *TRAIN_MODES]
-    assert [line.split()[0] for line in lines[1:]] == ["1", "2"]
-    assert all(len(line.split()) == 2 + len(TRAIN_MODES) for line in lines[1:])
+    assert _run_script("openness_sweep.py", ["--unknown-counts", "1", "2", *TINY], monkeypatch, capsys) == OPENNESS_TINY

@@ -203,7 +203,7 @@ class TestMixHidden:
             mix_hidden(np.zeros((1, 2)), np.zeros((2, 2)), 0.5)
 
 
-def _step_loss(model, x, y, pairs, beta, gamma, mode) -> float:
+def step_loss(model, x, y, pairs, beta, gamma, mode) -> float:
     """The loss whose gradient one `finetune_step` accumulates: l1 + gamma * l2."""
     l1, l2, _, _ = finetune_step(model, x, y, pairs, beta, gamma, mode)
     return l1 + gamma * l2
@@ -250,7 +250,7 @@ class TestDataPlaceholderLoss:
                 y = rng.integers(0, 3, size=6)
                 pairs = MixPairs(np.array([0, 1, 2]), np.array([2, 0, 1]), 0.3)
                 fd = finite_difference_gradients(
-                    lambda: _step_loss(model, x, y, pairs, beta, 0.5, mode), model.parameters(), h=1e-5,
+                    lambda: step_loss(model, x, y, pairs, beta, 0.5, mode), model.parameters(), h=1e-5,
                 )
                 zero_grads(model)
                 finetune_step(model, x, y, pairs, beta, 0.5, mode)
