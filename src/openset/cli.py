@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -42,8 +43,8 @@ GENERATOR_DEFAULTS = {
               "center_scale": 4.0, "spread": 0.6, "seed": 0},
     "rings": {"num_classes": 3, "per_class": 300, "noise": 0.05, "seed": 0},
 }
-GENERATOR_INT_MINIMUMS = {"num_classes": 1, "per_class": 1, "dim": 1, "seed": 0}
-GENERATOR_FLOAT_FIELDS = ("center_scale", "spread", "noise")
+# the config blocks `run` reads; `evaluate` and `gen-data` require fewer
+RUN_BLOCKS = ("dataset", "split", "train", "output_dir")
 MAX_INTERVALS = 1_000_000
 # 1000 x 1000 on the blobs6 checkpoint peaks at 138 MB ru_maxrss (2000: 459 MB)
 MAX_RESOLUTION = 1000
@@ -59,18 +60,15 @@ class DatasetConfig:
     params: dict
 
     def load(self) -> LabeledSet:
-        """The dataset; a malformed dataset file, or generator parameters
-        that overflow, raise ConfigError."""
-        try:
-            if self.kind == "blobs":
-                return gen_gaussian_blobs(**self.params)
-            if self.kind == "rings":
-                return gen_rings(**self.params)
-            if self.kind == "csv":
-                return load_csv(self.params["csv"])
-            return load_idx(self.params["idx_images"], self.params["idx_labels"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        """The dataset; a bad generator field or a malformed dataset file
+        raises ValueError."""
+        if self.kind == "blobs":
+            return gen_gaussian_blobs(**self.params)
+        if self.kind == "rings":
+            return gen_rings(**self.params)
+        if self.kind == "csv":
+            return load_csv(self.params["csv"])
+        return load_idx(self.params["idx_images"], self.params["idx_labels"])
 
 
 @dataclass
@@ -79,37 +77,32 @@ class CalibrationConfig:
     intervals: int = 100
 
     def __post_init__(self):
-        _config_check(check_real, "target_rate", self.target_rate)
+        check_real("target_rate", self.target_rate)
         if not 0.0 < self.target_rate <= 1.0:
-            raise ConfigError(f"target_rate must be in (0, 1], got {self.target_rate}")
-        _config_check(check_int, "intervals", self.intervals, 1)
+            raise ValueError(f"target_rate must be in (0, 1], got {self.target_rate}")
+        check_int("intervals", self.intervals, 1)
         if self.intervals > MAX_INTERVALS:
-            raise ConfigError(f"intervals must be at most {MAX_INTERVALS}, got {self.intervals}")
+            raise ValueError(f"intervals must be at most {MAX_INTERVALS}, got {self.intervals}")
 
 
 @dataclass
 class RunConfig:
-    dataset: DatasetConfig
-    split: OpenSplit
-    train: TrainConfig
+    """A parsed config; a block the file leaves out is None."""
+
+    dataset: DatasetConfig | None
+    split: OpenSplit | None
+    train: TrainConfig | None
     calibration: CalibrationConfig
-    output_dir: str
+    output_dir: str | None
 
 
-def _config_check(check, name: str, value, *args) -> None:
-    """Run a `datastore.check_*` function, its ValueError as a ConfigError."""
+@contextmanager
+def _bad_input():
+    """The exit-2 boundary of the commands that read a config: a ValueError
+    raised while reading the config, the dataset or the split (a bad field,
+    a malformed file, a split the dataset does not fit) is a ConfigError."""
     try:
-        check(name, value, *args)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _config_split(split_fn, dataset: LabeledSet, split: OpenSplit):
-    """`split_fn(dataset, split)`; a split that does not fit the dataset,
-    such as a class it lacks or too few rows for the fractions, raises
-    ConfigError."""
-    try:
-        return split_fn(dataset, split)
+        yield
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -118,12 +111,6 @@ def _config_path(name: str, value) -> str:
     if not isinstance(value, str) or not value:
         raise ConfigError(f"{name} must be a non-empty string, got {value!r}")
     return value
-
-
-def _config_float(name: str, value) -> None:
-    """A generator's float field: a finite JSON number of at least 0."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= sys.float_info.max:
-        raise ConfigError(f"{name} must be a finite number of at least 0, got {value!r}")
 
 
 def _check_keys(block: dict, allowed: set[str], where: str) -> None:
@@ -141,14 +128,8 @@ def parse_dataset_block(block) -> DatasetConfig:
             raise ConfigError(f"unknown generator {name!r}, expected one of {sorted(GENERATOR_DEFAULTS)}")
         defaults = GENERATOR_DEFAULTS[name]
         _check_keys(block, {"generator", *defaults}, f"dataset ({name})")
-        params = {**defaults, **{k: v for k, v in block.items() if k != "generator"}}
-        for key, minimum in GENERATOR_INT_MINIMUMS.items():
-            if key in params:
-                _config_check(check_int, key, params[key], minimum)
-        for key in GENERATOR_FLOAT_FIELDS:
-            if key in params:
-                _config_float(key, params[key])
-        return DatasetConfig(name, params)
+        # the generator checks its own fields when the dataset is loaded
+        return DatasetConfig(name, {**defaults, **{k: v for k, v in block.items() if k != "generator"}})
     if "csv" in block:
         _check_keys(block, {"csv"}, "dataset (csv)")
         return DatasetConfig("csv", {"csv": _config_path("csv", block["csv"])})
@@ -170,19 +151,21 @@ def _parse_block(block, cls, where: str):
         raise ConfigError(f"invalid {where} block: {exc}") from None
 
 
-def parse_run_config(doc) -> RunConfig:
+def parse_run_config(doc, required=RUN_BLOCKS) -> RunConfig:
+    """Parse every block `doc` holds; each key in `required` must be there.
+    `calibration` is always optional."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
     _check_keys(doc, {"dataset", "split", "train", "calibration", "output_dir"}, "config")
-    for key in ("dataset", "split", "train", "output_dir"):
+    for key in required:
         if key not in doc:
             raise ConfigError(f"config is missing required key {key!r}")
     return RunConfig(
-        dataset=parse_dataset_block(doc["dataset"]),
-        split=_parse_block(doc["split"], OpenSplit, "split"),
-        train=_parse_block(doc["train"], TrainConfig, "train"),
+        dataset=parse_dataset_block(doc["dataset"]) if "dataset" in doc else None,
+        split=_parse_block(doc["split"], OpenSplit, "split") if "split" in doc else None,
+        train=_parse_block(doc["train"], TrainConfig, "train") if "train" in doc else None,
         calibration=_parse_block(doc.get("calibration", {}), CalibrationConfig, "calibration"),
-        output_dir=_config_path("output_dir", doc["output_dir"]),
+        output_dir=_config_path("output_dir", doc["output_dir"]) if "output_dir" in doc else None,
     )
 
 
@@ -194,13 +177,14 @@ def _load_json(path):
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
 
 
-def load_run_config(path) -> RunConfig:
-    return parse_run_config(_load_json(path))
+def load_run_config(path, required=RUN_BLOCKS) -> RunConfig:
+    return parse_run_config(_load_json(path), required)
 
 
 def cmd_run(config_path) -> int:
-    cfg = load_run_config(config_path)
-    train, val, test, stats = _config_split(prepare, cfg.dataset.load(), cfg.split)
+    with _bad_input():
+        cfg = load_run_config(config_path)
+        train, val, test, stats = prepare(cfg.dataset.load(), cfg.split)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -222,8 +206,9 @@ def cmd_run(config_path) -> int:
 def cmd_evaluate(checkpoint_path, config_path) -> int:
     # the checkpoint is scored as it was trained: the config's train block is not read
     model, train_config, stats = load_checkpoint(checkpoint_path)
-    cfg = load_run_config(config_path)
-    _, _, test = _config_split(split_known_unknown, cfg.dataset.load(), cfg.split)
+    with _bad_input():
+        cfg = load_run_config(config_path, ("dataset", "split"))
+        _, _, test = split_known_unknown(cfg.dataset.load(), cfg.split)
     if test.dim != model.input_dim:
         raise ConfigError(f"the dataset has {test.dim} features, but the checkpoint's model takes {model.input_dim}")
     known = len(cfg.split.known_class_ids)
@@ -243,7 +228,7 @@ def cmd_boundary_grid(checkpoint_path, out_path, x_range, y_range, resolution: i
         raise ConfigError(f"--range must be four finite numbers, got {[*x_range, *y_range]}")
     model, _, stats = load_checkpoint(checkpoint_path)
     if model.input_dim != 2:
-        raise ValueError(f"boundary grids need a 2-D model, this one takes {model.input_dim} inputs")
+        raise ConfigError(f"boundary grids need a 2-D model, this one takes {model.input_dim} inputs")
     xs = np.linspace(x_range[0], x_range[1], resolution)
     ys = np.linspace(y_range[0], y_range[1], resolution)
     # the rows of np.meshgrid(xs, ys), raveled, built once and standardized in place
@@ -283,12 +268,9 @@ def write_grid_csv(f, xs, ys, labels, scores) -> None:
 
 
 def cmd_gen_data(config_path, out_path) -> int:
-    doc = _load_json(config_path)
-    if isinstance(doc, dict) and set(doc) == {"dataset"}:
-        dataset_cfg = parse_dataset_block(doc["dataset"])
-    else:
-        dataset_cfg = load_run_config(config_path).dataset
-    save_csv(dataset_cfg.load(), out_path)
+    with _bad_input():
+        dataset = load_run_config(config_path, ("dataset",)).dataset.load()
+    save_csv(dataset, out_path)
     return EXIT_OK
 
 

@@ -6,6 +6,7 @@ import json
 import math
 import numbers
 import struct
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,13 @@ def check_real(name: str, value) -> None:
     or a string is not. Callers check the range themselves."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
+
+
+def check_scale(name: str, value) -> None:
+    """Raise ValueError naming `name` unless `value` is a finite real number
+    of at least 0; a bool or a string is not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite number of at least 0, got {value!r}")
 
 
 def check_class_ids(name: str, ids) -> list[int]:
@@ -178,9 +186,14 @@ def gen_gaussian_blobs(num_classes: int, per_class: int, dim: int = 2,
                        center_scale: float = 4.0, spread: float = 0.6,
                        seed: int = 0) -> LabeledSet:
     """Class centers uniform in [-center_scale, center_scale]^dim, points
-    Gaussian around their center with standard deviation `spread`."""
-    if num_classes < 1 or per_class < 1 or dim < 1:
-        raise ValueError("num_classes, per_class, and dim must be positive")
+    Gaussian around their center with standard deviation `spread`. Each
+    field is checked first; a bad one raises ValueError naming it."""
+    check_int("num_classes", num_classes, 1)
+    check_int("per_class", per_class, 1)
+    check_int("dim", dim, 1)
+    check_scale("center_scale", center_scale)
+    check_scale("spread", spread)
+    check_int("seed", seed, 0)
     if not math.isfinite(2.0 * center_scale):
         raise ValueError(f"center_scale {center_scale!r} is too large: the range of centers overflows")
     rng = np.random.default_rng(seed)
@@ -196,11 +209,12 @@ def gen_gaussian_blobs(num_classes: int, per_class: int, dim: int = 2,
 
 
 def gen_rings(num_classes: int, per_class: int, noise: float = 0.05, seed: int = 0) -> LabeledSet:
-    """Concentric 2-D circles, class c at radius c+1, with radial Gaussian noise."""
-    if num_classes < 1 or per_class < 1:
-        raise ValueError("num_classes and per_class must be positive")
-    if noise < 0:
-        raise ValueError(f"noise must be nonnegative, got {noise}")
+    """Concentric 2-D circles, class c at radius c+1, with radial Gaussian
+    noise. Each field is checked first; a bad one raises ValueError naming it."""
+    check_int("num_classes", num_classes, 1)
+    check_int("per_class", per_class, 1)
+    check_scale("noise", noise)
+    check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     features = np.empty((num_classes * per_class, 2))
     labels = np.empty(num_classes * per_class, dtype=np.int64)

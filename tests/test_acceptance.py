@@ -159,7 +159,20 @@ def test_criterion_4_reduction_properties():
     for ga, gb in zip(gradients(flat), gradients(twin)):
         assert ga.tobytes() == gb.tobytes()
 
-    _passed(4, "bias=-1e9 argmax, beta=0 CE, gamma=0 ≡ dummy_only, empty-pre mode equality")
+    # a linear pre-layer commutes with mixing, so hidden-mode mixup, whose
+    # gradient is scattered back to the mixed rows, equals input-mode mixup
+    # up to rounding (an empty pre-embedding discards that scatter)
+    linear = SplitMlp.create(3, 3, 2, np.random.default_rng(8), pre_widths=(5,), post_widths=(4,))
+    linear.pre_layers[0].activation = "linear"
+    twin = copy.deepcopy(linear)
+    zero_grads(linear)
+    zero_grads(twin)
+    np.testing.assert_allclose(finetune_step(linear, xm, ym, pairs, 1.0, 0.1, "hidden")[:2],
+                               finetune_step(twin, xm, ym, pairs, 1.0, 0.1, "input")[:2], rtol=1e-12)
+    for ga, gb in zip(gradients(linear), gradients(twin)):
+        np.testing.assert_allclose(ga, gb, rtol=1e-9, atol=1e-15)
+
+    _passed(4, "bias=-1e9 argmax, beta=0 CE, gamma=0 ≡ dummy_only, hidden ≡ input mixing (empty or linear pre)")
 
 
 def test_criterion_5_monotone_calibration(experiment):

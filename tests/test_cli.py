@@ -376,6 +376,19 @@ class TestEvaluate:
         assert main(["evaluate", "--checkpoint", str(GOLDEN / "checkpoint.json"), "--config", str(path)]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    def test_config_needs_only_its_dataset_and_split(self, tmp_path, capsys):
+        doc = json.loads((REPO / "configs" / "blobs6.json").read_text())
+        path = _write_config(tmp_path, {"dataset": doc["dataset"], "split": doc["split"]})
+        ckpt = str(GOLDEN / "checkpoint.json")
+        assert main(["evaluate", "--checkpoint", ckpt, "--config", str(REPO / "configs" / "blobs6.json")]) == 0
+        full = capsys.readouterr()
+        assert main(["evaluate", "--checkpoint", ckpt, "--config", str(path)]) == 0
+        assert capsys.readouterr() == full
+        del doc["split"]
+        path = _write_config(tmp_path, doc)
+        assert main(["evaluate", "--checkpoint", ckpt, "--config", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: config is missing required key 'split'\n")
+
     def test_corrupt_checkpoint_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{]")
@@ -461,14 +474,17 @@ class TestBoundaryGrid:
             else:
                 assert all(lab != model.num_known for lab in labels)
 
-    def test_non_2d_model_exits_1(self, tmp_path, capsys):
+    def test_non_2d_model_exits_2(self, tmp_path, capsys):
+        # a checkpoint the grid does not fit is bad input, as in evaluate
         doc = _tiny_config(tmp_path / "out")
         doc["dataset"].update({"dim": 3})
         path = _write_config(tmp_path, doc)
         assert main(["run", "--config", str(path)]) == 0
         assert main(["boundary-grid", "--checkpoint", str(tmp_path / "out" / "checkpoint.json"),
                      "--out", str(tmp_path / "g.csv"),
-                     "--range", "0", "1", "0", "1"]) == 1
+                     "--range", "0", "1", "0", "1"]) == 2
+        assert capsys.readouterr().err == "error: boundary grids need a 2-D model, this one takes 3 inputs\n"
+        assert not (tmp_path / "g.csv").exists()
 
     # each exits 2 naming its flag, before the checkpoint is read (the path
     # does not exist) and without writing a grid
@@ -577,6 +593,15 @@ class TestGenData:
         out_csv = tmp_path / "rings.csv"
         assert main(["gen-data", "--config", str(path), "--out", str(out_csv)]) == 0
         assert len(load_csv(out_csv)) == 20
+
+    def test_reads_only_the_dataset_block(self, tmp_path):
+        doc = _tiny_config(tmp_path / "out")
+        full_csv, partial_csv = tmp_path / "full.csv", tmp_path / "partial.csv"
+        assert main(["gen-data", "--config", str(_write_config(tmp_path, doc)), "--out", str(full_csv)]) == 0
+        del doc["train"], doc["output_dir"]
+        path = _write_config(tmp_path, doc, "partial.json")
+        assert main(["gen-data", "--config", str(path), "--out", str(partial_csv)]) == 0
+        assert partial_csv.read_bytes() == full_csv.read_bytes()
 
 
 class TestPipelineConsistency:

@@ -92,6 +92,32 @@ class TestRings:
             gen_rings(2, 30, noise=1e308)
 
 
+_GENERATORS = {"blobs": gen_gaussian_blobs, "rings": gen_rings}
+# every integer field of each generator with each bad value; 0 is a valid seed
+_BAD_COUNTS = [(name, key, value)
+               for name, keys in (("blobs", ("num_classes", "per_class", "dim", "seed")),
+                                  ("rings", ("num_classes", "per_class", "seed")))
+               for key in keys for value in (2.5, True, 0, -1) if not (key == "seed" and value == 0)]
+
+
+class TestGeneratorFields:
+    """Each generator checks its own fields, with the messages the CLI prints."""
+
+    @pytest.mark.parametrize("name,key,value", _BAD_COUNTS)
+    def test_bad_count_is_named(self, name, key, value):
+        with pytest.raises(ValueError) as exc:
+            _GENERATORS[name](**{"num_classes": 3, "per_class": 10, key: value})
+        minimum = 0 if key == "seed" else 1
+        assert str(exc.value) == f"{key} must be an integer of at least {minimum}, got {value!r}"
+
+    @pytest.mark.parametrize("name,key", [("blobs", "center_scale"), ("blobs", "spread"), ("rings", "noise")])
+    @pytest.mark.parametrize("value", [-1, float("nan"), "x"])
+    def test_bad_scale_is_named(self, name, key, value):
+        with pytest.raises(ValueError) as exc:
+            _GENERATORS[name](3, 10, **{key: value})
+        assert str(exc.value) == f"{key} must be a finite number of at least 0, got {value!r}"
+
+
 # cell texts: numbers, near-numbers and arbitrary text without a comma or a
 # line break, so a cell edit keeps the file's lines and widths
 _csv_cells = st.one_of(

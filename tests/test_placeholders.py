@@ -280,18 +280,3 @@ class TestDataPlaceholderLoss:
         assert not fd_x[:2].any()
         assert rel_error(fd_x[2], lam * fd_mixed[0]) <= 1e-4
         assert rel_error(fd_x[3], (1.0 - lam) * fd_mixed[0]) <= 1e-4
-
-    def test_hidden_mode_with_empty_pre_equals_input_mode(self):
-        model = _tiny_model(pre_widths=(), post_widths=(4, 3))
-        twin = _tiny_model(pre_widths=(), post_widths=(4, 3))
-        rng = np.random.default_rng(9)
-        x = rng.uniform(-1, 1, size=(12, 3))
-        y = rng.integers(0, 3, size=12)
-        pairs = MixPairs(np.array([0, 2, 4]), np.array([1, 3, 5]), 0.7)
-        zero_grads(model)
-        zero_grads(twin)
-        hidden = finetune_step(model, x, y, pairs, 1.0, 0.5, "hidden")
-        inputs = finetune_step(twin, x, y, pairs, 1.0, 0.5, "input")
-        assert hidden[:2] == inputs[:2]
-        for a, b in zip(gradients(model), gradients(twin)):
-            assert a.tobytes() == b.tobytes()

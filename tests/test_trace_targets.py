@@ -86,3 +86,8 @@ def test_a_traced_run_counts_its_training_rows(tmp_path):
     assert metrics["placeholders.classifier_loss.self_s"] > 0
     assert metrics["placeholders.data_loss.self_s"] > 0
     assert metrics["placeholders.mix_pairs.survival"] > 0
+    # the run generates, splits and saves through the names the tracer wraps:
+    # a call made around a traced name would read 0 here
+    assert metrics["datastore.generate_s"] > 0
+    assert metrics["datastore.split_s"] > 0
+    assert metrics["checkpoint.save.bytes"] > 0
