@@ -287,10 +287,14 @@ def load_csv(path) -> LabeledSet:
 
 
 def save_csv(dataset: LabeledSet, path) -> None:
+    """A header, then one `f0,...,label` line per row. Every float is written
+    as its `repr`, so it reads back exactly. Each column is converted with one
+    `tolist`, and the whole text is joined once and written once."""
+    header = ",".join([f"f{i}" for i in range(dataset.dim)] + ["label"])
+    cells = [map(repr, column) for column in dataset.features.T.tolist()]
+    lines = map(",".join, zip(*cells, map(str, dataset.labels.tolist())))
     with open(path, "w", encoding="utf-8") as f:
-        f.write(",".join([f"f{i}" for i in range(dataset.dim)] + ["label"]) + "\n")
-        for row, label in zip(dataset.features, dataset.labels):
-            f.write(",".join(repr(float(v)) for v in row) + f",{int(label)}\n")
+        f.write("\n".join([header, *lines, ""]))
 
 
 def _read_idx_header(data: bytes, path, magic: int, num_dims: int) -> tuple[list[int], int]:

@@ -26,9 +26,12 @@ def as_matrix(values) -> Array:
 
 
 def log_softmax_rows(logits) -> Array:
-    # logits - logsumexp, never log(softmax)
+    # logits - logsumexp, never log(softmax). The row max is taken down the
+    # columns of a transposed copy: on a few class columns that is about half
+    # the cost of z.max(axis=1), and it gives the same bytes (NaN and the
+    # sign of a zero max included)
     z = as_matrix(logits)
-    shifted = z - z.max(axis=1, keepdims=True)
+    shifted = z - np.ascontiguousarray(z.T).max(axis=0)[:, None]
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
@@ -45,10 +48,12 @@ def cross_entropy_from_logits(logits, targets) -> tuple[float, Array]:
     if t.size and (t.min() < 0 or t.max() >= z.shape[1]):
         raise IndexError(f"target out of range [0, {z.shape[1]}): {t}")
     n = z.shape[0]
+    rows = np.arange(n)
     logp = log_softmax_rows(z)
-    loss = float(-logp[np.arange(n), t].mean())
+    # sum / n is the float `mean` returns, without its wrapper
+    loss = float(-logp[rows, t].sum() / n)
     grad = np.exp(logp)
-    grad[np.arange(n), t] -= 1.0
+    grad[rows, t] -= 1.0
     grad /= n
     return loss, grad
 
@@ -57,8 +62,10 @@ class DenseLayer:
     """Affine map plus optional ReLU, with manual backward.
 
     The layer holds parameters and gradients, never activations: whoever
-    runs `forward` keeps its input and output for `backward`. Parameter
-    gradients accumulate into `grad_weights` and `grad_biases`. The four
+    runs `forward` keeps its input and output for `backward`. Each
+    `backward` overwrites `grad_weights` and `grad_biases` with the parameter
+    gradients of that one pass, so a training step runs each layer's
+    backward at most once and never zeroes the buffers first. The four
     arrays may be views into a model's flat buffers (`SplitMlp.pack`);
     every update writes them in place.
     """
@@ -104,7 +111,7 @@ class DenseLayer:
         return out
 
     def backward(self, grad_out, x: Array, out: Array, input_grad: bool = True) -> Array | None:
-        """Accumulate the parameter gradients of the forward that mapped `x` to
+        """Write the parameter gradients of the forward that mapped `x` to
         `out` (unchanged since) and return the gradient with respect to `x`;
         `input_grad=False` skips that gemm and returns None, as the input
         layer needs no input gradient."""
@@ -118,8 +125,12 @@ class DenseLayer:
             dz = grad_out * (out > 0)
         else:
             dz = grad_out
-        self.grad_weights += x.T @ dz
-        self.grad_biases += dz.sum(axis=0)
+        # np.add.reduce, not np.sum: at these sizes np.sum's Python wrapper
+        # costs about as much as the reduction
+        np.matmul(x.T, dz, out=self.grad_weights)
+        np.add.reduce(dz, axis=0, out=self.grad_biases)
+        # not dz @ ascontiguousarray(W.T): on a few rows (1, and up to 18 on the
+        # 64-wide layers) OpenBLAS then takes another kernel, and the bytes change
         return dz @ self.weights.T if input_grad else None
 
     def parameters(self) -> list[Array]:
@@ -139,13 +150,15 @@ class SgdMomentum:
         self.momentum = momentum
         self.params = params
         self.velocity = np.zeros_like(params)
+        self._update = np.empty_like(params)  # lr * v, reused by every step
 
     def step(self, grads: Array) -> None:
         if grads.shape != self.params.shape:
             raise ValueError(f"gradient shape {grads.shape} does not match parameter shape {self.params.shape}")
         self.velocity *= self.momentum
         self.velocity += grads
-        self.params -= self.learning_rate * self.velocity
+        np.multiply(self.velocity, self.learning_rate, out=self._update)
+        self.params -= self._update
 
 
 def beta_sample(alpha: float, rng: np.random.Generator) -> float:

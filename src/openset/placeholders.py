@@ -4,7 +4,9 @@ Both losses map (K+1)-column combined logits to (loss, gradient of the
 logits) and know nothing of the network. The classifier-placeholder loss
 trains the dummy column to rank second on known instances by masking the
 ground-truth logit out of the softmax. The data-placeholder loss trains the
-logits of mixed different-class instances as the unknown class K.
+logits of mixed different-class instances as the unknown class K. Each
+loss takes one log-softmax and gives the same bytes as composing
+`cross_entropy_from_logits` calls.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradcore import Array, as_matrix, beta_sample, cross_entropy_from_logits
+from .gradcore import Array, as_matrix, beta_sample, cross_entropy_from_logits, log_softmax_rows
 
 # large enough that exp(logit - max) underflows to exactly 0 in float64
 MASK_SENTINEL = -1e30
@@ -92,20 +94,30 @@ def loss_classifier_placeholder(combined, labels, beta: float) -> tuple[float, A
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     if combined.shape[0] == 0:
         raise ValueError("empty batch")
-    loss, d_combined = cross_entropy_from_logits(combined, labels)
-    if beta != 0.0:
-        masked = masked_logits(combined, labels)
-        dummy_targets = np.full(labels.shape, combined.shape[1] - 1, dtype=np.int64)
-        mask_loss, d_masked = cross_entropy_from_logits(masked, dummy_targets)
-        # the sentinel entry is a constant, no gradient flows through it
-        d_masked[np.arange(labels.size), labels] = 0.0
-        loss += beta * mask_loss
-        d_combined = d_combined + beta * d_masked
-    return loss, d_combined
+    if beta == 0.0:
+        return cross_entropy_from_logits(combined, labels)
+    # one log-softmax over the rows stacked on their masked copy; rows are
+    # independent, so each block gives the bytes of its own cross-entropy
+    n, k = combined.shape[0], combined.shape[1] - 1
+    rows = np.arange(n)
+    logp = log_softmax_rows(np.concatenate([combined, masked_logits(combined, labels)]))
+    loss = float(-logp[rows, labels].sum() / n) + beta * float(-logp[n:, k].sum() / n)
+    grad = np.exp(logp)
+    grad[rows, labels] -= 1.0
+    grad[n:, k] -= 1.0
+    grad /= n
+    # the sentinel entry is a constant, no gradient flows through it
+    grad[n + rows, labels] = 0.0
+    return loss, grad[:n] + beta * grad[n:]
 
 
 def loss_data_placeholder(combined) -> tuple[float, Array]:
     """Mean cross-entropy of the combined logits of mixed instances against
     the dummy class K; returns (loss, d_combined)."""
     combined = as_matrix(combined)
-    return cross_entropy_from_logits(combined, np.full(combined.shape[0], combined.shape[1] - 1, dtype=np.int64))
+    n, k = combined.shape[0], combined.shape[1] - 1
+    logp = log_softmax_rows(combined)
+    grad = np.exp(logp)
+    grad[:, k] -= 1.0
+    grad /= n
+    return float(-logp[:, k].sum() / n), grad

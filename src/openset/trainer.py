@@ -75,12 +75,15 @@ def split_batch_halves(features: Array, labels: Array) -> tuple[tuple[Array, Arr
 
 def _train_epochs(model: SplitMlp, dataset: LabeledSet, config: TrainConfig, rng: np.random.Generator,
                   stage: str, epochs: int, step, log_lines: list[str] | None) -> SplitMlp:
-    """The epoch loop of both stages: shuffle with `rng`, then per batch zero
-    the gradients, run `step(features, labels)` and take one optimizer step.
-    `step` returns None to skip the batch, else (l1, l2, closed logits, their
-    labels); those logits give the log's accuracy column. The model is packed
-    into one flat parameter and one flat gradient buffer first, so zeroing,
-    the update and the finiteness check each act on one array. A non-finite
+    """The epoch loop of both stages: shuffle with `rng`, then per batch run
+    `step(features, labels)` and take one optimizer step. `step` returns None
+    to skip the batch, else (l1, l2, closed logits, their labels); those
+    logits give the log's accuracy column. The step runs each layer's backward
+    at most once, and each backward overwrites its layer's gradients, so
+    nothing is zeroed between steps; a layer the step never reaches (the dummy
+    head in pretraining) keeps the zeros `pack` gives it. The model is packed
+    into one flat parameter and one flat gradient buffer first, so the update
+    and the finiteness check each act on one array. A non-finite
     mean loss or parameter after an epoch raises ValueError naming stage and
     epoch."""
     params, grads = model.pack()
@@ -90,7 +93,6 @@ def _train_epochs(model: SplitMlp, dataset: LabeledSet, config: TrainConfig, rng
         perm = rng.permutation(len(dataset))
         for start in range(0, len(dataset), config.batch_size):
             idx = perm[start:start + config.batch_size]
-            grads.fill(0.0)
             result = step(dataset.features[idx], dataset.labels[idx])
             if result is None:
                 continue

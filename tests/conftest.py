@@ -1,9 +1,19 @@
-"""Shared oracle helpers: numerical gradient checking, norm-based errors, and
-access to the gradients a DenseLayer or SplitMlp has accumulated."""
+"""Shared oracle helpers: numerical gradient checking, norm-based errors,
+access to the gradients a DenseLayer or SplitMlp has written (each backward
+overwrites its layer's gradients), and the plain log-softmax and
+cross-entropy compositions that the training step's losses must match byte
+for byte."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from openset.placeholders import masked_logits
+
+# drawn often into the logit matrices of the byte-for-byte oracle tests
+SPECIAL_VALUES = (math.nan, 0.0, -0.0, math.inf, -math.inf, 1.0, -1.0, 5e-324)
 
 
 def rel_error(a, b) -> float:
@@ -69,6 +79,48 @@ def softmax_rows(logits) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
     e = np.exp(z - z.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
+
+
+def log_softmax_rows_oracle(logits) -> np.ndarray:
+    """Log-softmax with the row max taken along the class axis."""
+    z = np.asarray(logits, dtype=np.float64)
+    shifted = z - z.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def cross_entropy_oracle(logits, targets) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy and its logit gradient, (softmax - onehot) / n,
+    through `log_softmax_rows_oracle` and `mean`."""
+    z = np.asarray(logits, dtype=np.float64)
+    n = z.shape[0]
+    logp = log_softmax_rows_oracle(z)
+    loss = float(-logp[np.arange(n), targets].mean())
+    grad = np.exp(logp)
+    grad[np.arange(n), targets] -= 1.0
+    grad /= n
+    return loss, grad
+
+
+def classifier_placeholder_oracle(combined, labels, beta: float) -> tuple[float, np.ndarray]:
+    """The classifier-placeholder loss as two cross-entropies: the combined
+    logits against the labels, plus beta times the masked logits against the
+    dummy class K, whose sentinel entries get no gradient."""
+    combined = np.asarray(combined, dtype=np.float64)
+    labels = np.asarray(labels)
+    loss, d_combined = cross_entropy_oracle(combined, labels)
+    if beta != 0.0:
+        dummy = np.full(labels.shape, combined.shape[1] - 1)
+        mask_loss, d_masked = cross_entropy_oracle(masked_logits(combined, labels), dummy)
+        d_masked[np.arange(labels.size), labels] = 0.0
+        loss += beta * mask_loss
+        d_combined = d_combined + beta * d_masked
+    return loss, d_combined
+
+
+def data_placeholder_oracle(combined) -> tuple[float, np.ndarray]:
+    """The data-placeholder loss as one cross-entropy against the dummy class K."""
+    combined = np.asarray(combined, dtype=np.float64)
+    return cross_entropy_oracle(combined, np.full(combined.shape[0], combined.shape[1] - 1))
 
 
 def softmax_row_oracle(row):

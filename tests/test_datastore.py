@@ -29,6 +29,10 @@ from conftest import gradients, zero_grads
 from openset.gradcore import DenseLayer, SgdMomentum, cross_entropy_from_logits
 
 
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 1e300, -1e300, 2.0, 0.1, 1 / 3]
+_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+
+
 class TestGaussianBlobs:
     def test_zero_spread_collapses_to_centers(self):
         data = gen_gaussian_blobs(3, 10, dim=2, spread=0.0, seed=0)
@@ -168,6 +172,16 @@ class TestCsv:
         assert loaded.features.tobytes() == original.features.tobytes()
         np.testing.assert_array_equal(loaded.labels, original.labels)
 
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(features=hnp.arrays(np.float64, st.tuples(st.integers(0, 12), st.integers(1, 4)), elements=_floats),
+           data=st.data())
+    def test_bulk_writer_keeps_the_bytes_of_the_per_row_writer(self, tmp_path, features, data):
+        labels = data.draw(hnp.arrays(np.int64, len(features), elements=st.integers(0, 2**63 - 1)))
+        dataset = LabeledSet(features, labels)
+        save_csv(dataset, tmp_path / "bulk.csv")
+        _save_csv_per_row(dataset, tmp_path / "rows.csv")
+        assert (tmp_path / "bulk.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("")
@@ -238,6 +252,15 @@ class TestCsv:
             loaded = load_csv(path)
             assert loaded.features.shape == shape
             assert loaded.labels.tolist() == [int(cells[-1].strip()) for cells in lines]
+
+
+def _save_csv_per_row(dataset: LabeledSet, path) -> None:
+    """Oracle for `save_csv`: the header, then each row formatted and written
+    on its own, every float through `repr(float(v))`."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(",".join([f"f{i}" for i in range(dataset.dim)] + ["label"]) + "\n")
+        for row, label in zip(dataset.features, dataset.labels):
+            f.write(",".join(repr(float(v)) for v in row) + f",{int(label)}\n")
 
 
 def _idx_fixture_bytes(images=True):
@@ -497,8 +520,6 @@ class TestSplitKnownUnknown:
         assert set(np.unique(test.labels)) <= {0, 1, 2, 3}
 
 
-SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 1e300, -1e300, 2.0, 0.1, 1 / 3]
-_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
 _shapes = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3)
 _arrays = st.one_of(hnp.arrays(np.float64, _shapes, elements=_floats),
                     hnp.arrays(st.sampled_from([np.int64, np.uint8]), _shapes))

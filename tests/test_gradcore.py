@@ -6,13 +6,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import (
+    SPECIAL_VALUES,
+    cross_entropy_oracle,
     cross_entropy_row_oracle,
     finite_difference_gradients,
     gradients,
+    log_softmax_rows_oracle,
     rel_error,
     softmax_rows,
     zero_grads,
@@ -27,6 +31,14 @@ from openset.gradcore import (
 
 finite_rows = st.lists(
     st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=1, max_size=8
+)
+
+# logit matrices of a few class columns, as the training step sees them, with
+# NaN, signed zeros, infinities and ties drawn often
+logit_matrices = hnp.arrays(
+    np.float64,
+    st.tuples(st.integers(1, 40), st.integers(1, 8)),
+    elements=st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats(-1e3, 1e3)),
 )
 
 
@@ -61,6 +73,14 @@ class TestSoftmax:
         z = rng.standard_normal((4, 5)) * 10
         np.testing.assert_allclose(np.exp(log_softmax_rows(z)), softmax_rows(z), atol=1e-12)
 
+    @given(z=logit_matrices)
+    @settings(max_examples=300)
+    def test_log_softmax_keeps_the_bytes_of_the_class_axis_max(self, z):
+        # the row max is taken down a transposed copy; a max that ties +0.0
+        # with -0.0, or meets a NaN, must come out as z.max(axis=1) gives it
+        with np.errstate(all="ignore"):
+            assert log_softmax_rows(z).tobytes() == log_softmax_rows_oracle(z).tobytes()
+
 
 class TestCrossEntropy:
     def test_uniform_logits(self):
@@ -87,6 +107,16 @@ class TestCrossEntropy:
         loss, _ = cross_entropy_from_logits(z, t)
         expected = np.mean([cross_entropy_row_oracle(list(z[i]), t[i]) for i in range(6)])
         assert loss == pytest.approx(expected, rel=1e-12)
+
+    @given(z=logit_matrices, data=st.data())
+    @settings(max_examples=200)
+    def test_keeps_the_bytes_of_the_mean_form(self, z, data):
+        t = data.draw(hnp.arrays(np.int64, z.shape[0], elements=st.integers(0, z.shape[1] - 1)))
+        with np.errstate(all="ignore"):
+            loss, grad = cross_entropy_from_logits(z, t)
+            expected, expected_grad = cross_entropy_oracle(z, t)
+        assert np.float64(loss).tobytes() == np.float64(expected).tobytes()
+        assert grad.tobytes() == expected_grad.tobytes()
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -135,6 +165,46 @@ class TestDenseLayer:
         layer.backward(d_out, x, layer.forward(x))
         assert rel_error(layer.grad_weights, fd[0]) <= 1e-6
         assert rel_error(layer.grad_biases, fd[1]) <= 1e-6
+
+    @pytest.mark.parametrize("activation", ["linear", "relu"])
+    def test_backward_overwrites_whatever_the_buffers_held(self, activation):
+        # a step never zeroes the gradients: backward writes them, so NaN left
+        # in the buffers must not reach the result
+        rng = np.random.default_rng(42)
+        layer = DenseLayer.create(3, 4, activation, rng)
+        x = rng.uniform(-1, 1, size=(5, 3))
+        d_out = rng.uniform(-1, 1, size=(5, 4))
+        fd = finite_difference_gradients(lambda: float((layer.forward(x) * d_out).sum()),
+                                         layer.parameters(), h=1e-5)
+        for _ in range(2):
+            for grad in gradients(layer):
+                grad.fill(np.nan)
+            layer.backward(d_out, x, layer.forward(x))
+            for analytic, numeric in zip(gradients(layer), fd):
+                assert rel_error(analytic, numeric) <= 1e-6
+
+    @pytest.mark.parametrize("shape", [(64, 64), (64, 32), (32, 16)])
+    @given(rows=st.integers(1, 128), seed=st.integers(0, 2**32 - 1),
+           specials=st.lists(st.tuples(st.sampled_from(["x", "d", "w"]), st.integers(0, 2**16),
+                                       st.sampled_from(SPECIAL_VALUES)), max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_backward_keeps_the_bytes_of_the_plain_products(self, shape, rows, seed, specials):
+        # the parameter gradients are written with out=, and the input gradient
+        # keeps BLAS's transposed operand (a contiguous copy of W.T changes the
+        # bytes on batches of up to 18 rows); all three must keep the bytes of
+        # dz @ W.T, x.T @ dz and dz.sum(axis=0) at the default net's shapes
+        rng = np.random.default_rng(seed)
+        layer = DenseLayer(rng.standard_normal(shape), rng.standard_normal(shape[1]), "linear")
+        x = rng.standard_normal((rows, shape[0]))
+        d_out = rng.standard_normal((rows, shape[1]))
+        for where, at, value in specials:
+            target = {"x": x, "d": d_out, "w": layer.weights}[where]
+            target.flat[at % target.size] = value
+        with np.errstate(all="ignore"):
+            d_x = layer.backward(d_out, x, layer.forward(x))
+            assert d_x.tobytes() == (d_out @ layer.weights.T).tobytes()
+            assert layer.grad_weights.tobytes() == (x.T @ d_out).tobytes()
+            assert layer.grad_biases.tobytes() == d_out.sum(axis=0).tobytes()
 
     def test_relu_all_negative_blocks_gradient(self):
         layer = DenseLayer(np.eye(2), np.array([-5.0, -5.0]), "relu")

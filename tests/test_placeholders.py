@@ -9,9 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import (
+    SPECIAL_VALUES,
+    classifier_placeholder_oracle,
     cross_entropy_row_oracle,
+    data_placeholder_oracle,
     finite_difference_gradients,
     gradients,
     rel_error,
@@ -31,6 +35,21 @@ from openset.placeholders import (
     MixPairs,
 )
 from openset.trainer import finetune_step
+
+
+# combined logits (K + 1 columns, K >= 2) with NaN, signed zeros,
+# infinities and ties drawn often
+combined_logits = hnp.arrays(
+    np.float64,
+    st.tuples(st.integers(1, 70), st.integers(3, 8)),
+    elements=st.one_of(st.sampled_from(SPECIAL_VALUES), st.floats(-1e3, 1e3)),
+)
+
+
+def _same_bytes(result, expected) -> bool:
+    (loss, grad), (expected_loss, expected_grad) = result, expected
+    return (np.float64(loss).tobytes() == np.float64(expected_loss).tobytes()
+            and grad.tobytes() == expected_grad.tobytes())
 
 
 def _tiny_model(input_dim=3, num_known=3, num_dummy=2, seed=0, pre_widths=(4,), post_widths=(3,)):
@@ -97,6 +116,17 @@ class TestClassifierPlaceholderLoss:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             loss_classifier_placeholder(np.zeros((0, 4)), [], beta=1.0)
+
+    @given(combined=combined_logits, beta=st.sampled_from([0.0, 1.0, 0.3, 2.5]), data=st.data())
+    @settings(max_examples=300)
+    def test_keeps_the_bytes_of_two_cross_entropies(self, combined, beta, data):
+        # one log-softmax over the rows stacked on their masked copy gives
+        # the loss and gradient of the two-call composition, byte for byte
+        num_known = combined.shape[1] - 1
+        labels = data.draw(hnp.arrays(np.int64, combined.shape[0], elements=st.integers(0, num_known - 1)))
+        with np.errstate(all="ignore"):
+            assert _same_bytes(loss_classifier_placeholder(combined, labels, beta),
+                               classifier_placeholder_oracle(combined, labels, beta))
 
     @pytest.mark.parametrize("beta", [0.0, 1.0])
     def test_gradients_match_finite_differences(self, beta):
@@ -204,7 +234,7 @@ class TestMixHidden:
 
 
 def step_loss(model, x, y, pairs, beta, gamma, mode) -> float:
-    """The loss whose gradient one `finetune_step` accumulates: l1 + gamma * l2."""
+    """The loss whose gradient one `finetune_step` writes: l1 + gamma * l2."""
     l1, l2, _, _ = finetune_step(model, x, y, pairs, beta, gamma, mode)
     return l1 + gamma * l2
 
@@ -229,6 +259,12 @@ class TestDataPlaceholderLoss:
             assert closed.tobytes() == expected[2].tobytes()
             assert [g.tobytes() for g in gradients(model)] == [g.tobytes() for g in gradients(reference)]
 
+    @given(combined=combined_logits)
+    @settings(max_examples=300)
+    def test_keeps_the_bytes_of_one_cross_entropy(self, combined):
+        with np.errstate(all="ignore"):
+            assert _same_bytes(loss_data_placeholder(combined), data_placeholder_oracle(combined))
+
     def test_uniform_combined_logits_give_log_k_plus_one(self):
         loss, _ = loss_data_placeholder(np.zeros((2, 4)))
         assert loss == pytest.approx(math.log(4.0), abs=1e-12)
@@ -252,7 +288,10 @@ class TestDataPlaceholderLoss:
                 fd = finite_difference_gradients(
                     lambda: step_loss(model, x, y, pairs, beta, 0.5, mode), model.parameters(), h=1e-5,
                 )
-                zero_grads(model)
+                # the step writes every layer's gradients: NaN left in the
+                # buffers must not survive it
+                for grad in gradients(model):
+                    grad.fill(np.nan)
                 finetune_step(model, x, y, pairs, beta, 0.5, mode)
                 for analytic, numeric in zip(gradients(model), fd):
                     assert rel_error(analytic, numeric) <= 1e-4

@@ -116,6 +116,20 @@ class TestPretrainClosed:
         np.testing.assert_array_equal(model.dummy_head.weights, fresh.dummy_head.weights)
         np.testing.assert_array_equal(model.dummy_head.biases, fresh.dummy_head.biases)
 
+    def test_dummy_head_keeps_its_packed_zero_gradients(self):
+        # nothing zeroes the gradients between steps, so the dummy head, which
+        # pretraining never backpropagates into, must keep pack()'s +0.0 and
+        # its initial parameters, byte for byte
+        data = _standardized_blobs(3, 30, seed=2)
+        cfg = TrainConfig(pretrain_epochs=5, batch_size=16, seed=9)
+        model = pretrain_closed(data, cfg)
+        fresh = SplitMlp.create(2, 3, cfg.num_dummy, np.random.default_rng(9))
+        head = model.dummy_head
+        for grad in (head.grad_weights, head.grad_biases):
+            assert grad.tobytes() == np.zeros_like(grad).tobytes()
+        assert head.weights.tobytes() == fresh.dummy_head.weights.tobytes()
+        assert head.biases.tobytes() == fresh.dummy_head.biases.tobytes()
+
     def test_single_class_rejected(self):
         data = LabeledSet(np.zeros((4, 2)), np.zeros(4, dtype=np.int64))
         with pytest.raises(ValueError):
@@ -248,6 +262,51 @@ class TestOneForwardPerRow:
         finetune_placeholders(model, data, cfg, [])
         assert calls["step"] == cfg.finetune_epochs * 2
         assert calls["forward"] == calls["backward"] == 6 * calls["step"]
+
+
+class TestGradientsWrittenOnce:
+    """Each backward overwrites its layer's gradients and nothing zeroes them
+    between steps, so a step may reach each layer's backward at most once."""
+
+    @staticmethod
+    def _backward_layers_per_step(monkeypatch) -> list[list]:
+        steps = [[]]
+        original_backward, original_step = DenseLayer.backward, SgdMomentum.step
+
+        def backward(layer, *args, **kwargs):
+            steps[-1].append(layer)
+            return original_backward(layer, *args, **kwargs)
+
+        def step(optimizer, grads):
+            original_step(optimizer, grads)
+            steps.append([])
+
+        monkeypatch.setattr(DenseLayer, "backward", backward)
+        monkeypatch.setattr(SgdMomentum, "step", step)
+        return steps
+
+    def test_pretrain_steps_skip_the_dummy_head(self, monkeypatch):
+        data = _standardized_blobs(3, 20, seed=0)
+        cfg = TrainConfig(pretrain_epochs=2, batch_size=16, seed=0)
+        steps = self._backward_layers_per_step(monkeypatch)
+        model = pretrain_closed(data, cfg)
+        assert steps.pop() == []
+        expected = [*model.pre_layers, *model.post_layers, model.closed_head]
+        assert len(steps) == cfg.pretrain_epochs * math.ceil(len(data) / cfg.batch_size)
+        for layers in steps:
+            assert sorted(map(id, layers)) == sorted(map(id, expected))
+
+    @pytest.mark.parametrize("mode", ["dummy_only", "mixup_only", "full"])
+    def test_finetune_steps_reach_every_layer_once(self, monkeypatch, mode):
+        data = _standardized_blobs(3, 20, seed=0)
+        cfg = TrainConfig(pretrain_epochs=2, finetune_epochs=2, batch_size=16, train_mode=mode, seed=0)
+        model = pretrain_closed(data, cfg)
+        steps = self._backward_layers_per_step(monkeypatch)
+        finetune_placeholders(model, data, cfg)
+        assert steps.pop() == []
+        assert len(steps) == cfg.finetune_epochs * math.ceil(len(data) / cfg.batch_size)
+        for layers in steps:
+            assert sorted(map(id, layers)) == sorted(map(id, model.layers()))
 
 
 class TestDivergence:
