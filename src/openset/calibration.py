@@ -50,15 +50,14 @@ def candidate_biases(gaps, intervals: int = 100) -> Array:
     return np.linspace(lo, hi, intervals + 1)
 
 
-def select_bias(model: SplitMlp, val_set, target_rate: float = 0.95,
+def select_bias(model: SplitMlp, features, target_rate: float = 0.95,
                 intervals: int = 100) -> CalibrationResult:
     """Largest candidate bias whose known-rate still meets target_rate.
 
     If no candidate qualifies, the smallest (most permissive) candidate is
-    returned with target_met=False. `val_set` may be a LabeledSet or a bare
-    feature matrix; labels are ignored, validation data is known-class only.
+    returned with target_met=False. `features` is the feature matrix of
+    known-class validation data.
     """
-    features = getattr(val_set, "features", val_set)
     gaps = logit_gaps(model, features)
     candidates = candidate_biases(gaps, intervals)
     # each candidate's known rate: the share of gaps strictly above it

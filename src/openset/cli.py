@@ -31,7 +31,8 @@ from .datastore import (
     save_csv,
     split_known_unknown,
 )
-from .pipeline import calibrate_evaluate, evaluate_split, prepare
+from .metrics import evaluate
+from .pipeline import calibrate_evaluate, prepare
 from .trainer import TrainConfig, finetune_placeholders, pretrain_closed
 
 EXIT_OK = 0
@@ -216,7 +217,7 @@ def cmd_evaluate(checkpoint_path, config_path) -> int:
         raise ConfigError(f"the split has {known} known classes, but the checkpoint's model has {model.num_known}")
     if stats is not None:
         stats.apply(test.features, out=test.features)
-    report = evaluate_split(model, test, cfg.split, train_config.train_mode)
+    report = evaluate(model, test, cfg.split, train_config.train_mode)
     sys.stdout.write(report.to_text())
     return EXIT_OK
 

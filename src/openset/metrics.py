@@ -7,37 +7,30 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .datastore import LabeledSet, json_text
+from .datastore import LabeledSet, OpenSplit, json_text
 from .gradcore import Array
 from .network import SplitMlp
-
-SCORE_KINDS = ("knownness", "max_softmax")
-
-
-def _average_ranks(values: Array) -> Array:
-    """1-based ranks with ties averaged. Exact in float64 for small n
-    (all ranks are multiples of 1/2)."""
-    order = np.argsort(values, kind="mergesort")
-    s = values[order]
-    # `!=` rather than np.diff, so NaN stays a group of its own and equal
-    # infinities share one, exactly as `==` decides
-    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
-    counts = np.diff(np.append(starts, s.size))
-    ranks = np.empty(s.size)
-    ranks[order] = np.repeat((2 * starts + counts + 1) / 2, counts)
-    return ranks
+from .trainer import TRAIN_MODES
 
 
 def auc(known_scores, unknown_scores) -> float:
     """Probability a random known score exceeds a random unknown score,
-    ties counted 1/2 (Mann-Whitney), computed from a rank sum."""
+    ties counted 1/2 (the Mann-Whitney U over the pair count).
+
+    Each known score counts 2 for every unknown score below it and 1 for
+    every equal one, found by two binary searches in the sorted unknown
+    scores; the total is exactly 2U. NaN has no order, so a NaN on either
+    side raises ValueError.
+    """
     k = np.asarray(known_scores, dtype=np.float64).reshape(-1)
     u = np.asarray(unknown_scores, dtype=np.float64).reshape(-1)
     if k.size == 0 or u.size == 0:
         raise ValueError("auc needs at least one score on each side")
-    ranks = _average_ranks(np.concatenate([k, u]))
-    u_stat = ranks[:k.size].sum() - k.size * (k.size + 1) / 2
-    return u_stat / (k.size * u.size)
+    if np.isnan(k).any() or np.isnan(u).any():
+        raise ValueError("auc is undefined for NaN scores")
+    u = np.sort(u)
+    twice_u = (np.searchsorted(u, k, "left") + np.searchsorted(u, k, "right")).sum()
+    return twice_u / (2 * k.size * u.size)
 
 
 def roc_points(known_scores, unknown_scores) -> Array:
@@ -72,18 +65,16 @@ def confusion_matrix(predictions, labels, num_classes: int) -> Array:
     return counts
 
 
+def _macro_f1(counts: Array) -> float:
+    tp = np.diag(counts)
+    denom = counts.sum(axis=0) + counts.sum(axis=1)  # 2tp + fp + fn
+    return float(np.divide(2.0 * tp, denom, out=np.zeros(tp.size), where=denom > 0).mean())
+
+
 def macro_f1(predictions, labels, num_classes: int) -> float:
     """Unweighted mean of per-class F1; a class with zero precision and
     recall contributes 0."""
-    counts = confusion_matrix(predictions, labels, num_classes)
-    f1s = []
-    for c in range(num_classes):
-        tp = counts[c, c]
-        fp = counts[:, c].sum() - tp
-        fn = counts[c, :].sum() - tp
-        denom = 2 * tp + fp + fn
-        f1s.append(2.0 * tp / denom if denom > 0 else 0.0)
-    return float(np.mean(f1s))
+    return _macro_f1(confusion_matrix(predictions, labels, num_classes))
 
 
 def openness(n_train: int, n_test: int) -> float:
@@ -121,19 +112,17 @@ class EvalReport:
         return json_text(doc) + "\n"
 
 
-def evaluate(model: SplitMlp, test_set: LabeledSet, score: str = "knownness",
-             n_test_classes: int | None = None) -> EvalReport:
+def evaluate(model: SplitMlp, test_set: LabeledSet, split: OpenSplit, train_mode: str) -> EvalReport:
     """Fill every report field from one pass over the test set.
 
-    Test labels live in [0, K], K marking open-set rows. `score` picks the
-    detection scalar: the calibrated knownness score, or the max-softmax
-    confidence for the thresholding baseline. `n_test_classes` is the total
-    class count of the task (known plus distinct unknown classes) for the
-    openness field; collapsed test labels cannot reveal it, so it defaults
-    to K+1 when unknown rows are present.
+    Test labels live in [0, K], K marking open-set rows. The model is scored
+    as `train_mode` trained it: the baseline by max-softmax confidence, every
+    placeholder mode by the calibrated knownness score. Openness counts the
+    split's classes, K known plus every unknown class, whether or not the
+    test rows hold each of them.
     """
-    if score not in SCORE_KINDS:
-        raise ValueError(f"score must be one of {SCORE_KINDS}, got {score!r}")
+    if train_mode not in TRAIN_MODES:
+        raise ValueError(f"train_mode must be one of {TRAIN_MODES}, got {train_mode!r}")
     k = model.num_known
     labels = test_set.labels
     if labels.size == 0:
@@ -143,7 +132,7 @@ def evaluate(model: SplitMlp, test_set: LabeledSet, score: str = "knownness",
     known_mask = labels < k
 
     aug = model.augmented_logits(test_set.features)
-    scores = aug.knownness(model.calibration_bias) if score == "knownness" else aug.max_softmax()
+    scores = aug.max_softmax() if train_mode == "baseline" else aug.knownness(model.calibration_bias)
     preds = aug.predictions(model.calibration_bias)
 
     flags: list[str] = []
@@ -161,13 +150,11 @@ def evaluate(model: SplitMlp, test_set: LabeledSet, score: str = "knownness",
     else:
         closed_accuracy = 0.0
         flags.append("no_known_rows")
-    if n_test_classes is None:
-        n_test_classes = k + 1 if (~known_mask).any() else k
     return EvalReport(
         auc=auc_value,
-        macro_f1=macro_f1(preds, labels, k + 1),
+        macro_f1=_macro_f1(counts),
         closed_accuracy=closed_accuracy,
-        openness_pct=openness(k, n_test_classes),
+        openness_pct=openness(k, k + len(split.unknown_class_ids)),
         rejection_rate=float((preds == k).mean()),
         roc=roc,
         confusion=counts,

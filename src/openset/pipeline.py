@@ -37,22 +37,14 @@ def prepare(data: LabeledSet, split: OpenSplit) -> tuple[LabeledSet, LabeledSet,
     return train, val, test, stats
 
 
-def evaluate_split(model: SplitMlp, test: LabeledSet, split: OpenSplit, train_mode: str) -> EvalReport:
-    """Report on the open test split: the baseline is scored by max-softmax
-    confidence, every placeholder mode by the calibrated knownness score."""
-    score = "max_softmax" if train_mode == "baseline" else "knownness"
-    n_test_classes = len(split.known_class_ids) + len(split.unknown_class_ids)
-    return evaluate(model, test, score=score, n_test_classes=n_test_classes)
-
-
 def calibrate_evaluate(model: SplitMlp, val: LabeledSet, test: LabeledSet, split: OpenSplit,
                        train_mode: str, target_rate: float = 0.95,
                        intervals: int = 100) -> tuple[CalibrationResult, EvalReport]:
-    """Set the model's calibration bias from the validation split, then
-    evaluate it on the test split."""
-    calib = select_bias(model, val, target_rate, intervals)
+    """Set the model's calibration bias from the validation features, then
+    evaluate it on the test split as `train_mode` trained it."""
+    calib = select_bias(model, val.features, target_rate, intervals)
     model.calibration_bias = calib.chosen_bias
-    return calib, evaluate_split(model, test, split, train_mode)
+    return calib, evaluate(model, test, split, train_mode)
 
 
 def experiment(data: LabeledSet, split: OpenSplit, config: TrainConfig

@@ -128,7 +128,7 @@ class TestSelectBias:
         model = pretrain_closed(data, cfg)
         finetune_placeholders(model, data, cfg)
         before = [p.copy() for p in model.parameters()]
-        select_bias(model, data)
+        select_bias(model, data.features)
         for a, b in zip(model.parameters(), before):
             assert a.tobytes() == b.tobytes()
 

@@ -27,8 +27,9 @@ from openset.cli import (
     write_grid_csv,
 )
 from openset.datastore import LabeledSet, load_csv, split_known_unknown
-from openset.metrics import SCORE_KINDS, evaluate
+from openset.metrics import evaluate
 from openset.network import SplitMlp
+from openset.trainer import TRAIN_MODES
 
 
 REPO = Path(__file__).resolve().parent.parent
@@ -615,7 +616,7 @@ class TestPipelineConsistency:
         data = cfg.dataset.load()
         _, _, test = split_known_unknown(data, cfg.split)
         test = LabeledSet(stats.apply(test.features), test.labels)
-        report = evaluate(model, test, score="knownness", n_test_classes=5)
+        report = evaluate(model, test, cfg.split, cfg.train.train_mode)
         assert report.to_text() == (out / "report.json").read_text()
 
 
@@ -646,10 +647,10 @@ class TestScoreOnce:
         _, _, test = split_known_unknown(cfg.dataset.load(), cfg.split)
         test = LabeledSet(stats.apply(test.features), test.labels)
         calls = _count_augmented_logits(monkeypatch)
-        for score in SCORE_KINDS:
-            evaluate(model, test, score=score)
+        for mode in TRAIN_MODES:
+            evaluate(model, test, cfg.split, mode)
         assert main(["evaluate", "--checkpoint", str(ckpt), "--config", str(path)]) == 0
-        assert calls == [len(test)] * (len(SCORE_KINDS) + 1)
+        assert calls == [len(test)] * (len(TRAIN_MODES) + 1)
 
     def test_boundary_grid_makes_one_forward_pass(self, tmp_path, monkeypatch):
         _, ckpt = self._run(tmp_path)

@@ -9,10 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from openset.datastore import LabeledSet
+from openset.datastore import LabeledSet, OpenSplit
 from openset.gradcore import DenseLayer
 from openset.metrics import (
-    _average_ranks,
     auc,
     confusion_matrix,
     evaluate,
@@ -34,6 +33,30 @@ def auc_brute_force(known, unknown) -> float:
             elif k == u:
                 ties += 1
     return (wins + 0.5 * ties) / (len(known) * len(unknown))
+
+
+def _average_ranks(values):
+    """1-based ranks with ties averaged. Exact in float64 for small n
+    (all ranks are multiples of 1/2)."""
+    order = np.argsort(values, kind="mergesort")
+    s = values[order]
+    # `!=` rather than np.diff, so NaN stays a group of its own and equal
+    # infinities share one, exactly as `==` decides
+    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    counts = np.diff(np.append(starts, s.size))
+    ranks = np.empty(s.size)
+    ranks[order] = np.repeat((2 * starts + counts + 1) / 2, counts)
+    return ranks
+
+
+def auc_rank_sum(known, unknown) -> float:
+    """The rank-sum form `auc` replaced, kept as its oracle: U is the known
+    side's rank sum less its least possible value."""
+    k = np.asarray(known, dtype=np.float64)
+    u = np.asarray(unknown, dtype=np.float64)
+    ranks = _average_ranks(np.concatenate([k, u]))
+    u_stat = ranks[:k.size].sum() - k.size * (k.size + 1) / 2
+    return u_stat / (k.size * u.size)
 
 
 def average_ranks_loop(values):
@@ -64,6 +87,14 @@ def roc_points_loop(known, unknown):
 tie_heavy_scores = st.lists(
     st.one_of(st.sampled_from([0.0, -0.0, 0.5, -1.0, 2.0, math.inf, -math.inf, math.nan]),
               st.floats()),
+    min_size=1, max_size=40,
+)
+
+
+# the same without NaN, plus subnormals, for `auc`
+ordered_scores = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 0.5, -1.0, 2.0, math.inf, -math.inf, 5e-324, -5e-324, 1e-300]),
+              st.floats(allow_nan=False)),
     min_size=1, max_size=40,
 )
 
@@ -121,6 +152,27 @@ class TestAuc:
         if set(known) & set(unknown):
             return  # symmetry as stated holds for tie-free inputs
         assert auc(known, unknown) + auc(unknown, known) == pytest.approx(1.0, abs=1e-12)
+
+    @given(known=ordered_scores, unknown=ordered_scores)
+    @settings(max_examples=300)
+    def test_keeps_the_bytes_of_the_rank_sum(self, known, unknown):
+        assert np.float64(auc(known, unknown)).tobytes() == np.float64(auc_rank_sum(known, unknown)).tobytes()
+
+    def test_keeps_the_bytes_of_the_rank_sum_on_a_large_tied_test_set(self):
+        # the open_eval test split's size; rounding to 1e-3 forces ties
+        rng = np.random.default_rng(5)
+        known = np.round(rng.standard_normal(9000) + 1.0, 3)
+        unknown = np.round(rng.standard_normal(12000), 3)
+        assert np.float64(auc(known, unknown)).tobytes() == np.float64(auc_rank_sum(known, unknown)).tobytes()
+
+    @pytest.mark.parametrize("known,unknown", [
+        ([0.5, math.nan], [0.1]),
+        ([0.5], [math.nan, 0.1]),
+        ([math.nan], [math.nan]),
+    ])
+    def test_nan_score_rejected(self, known, unknown):
+        with pytest.raises(ValueError, match="NaN"):
+            auc(known, unknown)
 
     def test_invariant_under_strictly_increasing_transform(self):
         rng = np.random.default_rng(3)
@@ -247,6 +299,9 @@ def _fixed_logit_model(closed_rows, dummy_rows):
 
 
 class TestEvaluate:
+    # three known classes; test label 3 marks the rows of the unknown classes
+    SPLIT = OpenSplit([0, 1, 2], [3, 4])
+
     def _model_and_data(self, seed=0):
         rng = np.random.default_rng(seed)
         model = SplitMlp.create(2, 3, 2, rng, pre_widths=(8,), post_widths=(4,))
@@ -257,14 +312,14 @@ class TestEvaluate:
     def test_always_reject_model(self):
         model, data = self._model_and_data()
         model.calibration_bias = 1e9
-        report = evaluate(model, data)
+        report = evaluate(model, data, self.SPLIT, "full")
         assert report.rejection_rate == 1.0
         assert report.closed_accuracy == 0.0
 
     def test_never_reject_reduces_to_argmax_accuracy(self):
         model, data = self._model_and_data()
         model.calibration_bias = -1e9
-        report = evaluate(model, data)
+        report = evaluate(model, data, self.SPLIT, "full")
         assert report.rejection_rate == 0.0
         known = data.labels < 3
         argmax_acc = float(
@@ -275,7 +330,7 @@ class TestEvaluate:
 
     def test_report_fields_and_confusion_row_sums(self):
         model, data = self._model_and_data()
-        report = evaluate(model, data, n_test_classes=5)
+        report = evaluate(model, data, self.SPLIT, "full")
         assert report.confusion.shape == (4, 4)
         for c in range(4):
             assert report.confusion[c].sum() == (data.labels == c).sum()
@@ -284,10 +339,30 @@ class TestEvaluate:
         assert report.auc is not None and 0.0 <= report.auc <= 1.0
         assert report.roc[0].tolist() == [0.0, 0.0] and report.roc[-1].tolist() == [1.0, 1.0]
 
+    def test_report_metrics_equal_the_public_functions(self):
+        model, data = self._model_and_data()
+        model.calibration_bias = 0.3
+        report = evaluate(model, data, self.SPLIT, "full")
+        aug = model.augmented_logits(data.features)
+        preds = aug.predictions(model.calibration_bias)
+        scores = aug.knownness(model.calibration_bias)
+        known = data.labels < 3
+        assert report.macro_f1 == macro_f1(preds, data.labels, 4)
+        assert report.auc == auc(scores[known], scores[~known])
+
+    def test_openness_counts_the_split_not_the_test_rows(self):
+        # the rows of only one of the split's two unknown classes reach the
+        # test set; openness is still that of 3 known among 5 classes
+        model, data = self._model_and_data()
+        assert (data.labels == 3).any()
+        report = evaluate(model, data, OpenSplit([0, 1, 2], [3, 7]), "full")
+        assert report.openness_pct == openness(3, 5)
+        assert report.openness_pct != openness(3, 4)
+
     def test_no_unknown_rows_flags_auc(self):
         model, data = self._model_and_data()
         known_only = LabeledSet(data.features, np.zeros(len(data), dtype=np.int64))
-        report = evaluate(model, known_only)
+        report = evaluate(model, known_only, OpenSplit([0, 1, 2]), "full")
         assert report.auc is None
         assert report.roc.shape == (0, 2) and report.roc.dtype == np.float64
         assert "auc_omitted_one_sided_test_set" in report.flags
@@ -300,17 +375,22 @@ class TestEvaluate:
             [[4.9], [-5.0], [-5.0], [0.0]],
         )
         data = LabeledSet(np.eye(4), [0, 0, 2, 2])
-        a = evaluate(model, data, score="knownness")
-        b = evaluate(model, data, score="max_softmax")
-        assert a.auc != b.auc
+        split = OpenSplit([0, 1], [2])
+        aug = model.augmented_logits(data.features)
+        baseline = evaluate(model, data, split, "baseline")
+        assert baseline.auc == auc(aug.max_softmax()[:2], aug.max_softmax()[2:])
+        for mode in ("dummy_only", "mixup_only", "full"):
+            placeholder = evaluate(model, data, split, mode)
+            assert placeholder.auc == auc(aug.knownness(0.0)[:2], aug.knownness(0.0)[2:])
+            assert placeholder.auc != baseline.auc
 
     def test_deterministic_report_bytes(self):
         model, data = self._model_and_data()
-        a = evaluate(model, data, n_test_classes=5).to_text()
-        b = evaluate(model, data, n_test_classes=5).to_text()
+        a = evaluate(model, data, self.SPLIT, "full").to_text()
+        b = evaluate(model, data, self.SPLIT, "full").to_text()
         assert a.encode() == b.encode()
 
     def test_unknown_score_kind_rejected(self):
         model, data = self._model_and_data()
-        with pytest.raises(ValueError):
-            evaluate(model, data, score="entropy")
+        with pytest.raises(ValueError, match="train_mode"):
+            evaluate(model, data, self.SPLIT, "entropy")

@@ -91,3 +91,8 @@ def test_a_traced_run_counts_its_training_rows(tmp_path):
     assert metrics["datastore.generate_s"] > 0
     assert metrics["datastore.split_s"] > 0
     assert metrics["checkpoint.save.bytes"] > 0
+    # the run evaluates through the names the tracer wraps: AUC and ROC
+    # counted without calling them would read 0 here
+    assert metrics["metrics.evaluate_s"] > 0
+    assert metrics["metrics.auc_s"] > 0
+    assert metrics["metrics.roc_points.thresholds"] > 0
