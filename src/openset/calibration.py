@@ -13,8 +13,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .datastore import check_int, check_real
 from .gradcore import Array
 from .network import SplitMlp
+
+MAX_INTERVALS = 1_000_000
+
+
+@dataclass
+class CalibrationConfig:
+    target_rate: float = 0.95
+    intervals: int = 100
+
+    def __post_init__(self):
+        check_real("target_rate", self.target_rate)
+        if not 0.0 < self.target_rate <= 1.0:
+            raise ValueError(f"target_rate must be in (0, 1], got {self.target_rate}")
+        check_int("intervals", self.intervals, 1)
+        if self.intervals > MAX_INTERVALS:
+            raise ValueError(f"intervals must be at most {MAX_INTERVALS}, got {self.intervals}")
 
 
 @dataclass

@@ -12,17 +12,16 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
+from .calibration import CalibrationConfig
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .datastore import (
     LabeledSet,
     OpenSplit,
-    check_int,
-    check_real,
     gen_gaussian_blobs,
     gen_rings,
     json_text,
@@ -46,7 +45,6 @@ GENERATOR_DEFAULTS = {
 }
 # the config blocks `run` reads; `evaluate` and `gen-data` require fewer
 RUN_BLOCKS = ("dataset", "split", "train", "output_dir")
-MAX_INTERVALS = 1_000_000
 # 1000 x 1000 on the blobs6 checkpoint peaks at 138 MB ru_maxrss (2000: 459 MB)
 MAX_RESOLUTION = 1000
 
@@ -73,20 +71,6 @@ class DatasetConfig:
 
 
 @dataclass
-class CalibrationConfig:
-    target_rate: float = 0.95
-    intervals: int = 100
-
-    def __post_init__(self):
-        check_real("target_rate", self.target_rate)
-        if not 0.0 < self.target_rate <= 1.0:
-            raise ValueError(f"target_rate must be in (0, 1], got {self.target_rate}")
-        check_int("intervals", self.intervals, 1)
-        if self.intervals > MAX_INTERVALS:
-            raise ValueError(f"intervals must be at most {MAX_INTERVALS}, got {self.intervals}")
-
-
-@dataclass
 class RunConfig:
     """A parsed config; a block the file leaves out is None."""
 
@@ -95,6 +79,14 @@ class RunConfig:
     train: TrainConfig | None
     calibration: CalibrationConfig
     output_dir: str | None
+
+    def at_seed(self, seed: int) -> RunConfig:
+        """This config with `seed` as the generator's, the split's and the training's seed."""
+        dataset = self.dataset
+        if dataset is not None and dataset.kind in GENERATOR_DEFAULTS:  # a csv or idx dataset keeps its files
+            dataset = DatasetConfig(dataset.kind, {**dataset.params, "seed": seed})
+        return replace(self, dataset=dataset, split=self.split and replace(self.split, seed=seed),
+                       train=self.train and replace(self.train, seed=seed))
 
 
 @contextmanager
@@ -194,8 +186,7 @@ def cmd_run(config_path) -> int:
     log_lines: list[str] = []
     model = pretrain_closed(train, cfg.train, log_lines)
     model = finetune_placeholders(model, train, cfg.train, log_lines)
-    calib, report = calibrate_evaluate(model, val, test, cfg.split, cfg.train.train_mode,
-                                       cfg.calibration.target_rate, cfg.calibration.intervals)
+    calib, report = calibrate_evaluate(model, val, test, cfg.split, cfg.train.train_mode, cfg.calibration)
 
     save_checkpoint(out_dir / "checkpoint.json", model, cfg.train, stats)
     (out_dir / "training_log.tsv").write_text("\n".join(log_lines) + "\n", encoding="utf-8")

@@ -10,19 +10,11 @@ from __future__ import annotations
 import copy
 import dataclasses
 
-from .calibration import CalibrationResult, select_bias
-from .datastore import (LabeledSet, OpenSplit, Standardization, fit_standardization, gen_gaussian_blobs,
-                        split_known_unknown)
+from .calibration import CalibrationConfig, CalibrationResult, select_bias
+from .datastore import LabeledSet, OpenSplit, Standardization, fit_standardization, split_known_unknown
 from .metrics import EvalReport, evaluate
 from .network import SplitMlp
 from .trainer import TRAIN_MODES, TrainConfig, finetune_placeholders, pretrain_closed
-
-# The synthetic task of the experiment scripts and the acceptance run:
-# `num_classes` 2-D Gaussian blobs, the first `known` classes known and the
-# rest unknown; the split holds out SPLIT_FRACTIONS of the known rows.
-BLOB_TASK = {"num_classes": 10, "known": 6, "per_class": 300, "center_scale": 5.0, "spread": 0.35,
-             "pretrain_epochs": 200, "finetune_epochs": 150}
-SPLIT_FRACTIONS = {"val_fraction": 0.1, "test_fraction": 0.3}
 
 
 def prepare(data: LabeledSet, split: OpenSplit) -> tuple[LabeledSet, LabeledSet, LabeledSet, Standardization]:
@@ -38,16 +30,15 @@ def prepare(data: LabeledSet, split: OpenSplit) -> tuple[LabeledSet, LabeledSet,
 
 
 def calibrate_evaluate(model: SplitMlp, val: LabeledSet, test: LabeledSet, split: OpenSplit,
-                       train_mode: str, target_rate: float = 0.95,
-                       intervals: int = 100) -> tuple[CalibrationResult, EvalReport]:
+                       train_mode: str, calibration: CalibrationConfig) -> tuple[CalibrationResult, EvalReport]:
     """Set the model's calibration bias from the validation features, then
     evaluate it on the test split as `train_mode` trained it."""
-    calib = select_bias(model, val.features, target_rate, intervals)
+    calib = select_bias(model, val.features, calibration.target_rate, calibration.intervals)
     model.calibration_bias = calib.chosen_bias
     return calib, evaluate(model, test, split, train_mode)
 
 
-def experiment(data: LabeledSet, split: OpenSplit, config: TrainConfig
+def experiment(data: LabeledSet, split: OpenSplit, config: TrainConfig, calibration: CalibrationConfig
                ) -> tuple[SplitMlp, LabeledSet, LabeledSet, dict[str, tuple[SplitMlp, CalibrationResult, EvalReport]]]:
     """Prepare, pretrain once, then fine-tune, calibrate and evaluate a copy in
     every training mode (`config.train_mode` is not read). Returns the untouched
@@ -58,7 +49,7 @@ def experiment(data: LabeledSet, split: OpenSplit, config: TrainConfig
     for mode in TRAIN_MODES:
         model = finetune_placeholders(copy.deepcopy(pretrained), train,
                                       dataclasses.replace(config, train_mode=mode))
-        results[mode] = (model, *calibrate_evaluate(model, val, test, split, mode))
+        results[mode] = (model, *calibrate_evaluate(model, val, test, split, mode, calibration))
     return pretrained, val, test, results
 
 
@@ -68,11 +59,3 @@ def closed_accuracy(model: SplitMlp, test: LabeledSet) -> float:
     preds = model.augmented_logits(test.features).closed.argmax(axis=1)
     return float((preds[known] == test.labels[known]).mean())
 
-
-def blob_experiment(seed: int, num_classes: int, known: int, per_class: int, center_scale: float, spread: float,
-                    pretrain_epochs: int, finetune_epochs: int) -> tuple:
-    """`experiment` on the blob task (see BLOB_TASK), drawn, split and trained with `seed`."""
-    data = gen_gaussian_blobs(num_classes, per_class, 2, center_scale, spread, seed)
-    split = OpenSplit(list(range(known)), list(range(known, num_classes)), seed=seed, **SPLIT_FRACTIONS)
-    config = TrainConfig(pretrain_epochs=pretrain_epochs, finetune_epochs=finetune_epochs, seed=seed)
-    return experiment(data, split, config)

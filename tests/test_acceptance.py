@@ -1,7 +1,8 @@
 """Acceptance suite: one test per criterion, one printed pass line each.
 
 Criteria 5, 6 and 7 share a 5-seed experiment on the synthetic blob task
-(`pipeline.BLOB_TASK`), built once per session. Observed
+of `configs/blobs6.json` (every seed set by `RunConfig.at_seed`), built
+once per session; its seed 0 is the golden `openset run`. Observed
 values from the first green run, frozen here as regression context:
 mean AUC baseline 0.565, dummy_only 0.523, mixup_only 0.633, full 0.639
 (margin over baseline +0.074, over best ablation +0.006); closed argmax
@@ -13,7 +14,7 @@ from __future__ import annotations
 import copy
 import json
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,17 +22,19 @@ import pytest
 
 from conftest import finite_difference_gradients, gradients, known_rate, rel_error, zero_grads
 from openset.calibration import candidate_biases, logit_gaps
-from openset.cli import main
-from openset.datastore import LabeledSet, fit_standardization, gen_gaussian_blobs
+from openset.cli import load_run_config, main
+from openset.datastore import LabeledSet, fit_standardization, gen_gaussian_blobs, json_text
 from openset.gradcore import cross_entropy_from_logits
 from openset.metrics import auc, macro_f1, openness
 from openset.network import SplitMlp, predict_open
-from openset.pipeline import BLOB_TASK, blob_experiment, closed_accuracy
+from openset.pipeline import closed_accuracy, experiment as run_experiment
 from openset.placeholders import MixPairs, build_mix_pairs
 from openset.trainer import TrainConfig, finetune_placeholders, finetune_step, pretrain_closed, pretrain_step
 from test_metrics import auc_brute_force, macro_f1_by_hand
 from test_placeholders import step_loss
 
+ROOT = Path(__file__).resolve().parent.parent
+BLOBS6 = ROOT / "configs" / "blobs6.json"
 SEEDS = (0, 1, 2, 3, 4)
 
 
@@ -43,10 +46,12 @@ def _passed(criterion: int, detail: str) -> None:
 def experiment():
     """Per seed: the blob task's experiment (pretrained model, validation and
     test parts, mode -> (model, calibration, report)) and its seconds."""
+    base = load_run_config(BLOBS6, ("dataset", "split", "train"))
     runs = {}
     for seed in SEEDS:
         t0 = time.time()
-        runs[seed] = (blob_experiment(seed, **BLOB_TASK), time.time() - t0)
+        cfg = base.at_seed(seed)
+        runs[seed] = (run_experiment(cfg.dataset.load(), cfg.split, cfg.train, cfg.calibration), time.time() - t0)
     return runs
 
 
@@ -219,8 +224,16 @@ def test_criterion_7_ablation_ordering(experiment):
                f"mixup {means['mixup_only']:.3f}")
 
 
+def test_seed_0_full_mode_is_the_golden_run(experiment):
+    (*_, modes), _ = experiment[0]
+    _, calib, report = modes["full"]
+    golden = ROOT / "out" / "blobs6"
+    assert report.to_text().encode() == (golden / "report.json").read_bytes()
+    assert (json_text(asdict(calib)) + "\n").encode() == (golden / "calibration.json").read_bytes()
+
+
 def test_criterion_8_determinism_end_to_end(tmp_path):
-    base = json.loads((Path(__file__).parent.parent / "configs" / "blobs6.json").read_text())
+    base = json.loads(BLOBS6.read_text())
     # shrink the run: determinism is about equal configs, not scale
     base["train"].update({"pretrain_epochs": 20, "finetune_epochs": 15, "batch_size": 64})
     base["dataset"]["per_class"] = 80

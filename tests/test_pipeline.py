@@ -2,18 +2,24 @@
 
 from __future__ import annotations
 
+import json
 import runpy
 import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+from openset.calibration import CalibrationConfig
+from openset.cli import parse_run_config
 from openset.datastore import LabeledSet, OpenSplit, gen_gaussian_blobs, split_known_unknown
 from openset.pipeline import experiment, prepare
 from openset.trainer import TRAIN_MODES, TrainConfig, pretrain_closed
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+BLOBS6 = ROOT / "configs" / "blobs6.json"
 
 
 def _param_bytes(model) -> list[bytes]:
@@ -27,7 +33,7 @@ def test_experiment_trains_copies_and_leaves_pretrained_untouched():
     train, val, test, _ = prepare(data, split)
     before = _param_bytes(pretrain_closed(train, config))
 
-    pretrained, got_val, got_test, results = experiment(data, split, config)
+    pretrained, got_val, got_test, results = experiment(data, split, config, CalibrationConfig())
 
     assert got_val.features.tobytes() == val.features.tobytes()
     assert got_test.features.tobytes() == test.features.tobytes()
@@ -63,13 +69,42 @@ def test_prepare_holds_one_copy_of_the_split_and_leaves_data_untouched():
         assert part.labels.tobytes() == fresh.labels.tobytes()
 
 
+def _tiny_blobs6() -> dict:
+    """configs/blobs6.json with 30 rows per class and 2 + 1 epochs."""
+    doc = json.loads(BLOBS6.read_text())
+    doc["dataset"]["per_class"] = 30
+    doc["train"].update(pretrain_epochs=2, finetune_epochs=1)
+    return doc
+
+
+def test_experiment_calibrates_with_the_calibration_block():
+    doc = _tiny_blobs6()
+    doc["calibration"] = {"intervals": 7}
+    cfg = parse_run_config(doc)
+    *_, results = experiment(cfg.dataset.load(), cfg.split, cfg.train, cfg.calibration)
+    assert {mode: calib.candidate_count for mode, (_, calib, _) in results.items()} == \
+        dict.fromkeys(TRAIN_MODES, 8)
+
+
+def test_at_seed_sets_the_generator_split_and_train_seeds():
+    doc = _tiny_blobs6()
+    cfg = parse_run_config(doc).at_seed(3)
+    assert (cfg.dataset.params["seed"], cfg.split.seed, cfg.train.seed) == (3, 3, 3)
+    doc["dataset"] = {"csv": "rows.csv"}
+    assert parse_run_config(doc).at_seed(3).dataset.params == {"csv": "rows.csv"}
+
+
 def _run_script(name, argv, monkeypatch, capsys) -> str:
     monkeypatch.setattr(sys, "argv", [name, *argv])
     runpy.run_path(str(SCRIPTS / name), run_name="__main__")
     return capsys.readouterr().out
 
 
-TINY = ["--per-class", "30", "--pretrain-epochs", "2", "--finetune-epochs", "1"]
+@pytest.fixture
+def tiny_config(tmp_path) -> str:
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(_tiny_blobs6()))
+    return str(path)
 
 # Each script's full stdout for these arguments: a change to the task, the
 # split, the training or the scoring shows here.
@@ -90,9 +125,28 @@ OPENNESS_TINY = """\
 """
 
 
-def test_synthetic_benchmark_prints_a_row_per_mode(monkeypatch, capsys):
-    assert _run_script("run_synthetic_benchmark.py", ["--seeds", "1", *TINY], monkeypatch, capsys) == SYNTHETIC_TINY
+def test_synthetic_benchmark_prints_a_row_per_mode(tiny_config, monkeypatch, capsys):
+    argv = ["--seeds", "1", "--config", tiny_config]
+    assert _run_script("run_synthetic_benchmark.py", argv, monkeypatch, capsys) == SYNTHETIC_TINY
 
 
-def test_openness_sweep_prints_a_column_per_mode(monkeypatch, capsys):
-    assert _run_script("openness_sweep.py", ["--unknown-counts", "1", "2", *TINY], monkeypatch, capsys) == OPENNESS_TINY
+def test_openness_sweep_prints_a_column_per_mode(tiny_config, monkeypatch, capsys):
+    argv = ["--unknown-counts", "1", "2", "--per-class", "30", "--config", tiny_config]
+    assert _run_script("openness_sweep.py", argv, monkeypatch, capsys) == OPENNESS_TINY
+
+
+def test_openness_sweep_without_unknown_classes_prints_the_closed_set_row(tiny_config, monkeypatch, capsys):
+    argv = ["--unknown-counts", "0", "--per-class", "30", "--config", tiny_config]
+    assert _run_script("openness_sweep.py", argv, monkeypatch, capsys) == OPENNESS_TINY.splitlines(True)[0] + \
+        "       0     0.00%       0.180       0.180       0.180       0.180\n"
+
+
+@pytest.mark.parametrize("name, argv, message", [
+    ("run_synthetic_benchmark.py", ["--seeds", "0"], "argument --seeds: must be at least 1, got 0"),
+    ("openness_sweep.py", ["--unknown-counts", "2", "-1"], "argument --unknown-counts: must be at least 0, got -1"),
+])
+def test_scripts_refuse_bad_counts_with_exit_2(name, argv, message, monkeypatch, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _run_script(name, argv, monkeypatch, capsys)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
