@@ -52,7 +52,7 @@ def logit_gaps(model: SplitMlp, features) -> Array:
     return model.augmented_logits(features).knownness(0.0)
 
 
-def candidate_biases(gaps, intervals: int = 100) -> Array:
+def candidate_biases(gaps, intervals: int) -> Array:
     """intervals+1 evenly spaced values spanning [min(gaps), max(gaps)];
     a degenerate span collapses to a single candidate."""
     gaps = np.asarray(gaps, dtype=np.float64)
@@ -67,8 +67,7 @@ def candidate_biases(gaps, intervals: int = 100) -> Array:
     return np.linspace(lo, hi, intervals + 1)
 
 
-def select_bias(model: SplitMlp, features, target_rate: float = 0.95,
-                intervals: int = 100) -> CalibrationResult:
+def select_bias(model: SplitMlp, features, target_rate: float, intervals: int) -> CalibrationResult:
     """Largest candidate bias whose known-rate still meets target_rate.
 
     If no candidate qualifies, the smallest (most permissive) candidate is

@@ -1,6 +1,8 @@
 """Command-line pipeline: generate data, train, calibrate, evaluate, export grids.
 
-Subcommands: run, evaluate, boundary-grid, gen-data. Config files are strict
+Subcommands: run, evaluate, boundary-grid, gen-data, and the two experiments,
+compare (every training mode on a config's task, seed by seed) and sweep
+(every mode as the number of unknown classes grows). Config files are strict
 JSON; unknown keys are rejected so a typo cannot silently fall back to a
 default. Exit codes: 0 success, 1 runtime contract violation, 2 usage,
 config, or IO error.
@@ -9,6 +11,7 @@ config, or IO error.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from contextlib import contextmanager
@@ -30,20 +33,15 @@ from .datastore import (
     save_csv,
     split_known_unknown,
 )
-from .metrics import evaluate
-from .pipeline import calibrate_evaluate, prepare
-from .trainer import TrainConfig, finetune_placeholders, pretrain_closed
+from .metrics import evaluate, openness
+from .pipeline import calibrate_evaluate, closed_accuracy, experiment, prepare
+from .trainer import TRAIN_MODES, TrainConfig, finetune_placeholders, pretrain_closed
 
 EXIT_OK = 0
 EXIT_CONTRACT = 1
 EXIT_USAGE = 2
 
-GENERATOR_DEFAULTS = {
-    "blobs": {"num_classes": 10, "per_class": 300, "dim": 2,
-              "center_scale": 4.0, "spread": 0.6, "seed": 0},
-    "rings": {"num_classes": 3, "per_class": 300, "noise": 0.05, "seed": 0},
-}
-# the config blocks `run` reads; `evaluate` and `gen-data` require fewer
+# the config blocks `run` reads; every other command requires fewer
 RUN_BLOCKS = ("dataset", "split", "train", "output_dir")
 # 1000 x 1000 on the blobs6 checkpoint peaks at 138 MB ru_maxrss (2000: 459 MB)
 MAX_RESOLUTION = 1000
@@ -51,6 +49,13 @@ MAX_RESOLUTION = 1000
 
 class ConfigError(ValueError):
     pass
+
+
+def _generators() -> dict:
+    """Each generator kind's function; a generator block's keys are its
+    parameters, and their defaults are the block's. Built from this module's
+    names at each call, so a wrapper bound over them (perfbench's tracer) runs."""
+    return {"blobs": gen_gaussian_blobs, "rings": gen_rings}
 
 
 @dataclass
@@ -61,10 +66,9 @@ class DatasetConfig:
     def load(self) -> LabeledSet:
         """The dataset; a bad generator field or a malformed dataset file
         raises ValueError."""
-        if self.kind == "blobs":
-            return gen_gaussian_blobs(**self.params)
-        if self.kind == "rings":
-            return gen_rings(**self.params)
+        generators = _generators()
+        if self.kind in generators:
+            return generators[self.kind](**self.params)
         if self.kind == "csv":
             return load_csv(self.params["csv"])
         return load_idx(self.params["idx_images"], self.params["idx_labels"])
@@ -83,7 +87,7 @@ class RunConfig:
     def at_seed(self, seed: int) -> RunConfig:
         """This config with `seed` as the generator's, the split's and the training's seed."""
         dataset = self.dataset
-        if dataset is not None and dataset.kind in GENERATOR_DEFAULTS:  # a csv or idx dataset keeps its files
+        if dataset is not None and dataset.kind in _generators():  # a csv or idx dataset keeps its files
             dataset = DatasetConfig(dataset.kind, {**dataset.params, "seed": seed})
         return replace(self, dataset=dataset, split=self.split and replace(self.split, seed=seed),
                        train=self.train and replace(self.train, seed=seed))
@@ -117,12 +121,12 @@ def parse_dataset_block(block) -> DatasetConfig:
         raise ConfigError("dataset block must be an object")
     if "generator" in block:
         name = block["generator"]
-        if not isinstance(name, str) or name not in GENERATOR_DEFAULTS:
-            raise ConfigError(f"unknown generator {name!r}, expected one of {sorted(GENERATOR_DEFAULTS)}")
-        defaults = GENERATOR_DEFAULTS[name]
-        _check_keys(block, {"generator", *defaults}, f"dataset ({name})")
-        # the generator checks its own fields when the dataset is loaded
-        return DatasetConfig(name, {**defaults, **{k: v for k, v in block.items() if k != "generator"}})
+        generators = _generators()
+        if not isinstance(name, str) or name not in generators:
+            raise ConfigError(f"unknown generator {name!r}, expected one of {sorted(generators)}")
+        _check_keys(block, {"generator", *inspect.signature(generators[name]).parameters}, f"dataset ({name})")
+        # the generator checks its own fields, and fills in the ones left out, when the dataset is loaded
+        return DatasetConfig(name, {k: v for k, v in block.items() if k != "generator"})
     if "csv" in block:
         _check_keys(block, {"csv"}, "dataset (csv)")
         return DatasetConfig("csv", {"csv": _config_path("csv", block["csv"])})
@@ -266,6 +270,57 @@ def cmd_gen_data(config_path, out_path) -> int:
     return EXIT_OK
 
 
+def cmd_compare(config_path, seeds: int) -> int:
+    """Print each mode's mean and std of AUC, macro-F1 and closed accuracy
+    over the config's task at seeds 0 to `seeds`-1."""
+    if seeds < 1:
+        raise ConfigError(f"--seeds must be at least 1, got {seeds}")
+    with _bad_input():
+        base = load_run_config(config_path, ("dataset", "split", "train"))
+    results = {mode: [] for mode in TRAIN_MODES}
+    for seed in range(seeds):
+        cfg = base.at_seed(seed)
+        with _bad_input():
+            train, val, test, _ = prepare(cfg.dataset.load(), cfg.split)
+        _, runs = experiment(train, val, test, cfg.split, cfg.train, cfg.calibration)
+        for mode, (model, _, report) in runs.items():
+            results[mode].append((report.auc, report.macro_f1, closed_accuracy(model, test)))
+        print(f"seed {seed} done")
+
+    known, unknown = len(base.split.known_class_ids), len(base.split.unknown_class_ids)
+    print(f"\n{known} known / {unknown} unknown {base.dataset.kind}, {seeds} seeds (mean ± std)")
+    print(f"{'mode':12s} {'AUC':>16s} {'macro-F1':>16s} {'closed acc':>16s}")
+    for mode in TRAIN_MODES:
+        arr = np.array(results[mode])
+        cells = [f"{arr[:, i].mean():.3f} ± {arr[:, i].std():.3f}" for i in range(3)]
+        print(f"{mode:12s} {cells[0]:>16s} {cells[1]:>16s} {cells[2]:>16s}")
+    return EXIT_OK
+
+
+def cmd_sweep(config_path, unknown_counts: list[int], per_class: int, seed: int) -> int:
+    """Print each mode's macro-F1 as unknown blob classes join the config's
+    known ones; the blobs are drawn here, wider apart than the config's."""
+    if min(unknown_counts) < 0:
+        raise ConfigError(f"--unknown-counts must be at least 0, got {min(unknown_counts)}")
+    with _bad_input():
+        cfg = load_run_config(config_path, ("split", "train")).at_seed(seed)
+        known = len(cfg.split.known_class_ids)
+        data = gen_gaussian_blobs(known + max(unknown_counts), per_class, center_scale=6.0, spread=0.35, seed=seed)
+
+    print(f"{'unknown':>8s} {'openness':>9s} " + " ".join(f"{m:>11s}" for m in TRAIN_MODES))
+    for n_unknown in unknown_counts:
+        num_classes = known + n_unknown
+        keep = data.labels < num_classes  # the first num_classes of the classes drawn, the first `known` known
+        with _bad_input():
+            split = replace(cfg.split, known_class_ids=list(range(known)),
+                            unknown_class_ids=list(range(known, num_classes)))
+            train, val, test, _ = prepare(LabeledSet(data.features[keep], data.labels[keep]), split)
+        _, runs = experiment(train, val, test, split, cfg.train, cfg.calibration)
+        f1s = [report.macro_f1 for _, _, report in runs.values()]
+        print(f"{n_unknown:>8d} {openness(known, num_classes):>8.2f}% " + " ".join(f"{f:>11.3f}" for f in f1s))
+    return EXIT_OK
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="openset",
                                      description="placeholder-based open-set recognition pipeline")
@@ -288,6 +343,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen-data", help="write a config's dataset as CSV")
     p_gen.add_argument("--config", required=True)
     p_gen.add_argument("--out", required=True)
+
+    p_cmp = sub.add_parser("compare", help="every training mode on a config's task, seed by seed")
+    p_cmp.add_argument("--config", required=True, help="each seed is set in its dataset, split and train blocks")
+    p_cmp.add_argument("--seeds", type=int, default=5, help="run seeds 0 to SEEDS-1 (default 5)")
+
+    p_sweep = sub.add_parser("sweep", help="macro-F1 of every training mode as unknown classes are added")
+    p_sweep.add_argument("--config", required=True,
+                         help="its known-class count, split fractions, train and calibration blocks are used")
+    p_sweep.add_argument("--unknown-counts", type=int, nargs="+", default=[2, 4, 8, 12])
+    p_sweep.add_argument("--per-class", type=int, default=200)
+    p_sweep.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -306,6 +372,10 @@ def main(argv: list[str] | None = None) -> int:
             rng = args.range
             return cmd_boundary_grid(args.checkpoint, args.out,
                                      (rng[0], rng[1]), (rng[2], rng[3]), args.resolution)
+        if args.command == "compare":
+            return cmd_compare(args.config, args.seeds)
+        if args.command == "sweep":
+            return cmd_sweep(args.config, args.unknown_counts, args.per_class, args.seed)
         return cmd_gen_data(args.config, args.out)
     except (ConfigError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

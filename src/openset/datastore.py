@@ -182,7 +182,7 @@ def fit_standardization(features) -> Standardization:
     return Standardization(mean, std)
 
 
-def gen_gaussian_blobs(num_classes: int, per_class: int, dim: int = 2,
+def gen_gaussian_blobs(num_classes: int = 10, per_class: int = 300, dim: int = 2,
                        center_scale: float = 4.0, spread: float = 0.6,
                        seed: int = 0) -> LabeledSet:
     """Class centers uniform in [-center_scale, center_scale]^dim, points
@@ -208,7 +208,7 @@ def gen_gaussian_blobs(num_classes: int, per_class: int, dim: int = 2,
     return LabeledSet(features, labels)
 
 
-def gen_rings(num_classes: int, per_class: int, noise: float = 0.05, seed: int = 0) -> LabeledSet:
+def gen_rings(num_classes: int = 3, per_class: int = 300, noise: float = 0.05, seed: int = 0) -> LabeledSet:
     """Concentric 2-D circles, class c at radius c+1, with radial Gaussian
     noise. Each field is checked first; a bad one raises ValueError naming it."""
     check_int("num_classes", num_classes, 1)
@@ -316,6 +316,8 @@ def load_idx(images_path, labels_path) -> LabeledSet:
         label_data = f.read()
     (n_img, rows, cols), offset = _read_idx_header(image_data, images_path, IDX_IMAGE_MAGIC, 3)
     (n_lab,), lab_offset = _read_idx_header(label_data, labels_path, IDX_LABEL_MAGIC, 1)
+    if rows == 0 or cols == 0:
+        raise ValueError(f"{images_path}: images of {rows}x{cols} pixels, need at least 1x1")
     if n_img != n_lab:
         raise ValueError(f"{images_path}, {labels_path}: count mismatch: {n_img} images vs {n_lab} labels")
     n_pixels = n_img * rows * cols

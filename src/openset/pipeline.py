@@ -1,4 +1,4 @@
-"""The experiment protocol shared by the CLI, the scripts and the tests.
+"""The experiment protocol shared by the CLI commands and the tests.
 
 Split and standardize once, fine-tune every training mode from one
 pretrained model, calibrate the dummy bias on known validation data, and
@@ -38,19 +38,20 @@ def calibrate_evaluate(model: SplitMlp, val: LabeledSet, test: LabeledSet, split
     return calib, evaluate(model, test, split, train_mode)
 
 
-def experiment(data: LabeledSet, split: OpenSplit, config: TrainConfig, calibration: CalibrationConfig
-               ) -> tuple[SplitMlp, LabeledSet, LabeledSet, dict[str, tuple[SplitMlp, CalibrationResult, EvalReport]]]:
-    """Prepare, pretrain once, then fine-tune, calibrate and evaluate a copy in
-    every training mode (`config.train_mode` is not read). Returns the untouched
-    pretrained model, the validation and test parts, and mode -> (model, calibration, report)."""
-    train, val, test, _ = prepare(data, split)
+def experiment(train: LabeledSet, val: LabeledSet, test: LabeledSet, split: OpenSplit, config: TrainConfig,
+               calibration: CalibrationConfig
+               ) -> tuple[SplitMlp, dict[str, tuple[SplitMlp, CalibrationResult, EvalReport]]]:
+    """On the parts `prepare` returns: pretrain once, then fine-tune, calibrate
+    and evaluate a copy in every training mode (`config.train_mode` is not
+    read). Returns the untouched pretrained model and mode -> (model,
+    calibration, report)."""
     pretrained = pretrain_closed(train, config)
     results = {}
     for mode in TRAIN_MODES:
         model = finetune_placeholders(copy.deepcopy(pretrained), train,
                                       dataclasses.replace(config, train_mode=mode))
         results[mode] = (model, *calibrate_evaluate(model, val, test, split, mode, calibration))
-    return pretrained, val, test, results
+    return pretrained, results
 
 
 def closed_accuracy(model: SplitMlp, test: LabeledSet) -> float:

@@ -45,7 +45,7 @@ def masked_pairs(labels, perm) -> tuple[Array, Array]:
     return np.nonzero(keep)[0], perm[keep]
 
 
-def build_mix_pairs(labels, rng: np.random.Generator, alpha: float = 2.0) -> MixPairs:
+def build_mix_pairs(labels, rng: np.random.Generator, alpha: float) -> MixPairs:
     """One uniform shuffle of the batch, same-class pairs masked out,
     one lambda ~ Beta(alpha, alpha) shared by every surviving pair."""
     labels = np.asarray(labels)

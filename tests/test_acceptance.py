@@ -27,7 +27,7 @@ from openset.datastore import LabeledSet, fit_standardization, gen_gaussian_blob
 from openset.gradcore import cross_entropy_from_logits
 from openset.metrics import auc, macro_f1, openness
 from openset.network import SplitMlp, predict_open
-from openset.pipeline import closed_accuracy, experiment as run_experiment
+from openset.pipeline import closed_accuracy, experiment as run_experiment, prepare
 from openset.placeholders import MixPairs, build_mix_pairs
 from openset.trainer import TrainConfig, finetune_placeholders, finetune_step, pretrain_closed, pretrain_step
 from test_metrics import auc_brute_force, macro_f1_by_hand
@@ -51,7 +51,9 @@ def experiment():
     for seed in SEEDS:
         t0 = time.time()
         cfg = base.at_seed(seed)
-        runs[seed] = (run_experiment(cfg.dataset.load(), cfg.split, cfg.train, cfg.calibration), time.time() - t0)
+        train, val, test, _ = prepare(cfg.dataset.load(), cfg.split)
+        pretrained, modes = run_experiment(train, val, test, cfg.split, cfg.train, cfg.calibration)
+        runs[seed] = ((pretrained, val, test, modes), time.time() - t0)
     return runs
 
 
@@ -257,7 +259,7 @@ def test_criterion_9_mixup_pairing():
     for _ in range(10_000):
         n = int(rng.integers(1, 40))
         labels = rng.integers(0, rng.integers(1, 6), size=n)
-        pairs = build_mix_pairs(labels, rng)
+        pairs = build_mix_pairs(labels, rng, 2.0)
         assert np.all(labels[pairs.left] != labels[pairs.right])
         checked += len(pairs)
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import known_rate
-from openset.calibration import CalibrationResult, candidate_biases, logit_gaps, select_bias
+from openset.calibration import CalibrationConfig, CalibrationResult, candidate_biases, logit_gaps, select_bias
 from openset.datastore import LabeledSet, fit_standardization, gen_gaussian_blobs
 from openset.gradcore import DenseLayer
 from openset.network import SplitMlp
@@ -68,11 +68,11 @@ class TestCandidateBiases:
         np.testing.assert_array_equal(candidate_biases([0.7, 0.7, 0.7], intervals=10), [0.7])
 
     def test_default_intervals_give_101_candidates(self):
-        assert len(candidate_biases([0.0, 1.0])) == 101
+        assert len(candidate_biases([0.0, 1.0], CalibrationConfig().intervals)) == 101
 
     def test_empty_gaps_rejected(self):
         with pytest.raises(ValueError):
-            candidate_biases([])
+            candidate_biases([], 100)
 
 
 class TestSelectBias:
@@ -105,7 +105,7 @@ class TestSelectBias:
             model = _fixed_logit_model([[g, -100.0] for g in gaps], [[0.0]] * len(gaps))
             candidates = candidate_biases(gaps, intervals=100)
             best = [b for b in candidates if known_rate(gaps, b) >= 0.95]
-            result = select_bias(model, np.eye(len(gaps)))
+            result = select_bias(model, np.eye(len(gaps)), 0.95, 100)
             if best:
                 assert result.target_met
                 assert result.achieved_known_rate >= 0.95
@@ -128,14 +128,14 @@ class TestSelectBias:
         model = pretrain_closed(data, cfg)
         finetune_placeholders(model, data, cfg)
         before = [p.copy() for p in model.parameters()]
-        select_bias(model, data.features)
+        select_bias(model, data.features, 0.95, 100)
         for a, b in zip(model.parameters(), before):
             assert a.tobytes() == b.tobytes()
 
     def test_result_bounds(self):
         rng = np.random.default_rng(11)
         model = SplitMlp.create(2, 3, 2, rng)
-        result = select_bias(model, rng.standard_normal((40, 2)))
+        result = select_bias(model, rng.standard_normal((40, 2)), 0.95, 100)
         assert result.gap_min <= result.chosen_bias <= result.gap_max
         assert result.candidate_count == 101
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import re
+import shlex
 import struct
 import tracemalloc
 from pathlib import Path
@@ -20,6 +22,7 @@ from openset.checkpoint import load_checkpoint
 from openset.cli import (
     MAX_RESOLUTION,
     ConfigError,
+    _build_parser,
     load_run_config,
     main,
     parse_dataset_block,
@@ -307,6 +310,7 @@ MALFORMED_DATASETS = {
     "idx_truncated_header": {"img.idx": _IDX_IMAGES[:10], "lab.idx": _IDX_LABELS},
     "idx_truncated_payload": {"img.idx": _IDX_IMAGES[:-3], "lab.idx": _IDX_LABELS},
     "idx_truncated_labels": {"img.idx": _IDX_IMAGES, "lab.idx": _IDX_LABELS[:-1]},
+    "idx_no_pixels": {"img.idx": struct.pack(">4I", 0x00000803, 2, 0, 2), "lab.idx": _IDX_LABELS},
 }
 
 
@@ -706,3 +710,21 @@ class TestNonFinite:
             assert captured.out == ""
             assert captured.err.count(f"{ckpt}: non-finite number in {field}") == 2, token
             assert not grid.exists()
+
+
+def _readme_commands() -> list[str]:
+    """Every `openset ...` command in README.md's bash blocks, `\\` continuations joined."""
+    blocks = re.findall(r"^```bash\n(.*?)^```", (REPO / "README.md").read_text(), re.M | re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("openset ")]
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 6, commands
+    parser = _build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {command}")

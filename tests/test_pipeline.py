@@ -1,10 +1,8 @@
-"""The shared protocol: the experiment and the two scripts on it."""
+"""The shared protocol: the experiment and the two commands on it, `compare` and `sweep`."""
 
 from __future__ import annotations
 
 import json
-import runpy
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -12,13 +10,12 @@ import numpy as np
 import pytest
 
 from openset.calibration import CalibrationConfig
-from openset.cli import parse_run_config
+from openset.cli import main, parse_run_config
 from openset.datastore import LabeledSet, OpenSplit, gen_gaussian_blobs, split_known_unknown
 from openset.pipeline import experiment, prepare
 from openset.trainer import TRAIN_MODES, TrainConfig, pretrain_closed
 
 ROOT = Path(__file__).resolve().parent.parent
-SCRIPTS = ROOT / "scripts"
 BLOBS6 = ROOT / "configs" / "blobs6.json"
 
 
@@ -33,10 +30,8 @@ def test_experiment_trains_copies_and_leaves_pretrained_untouched():
     train, val, test, _ = prepare(data, split)
     before = _param_bytes(pretrain_closed(train, config))
 
-    pretrained, got_val, got_test, results = experiment(data, split, config, CalibrationConfig())
+    pretrained, results = experiment(train, val, test, split, config, CalibrationConfig())
 
-    assert got_val.features.tobytes() == val.features.tobytes()
-    assert got_test.features.tobytes() == test.features.tobytes()
     assert list(results) == list(TRAIN_MODES)
     assert _param_bytes(pretrained) == before
     assert pretrained.calibration_bias == 0.0
@@ -81,7 +76,8 @@ def test_experiment_calibrates_with_the_calibration_block():
     doc = _tiny_blobs6()
     doc["calibration"] = {"intervals": 7}
     cfg = parse_run_config(doc)
-    *_, results = experiment(cfg.dataset.load(), cfg.split, cfg.train, cfg.calibration)
+    train, val, test, _ = prepare(cfg.dataset.load(), cfg.split)
+    _, results = experiment(train, val, test, cfg.split, cfg.train, cfg.calibration)
     assert {mode: calib.candidate_count for mode, (_, calib, _) in results.items()} == \
         dict.fromkeys(TRAIN_MODES, 8)
 
@@ -94,19 +90,24 @@ def test_at_seed_sets_the_generator_split_and_train_seeds():
     assert parse_run_config(doc).at_seed(3).dataset.params == {"csv": "rows.csv"}
 
 
-def _run_script(name, argv, monkeypatch, capsys) -> str:
-    monkeypatch.setattr(sys, "argv", [name, *argv])
-    runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+def _run(argv, capsys) -> str:
+    assert main(argv) == 0
     return capsys.readouterr().out
+
+
+def _write_tiny(path, split=None, train=None) -> str:
+    doc = _tiny_blobs6()
+    doc["split"].update(split or {})
+    doc["train"].update(train or {})
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 @pytest.fixture
 def tiny_config(tmp_path) -> str:
-    path = tmp_path / "tiny.json"
-    path.write_text(json.dumps(_tiny_blobs6()))
-    return str(path)
+    return _write_tiny(tmp_path / "tiny.json")
 
-# Each script's full stdout for these arguments: a change to the task, the
+# Each command's full stdout for these arguments: a change to the task, the
 # split, the training or the scoring shows here.
 SYNTHETIC_TINY = """\
 seed 0 done
@@ -125,28 +126,44 @@ OPENNESS_TINY = """\
 """
 
 
-def test_synthetic_benchmark_prints_a_row_per_mode(tiny_config, monkeypatch, capsys):
-    argv = ["--seeds", "1", "--config", tiny_config]
-    assert _run_script("run_synthetic_benchmark.py", argv, monkeypatch, capsys) == SYNTHETIC_TINY
+def test_synthetic_benchmark_prints_a_row_per_mode(tiny_config, capsys):
+    assert _run(["compare", "--seeds", "1", "--config", tiny_config], capsys) == SYNTHETIC_TINY
 
 
-def test_openness_sweep_prints_a_column_per_mode(tiny_config, monkeypatch, capsys):
-    argv = ["--unknown-counts", "1", "2", "--per-class", "30", "--config", tiny_config]
-    assert _run_script("openness_sweep.py", argv, monkeypatch, capsys) == OPENNESS_TINY
+def test_openness_sweep_prints_a_column_per_mode(tiny_config, capsys):
+    argv = ["sweep", "--unknown-counts", "1", "2", "--per-class", "30", "--config", tiny_config]
+    assert _run(argv, capsys) == OPENNESS_TINY
 
 
-def test_openness_sweep_without_unknown_classes_prints_the_closed_set_row(tiny_config, monkeypatch, capsys):
-    argv = ["--unknown-counts", "0", "--per-class", "30", "--config", tiny_config]
-    assert _run_script("openness_sweep.py", argv, monkeypatch, capsys) == OPENNESS_TINY.splitlines(True)[0] + \
+def test_openness_sweep_without_unknown_classes_prints_the_closed_set_row(tiny_config, capsys):
+    argv = ["sweep", "--unknown-counts", "0", "--per-class", "30", "--config", tiny_config]
+    assert _run(argv, capsys) == OPENNESS_TINY.splitlines(True)[0] + \
         "       0     0.00%       0.180       0.180       0.180       0.180\n"
 
 
-@pytest.mark.parametrize("name, argv, message", [
-    ("run_synthetic_benchmark.py", ["--seeds", "0"], "argument --seeds: must be at least 1, got 0"),
-    ("openness_sweep.py", ["--unknown-counts", "2", "-1"], "argument --unknown-counts: must be at least 0, got -1"),
-])
-def test_scripts_refuse_bad_counts_with_exit_2(name, argv, message, monkeypatch, capsys):
-    with pytest.raises(SystemExit) as exc:
-        _run_script(name, argv, monkeypatch, capsys)
-    assert exc.value.code == 2
-    assert message in capsys.readouterr().err
+@pytest.mark.parametrize("argv, message", [
+    (["compare", "--config", "{missing}"], "No such file or directory"),
+    (["sweep", "--config", "{missing}"], "No such file or directory"),
+    (["compare", "--seeds", "0", "--config", "{tiny}"], "--seeds must be at least 1, got 0"),
+    (["compare", "--config", "{unknown_12}"], "class 12 not present in the dataset"),
+    (["sweep", "--seed", "-1", "--config", "{tiny}"], "seed must be an integer of at least 0, got -1"),
+    (["sweep", "--per-class", "0", "--config", "{tiny}"], "per_class must be an integer of at least 1, got 0"),
+    (["sweep", "--per-class", "2", "--config", "{tiny}"], "known class 0 has 2 rows, too few for val_fraction"),
+    (["sweep", "--unknown-counts", "2", "-1", "--config", "{tiny}"], "--unknown-counts must be at least 0, got -1"),
+], ids=["compare_missing_config", "sweep_missing_config", "compare_no_seeds", "compare_split_class_missing",
+        "sweep_negative_seed", "sweep_no_rows", "sweep_too_few_rows", "sweep_negative_unknown_count"])
+def test_experiments_refuse_bad_input_with_exit_2(tmp_path, capsys, argv, message):
+    paths = {"missing": str(tmp_path / "missing.json"), "tiny": _write_tiny(tmp_path / "tiny.json"),
+             "unknown_12": _write_tiny(tmp_path / "unknown_12.json", split={"unknown_class_ids": [6, 7, 8, 12]})}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+
+
+def test_a_diverged_experiment_exits_1(tmp_path, capsys):
+    path = _write_tiny(tmp_path / "tiny.json", train={"learning_rate": 1e300})
+    with np.errstate(all="ignore"):
+        assert main(["compare", "--seeds", "1", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: training diverged: ") and captured.err.count("\n") == 1, captured.err

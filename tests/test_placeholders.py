@@ -164,24 +164,24 @@ class TestMixPairs:
         assert len(left) == 0
 
     def test_all_labels_equal_gives_no_pairs(self):
-        pairs = build_mix_pairs([3, 3, 3, 3], np.random.default_rng(0))
+        pairs = build_mix_pairs([3, 3, 3, 3], np.random.default_rng(0), 2.0)
         assert len(pairs) == 0
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
-            build_mix_pairs([], np.random.default_rng(0))
+            build_mix_pairs([], np.random.default_rng(0), 2.0)
 
     def test_lambda_in_unit_interval(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
-            pairs = build_mix_pairs([0, 1, 0, 1], rng, alpha=2.0)
+            pairs = build_mix_pairs([0, 1, 0, 1], rng, 2.0)
             assert 0.0 <= pairs.lam <= 1.0
 
     @given(labels=st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=32),
            seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=200)
     def test_no_same_class_pair_survives(self, labels, seed):
-        pairs = build_mix_pairs(labels, np.random.default_rng(seed))
+        pairs = build_mix_pairs(labels, np.random.default_rng(seed), 2.0)
         labels = np.asarray(labels)
         assert np.all(labels[pairs.left] != labels[pairs.right])
         assert len(pairs) <= len(labels)
@@ -194,7 +194,7 @@ class TestMixPairs:
         # d_h[cut + right] += ..., which equals np.add.at only without repeats
         rng = np.random.default_rng(seed)
         left, right = masked_pairs(labels, rng.permutation(len(labels)))
-        pairs = build_mix_pairs(labels, rng)
+        pairs = build_mix_pairs(labels, rng, 2.0)
         for lo, hi in ((left, right), (pairs.left, pairs.right)):
             assert np.all(np.diff(lo) > 0)
             assert len(np.unique(hi)) == len(hi)
@@ -246,7 +246,7 @@ class TestDataPlaceholderLoss:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((8, 3))
         y = np.array([0, 1, 2, 0, 1, 1, 1, 1])
-        pairs = build_mix_pairs(y[4:], rng)
+        pairs = build_mix_pairs(y[4:], rng, 2.0)
         assert len(pairs) == 0
         reference = _tiny_model()
         zero_grads(reference)
