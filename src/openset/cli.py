@@ -282,7 +282,7 @@ def cmd_compare(config_path, seeds: int) -> int:
         cfg = base.at_seed(seed)
         with _bad_input():
             train, val, test, _ = prepare(cfg.dataset.load(), cfg.split)
-        _, runs = experiment(train, val, test, cfg.split, cfg.train, cfg.calibration)
+        runs = experiment(train, val, test, cfg.split, cfg.train, cfg.calibration)
         for mode, (model, _, report) in runs.items():
             results[mode].append((report.auc, report.macro_f1, closed_accuracy(model, test)))
         print(f"seed {seed} done")
@@ -307,17 +307,21 @@ def cmd_sweep(config_path, unknown_counts: list[int], per_class: int, seed: int)
         known = len(cfg.split.known_class_ids)
         data = gen_gaussian_blobs(known + max(unknown_counts), per_class, center_scale=6.0, spread=0.35, seed=seed)
 
-    print(f"{'unknown':>8s} {'openness':>9s} " + " ".join(f"{m:>11s}" for m in TRAIN_MODES))
-    for n_unknown in unknown_counts:
-        num_classes = known + n_unknown
-        keep = data.labels < num_classes  # the first num_classes of the classes drawn, the first `known` known
-        with _bad_input():
+        # every count's split is prepared before the header, so a split the
+        # data cannot fill exits 2 with nothing printed
+        splits = []
+        for n_unknown in unknown_counts:
+            num_classes = known + n_unknown
+            keep = data.labels < num_classes  # the first num_classes of the classes drawn, the first `known` known
             split = replace(cfg.split, known_class_ids=list(range(known)),
                             unknown_class_ids=list(range(known, num_classes)))
-            train, val, test, _ = prepare(LabeledSet(data.features[keep], data.labels[keep]), split)
-        _, runs = experiment(train, val, test, split, cfg.train, cfg.calibration)
-        f1s = [report.macro_f1 for _, _, report in runs.values()]
-        print(f"{n_unknown:>8d} {openness(known, num_classes):>8.2f}% " + " ".join(f"{f:>11.3f}" for f in f1s))
+            splits.append((split, prepare(LabeledSet(data.features[keep], data.labels[keep]), split)))
+
+    print(f"{'unknown':>8s} {'openness':>9s} " + " ".join(f"{m:>11s}" for m in TRAIN_MODES))
+    for n_unknown, (split, (train, val, test, _)) in zip(unknown_counts, splits):
+        runs = experiment(train, val, test, split, cfg.train, cfg.calibration)
+        f1s = " ".join(f"{report.macro_f1:>11.3f}" for _, _, report in runs.values())
+        print(f"{n_unknown:>8d} {openness(known, known + n_unknown):>8.2f}% {f1s}")
     return EXIT_OK
 
 

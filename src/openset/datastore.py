@@ -113,8 +113,8 @@ class LabeledSet:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.ndim != 2:
-            raise ValueError(f"features must be 2-D, got shape {self.features.shape}")
+        if self.features.ndim != 2 or self.features.shape[1] == 0:
+            raise ValueError(f"features must be 2-D with at least 1 column, got shape {self.features.shape}")
         self.labels = np.asarray(self.labels, dtype=np.int64).reshape(-1)
         if self.labels.shape[0] != self.features.shape[0]:
             raise ValueError(

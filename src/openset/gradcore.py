@@ -1,5 +1,4 @@
-"""Log-softmax, cross-entropy, differentiable dense layers, SGD with momentum,
-and Beta sampling.
+"""Log-softmax, cross-entropy, differentiable dense layers and SGD with momentum.
 
 Everything is float64 numpy. Layers are stateless: `forward` keeps nothing,
 and `backward` is handed the input and output of the forward pass it
@@ -159,10 +158,3 @@ class SgdMomentum:
         self.velocity += grads
         np.multiply(self.velocity, self.learning_rate, out=self._update)
         self.params -= self._update
-
-
-def beta_sample(alpha: float, rng: np.random.Generator) -> float:
-    """One draw from the symmetric Beta(alpha, alpha)."""
-    if not 0 < alpha < math.inf:
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    return float(rng.beta(alpha, alpha))

@@ -39,19 +39,18 @@ def calibrate_evaluate(model: SplitMlp, val: LabeledSet, test: LabeledSet, split
 
 
 def experiment(train: LabeledSet, val: LabeledSet, test: LabeledSet, split: OpenSplit, config: TrainConfig,
-               calibration: CalibrationConfig
-               ) -> tuple[SplitMlp, dict[str, tuple[SplitMlp, CalibrationResult, EvalReport]]]:
+               calibration: CalibrationConfig) -> dict[str, tuple[SplitMlp, CalibrationResult, EvalReport]]:
     """On the parts `prepare` returns: pretrain once, then fine-tune, calibrate
     and evaluate a copy in every training mode (`config.train_mode` is not
-    read). Returns the untouched pretrained model and mode -> (model,
-    calibration, report)."""
+    read). Returns mode -> (model, calibration, report); the baseline model
+    is the pretrained one, as fine-tuning leaves it."""
     pretrained = pretrain_closed(train, config)
     results = {}
     for mode in TRAIN_MODES:
         model = finetune_placeholders(copy.deepcopy(pretrained), train,
                                       dataclasses.replace(config, train_mode=mode))
         results[mode] = (model, *calibrate_evaluate(model, val, test, split, mode, calibration))
-    return pretrained, results
+    return results
 
 
 def closed_accuracy(model: SplitMlp, test: LabeledSet) -> float:

@@ -1,4 +1,4 @@
-"""The two placeholder losses and within-batch mixup pair construction.
+"""The two placeholder losses and the within-batch mixup of the data placeholder.
 
 Both losses map (K+1)-column combined logits to (loss, gradient of the
 logits) and know nothing of the network. The classifier-placeholder loss
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradcore import Array, as_matrix, beta_sample, cross_entropy_from_logits, log_softmax_rows
+from .gradcore import Array, as_matrix, cross_entropy_from_logits, log_softmax_rows
 
 # large enough that exp(logit - max) underflows to exactly 0 in float64
 MASK_SENTINEL = -1e30
@@ -23,49 +23,50 @@ MASK_SENTINEL = -1e30
 
 @dataclass
 class MixPairs:
-    """Index pairs into one batch plus the shared mixing coefficient.
-
-    `left` is strictly increasing and `right` holds no index twice, so a
-    gradient can be scattered back with fancy `+=` instead of `np.add.at`.
-    """
+    """Index pairs into the rows of one half-batch and the lambda they share:
+    the one owner of the data placeholder's mixing. `mix` mixes the rows and
+    `unmix` routes the gradient of the mixes back to them."""
 
     left: Array   # int indices, strictly increasing
     right: Array  # int indices, distinct, label[right[p]] != label[left[p]]
     lam: float
 
+    def __post_init__(self):
+        # `not` of the valid range, so a NaN lambda is rejected too
+        if not 0.0 <= self.lam <= 1.0:
+            raise ValueError(f"lambda must be in [0, 1], got {self.lam}")
+        if len(self.left) != len(self.right):
+            raise ValueError(f"{len(self.left)} left indices for {len(self.right)} right indices")
+
     def __len__(self) -> int:
         return len(self.left)
 
+    def mix(self, rows: Array) -> Array:
+        """Row p is lam * rows[left[p]] + (1 - lam) * rows[right[p]]."""
+        return self.lam * rows[self.left] + (1.0 - self.lam) * rows[self.right]
 
-def masked_pairs(labels, perm) -> tuple[Array, Array]:
-    """Keep pair (i, perm[i]) iff the two labels differ."""
-    labels = np.asarray(labels)
-    perm = np.asarray(perm)
-    keep = labels != labels[perm]
-    return np.nonzero(keep)[0], perm[keep]
+    def unmix(self, d_mixed: Array, n: int) -> Array:
+        """The gradient for the `n` rows `mix` read, given `d_mixed`, the
+        gradient of its output."""
+        # neither index array repeats an index (`build_mix_pairs` draws one
+        # permutation), so buffered fancy += on zeros is an exact scatter-add,
+        # equal to np.add.at (and it turns -0.0 into 0.0)
+        d_rows = np.zeros((n, d_mixed.shape[1]))
+        d_rows[self.left] += self.lam * d_mixed
+        d_rows[self.right] += (1.0 - self.lam) * d_mixed
+        return d_rows
 
 
 def build_mix_pairs(labels, rng: np.random.Generator, alpha: float) -> MixPairs:
-    """One uniform shuffle of the batch, same-class pairs masked out,
-    one lambda ~ Beta(alpha, alpha) shared by every surviving pair."""
+    """One uniform shuffle of the batch, pair (i, perm[i]) kept iff the two
+    labels differ, and one lambda ~ Beta(alpha, alpha) shared by every
+    surviving pair (`TrainConfig` checks alpha)."""
     labels = np.asarray(labels)
     if labels.size == 0:
         raise ValueError("empty batch")
     perm = rng.permutation(labels.size)
-    left, right = masked_pairs(labels, perm)
-    lam = beta_sample(alpha, rng)
-    return MixPairs(left, right, lam)
-
-
-def mix_hidden(h_left, h_right, lam: float) -> Array:
-    """Elementwise convex combination lam*left + (1-lam)*right."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must be in [0, 1], got {lam}")
-    h_left = as_matrix(h_left)
-    h_right = as_matrix(h_right)
-    if h_left.shape != h_right.shape:
-        raise ValueError(f"shape mismatch: {h_left.shape} vs {h_right.shape}")
-    return lam * h_left + (1.0 - lam) * h_right
+    keep = labels != labels[perm]
+    return MixPairs(np.nonzero(keep)[0], perm[keep], float(rng.beta(alpha, alpha)))
 
 
 def masked_logits(combined, targets) -> Array:

@@ -17,7 +17,7 @@ import numpy as np
 from .datastore import LabeledSet, check_int, check_real
 from .gradcore import Array, SgdMomentum, cross_entropy_from_logits
 from .network import SplitMlp
-from .placeholders import MixPairs, build_mix_pairs, loss_classifier_placeholder, loss_data_placeholder, mix_hidden
+from .placeholders import MixPairs, build_mix_pairs, loss_classifier_placeholder, loss_data_placeholder
 
 MIX_MODES = ("hidden", "input")
 TRAIN_MODES = ("baseline", "dummy_only", "mixup_only", "full")
@@ -138,7 +138,7 @@ def pretrain_closed(dataset: LabeledSet, config: TrainConfig,
 
 def _mix_rows(rows: Array, cut: int, pairs: MixPairs) -> Array:
     """The first `cut` rows, then the mixes of the pairs of later rows."""
-    return np.concatenate([rows[:cut], mix_hidden(rows[cut + pairs.left], rows[cut + pairs.right], pairs.lam)])
+    return np.concatenate([rows[:cut], pairs.mix(rows[cut:])])
 
 
 def finetune_step(model: SplitMlp, xb: Array, yb: Array, pairs: MixPairs | None, beta: float,
@@ -167,12 +167,7 @@ def finetune_step(model: SplitMlp, xb: Array, yb: Array, pairs: MixPairs | None,
         d_combined = np.concatenate([d_combined, gamma * d_mixed])
     d = model.backward_post(model.backward_heads(d_combined, aug, tape), tape)
     if hidden:
-        # neither index array repeats an index (see MixPairs), so buffered
-        # fancy += on zeros is an exact scatter-add (and turns -0.0 into 0.0)
-        d_h = np.concatenate([d[:cut], np.zeros_like(h[cut:])])
-        d_h[cut + pairs.left] += pairs.lam * d[cut:]
-        d_h[cut + pairs.right] += (1.0 - pairs.lam) * d[cut:]
-        d = d_h
+        d = np.concatenate([d[:cut], pairs.unmix(d[cut:], len(h) - cut)])
     model.backward_pre(d, pre_tape)
     return l1, l2, aug.closed[:cut], y1
 

@@ -1,8 +1,8 @@
 """Shared oracle helpers: numerical gradient checking, norm-based errors,
 access to the gradients a DenseLayer or SplitMlp has written (each backward
-overwrites its layer's gradients), and the plain log-softmax and
-cross-entropy compositions that the training step's losses must match byte
-for byte."""
+overwrites its layer's gradients), a model with fixed logits, and the plain
+log-softmax and cross-entropy compositions that the training step's losses
+must match byte for byte."""
 
 from __future__ import annotations
 
@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from openset.gradcore import DenseLayer
+from openset.network import SplitMlp
 from openset.placeholders import masked_logits
 
 # drawn often into the logit matrices of the byte-for-byte oracle tests
@@ -64,6 +66,24 @@ def finite_difference_gradients(loss_fn, params: list[np.ndarray], h: float = 1e
             g[idx] = (f_plus - f_minus) / (2.0 * h)
         grads.append(g)
     return grads
+
+
+def fixed_logit_model(closed_rows, dummy_rows):
+    """A model whose heads reproduce the given logits for one-hot inputs.
+
+    Input row i (one-hot) selects row i of closed_rows / dummy_rows. Both
+    embeddings are the identity, so logits equal the weight rows.
+    """
+    closed = np.asarray(closed_rows, dtype=np.float64)
+    dummy = np.asarray(dummy_rows, dtype=np.float64)
+    d = closed.shape[0]
+    return SplitMlp(
+        pre_layers=[],
+        post_layers=[DenseLayer(np.eye(d), np.zeros(d), "linear")],
+        closed_head=DenseLayer(closed, np.zeros(closed.shape[1]), "linear"),
+        dummy_head=DenseLayer(dummy, np.zeros(dummy.shape[1]), "linear"),
+        input_dim=d,
+    )
 
 
 def known_rate(gaps, bias: float) -> float:

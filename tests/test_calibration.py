@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import known_rate
+from conftest import fixed_logit_model, known_rate
 from openset.calibration import CalibrationConfig, CalibrationResult, candidate_biases, logit_gaps, select_bias
 from openset.datastore import LabeledSet, fit_standardization, gen_gaussian_blobs
 from openset.gradcore import DenseLayer
@@ -17,22 +17,9 @@ from openset.network import SplitMlp
 from openset.trainer import TrainConfig, finetune_placeholders, pretrain_closed
 
 
-def _fixed_logit_model(closed_rows, dummy_rows):
-    closed = np.asarray(closed_rows, dtype=np.float64)
-    dummy = np.asarray(dummy_rows, dtype=np.float64)
-    d = closed.shape[0]
-    return SplitMlp(
-        pre_layers=[],
-        post_layers=[DenseLayer(np.eye(d), np.zeros(d), "linear")],
-        closed_head=DenseLayer(closed, np.zeros(closed.shape[1]), "linear"),
-        dummy_head=DenseLayer(dummy, np.zeros(dummy.shape[1]), "linear"),
-        input_dim=d,
-    )
-
-
 class TestLogitGaps:
     def test_single_instance(self):
-        model = _fixed_logit_model([[1.0, 2.0, 3.0]], [[0.5, 1.5]])
+        model = fixed_logit_model([[1.0, 2.0, 3.0]], [[0.5, 1.5]])
         np.testing.assert_allclose(logit_gaps(model, np.eye(1)), [1.5])
 
     def test_identical_heads_give_zero_gaps(self):
@@ -91,7 +78,7 @@ class TestSelectBias:
         qualifying = [b for b in candidates if np.mean(gaps > b) >= 0.95]
         expected = max(qualifying)
 
-        model = _fixed_logit_model([[g, 0.0] for g in gaps], [[0.0]] * 100)
+        model = fixed_logit_model([[g, 0.0] for g in gaps], [[0.0]] * 100)
         result = select_bias(model, np.eye(100), target_rate=0.95, intervals=100)
         assert result.chosen_bias == pytest.approx(expected, abs=1e-12)
         assert result.achieved_known_rate == pytest.approx(0.95)
@@ -102,7 +89,7 @@ class TestSelectBias:
         rng = np.random.default_rng(7)
         for _ in range(20):
             gaps = rng.standard_normal(rng.integers(2, 60))
-            model = _fixed_logit_model([[g, -100.0] for g in gaps], [[0.0]] * len(gaps))
+            model = fixed_logit_model([[g, -100.0] for g in gaps], [[0.0]] * len(gaps))
             candidates = candidate_biases(gaps, intervals=100)
             best = [b for b in candidates if known_rate(gaps, b) >= 0.95]
             result = select_bias(model, np.eye(len(gaps)), 0.95, 100)
@@ -167,7 +154,7 @@ def _select_bias_loop(gaps, target_rate: float, intervals: int) -> CalibrationRe
 @example([-1.0, 2.0, 2.0, 2.0], 1.0, 3)
 def test_select_bias_equals_the_candidate_loop(gaps, target_rate, intervals):
     # gap i is closed logit i minus dummy logit 0, on the one-hot input i
-    model = _fixed_logit_model([[g, -100.0] for g in gaps], [[0.0]] * len(gaps))
+    model = fixed_logit_model([[g, -100.0] for g in gaps], [[0.0]] * len(gaps))
     x = np.eye(len(gaps))
     want = _select_bias_loop(logit_gaps(model, x), target_rate, intervals)
     assert repr(asdict(select_bias(model, x, target_rate, intervals))) == repr(asdict(want))

@@ -122,6 +122,15 @@ class TestGeneratorFields:
         assert str(exc.value) == f"{key} must be a finite number of at least 0, got {value!r}"
 
 
+class TestLabeledSet:
+    @pytest.mark.parametrize("shape", [(4, 0), (0, 0)], ids=["4x0", "0x0"])
+    def test_features_without_columns_are_refused(self, shape):
+        # a model needs at least one input; 0 columns reached DenseLayer.create
+        # and divided by zero
+        with pytest.raises(ValueError, match=re.escape(f"at least 1 column, got shape {shape}")):
+            LabeledSet(np.zeros(shape), np.zeros(shape[0], dtype=np.int64))
+
+
 # cell texts: numbers, near-numbers and arbitrary text without a comma or a
 # line break, so a cell edit keeps the file's lines and widths
 _csv_cells = st.one_of(

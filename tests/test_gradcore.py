@@ -1,4 +1,4 @@
-"""Softmax, losses, layers, optimizer, Beta sampling, and the FD oracle."""
+"""Softmax, losses, layers, optimizer, the Beta draw of mixup, and the FD oracle."""
 
 from __future__ import annotations
 
@@ -24,10 +24,10 @@ from conftest import (
 from openset.gradcore import (
     DenseLayer,
     SgdMomentum,
-    beta_sample,
     cross_entropy_from_logits,
     log_softmax_rows,
 )
+from openset.placeholders import build_mix_pairs
 
 finite_rows = st.lists(
     st.floats(min_value=-50, max_value=50, allow_nan=False), min_size=1, max_size=8
@@ -280,33 +280,28 @@ class TestSgdMomentum:
             SgdMomentum(np.zeros(2), learning_rate=lr, momentum=0.0)
 
 
+def _lam(alpha: float, rng) -> float:
+    """The lambda `build_mix_pairs` draws, on a two-row batch."""
+    return build_mix_pairs([0, 1], rng, alpha).lam
+
+
 class TestBetaSample:
     def test_samples_in_unit_interval(self):
         rng = np.random.default_rng(0)
-        draws = [beta_sample(2.0, rng) for _ in range(1000)]
+        draws = [_lam(2.0, rng) for _ in range(1000)]
         assert all(0.0 <= d <= 1.0 for d in draws)
-
-    def test_alpha_must_be_positive(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            beta_sample(0.0, rng)
-        with pytest.raises(ValueError):
-            beta_sample(-1.0, rng)
-        for alpha in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="alpha must be positive and finite"):
-                beta_sample(alpha, rng)
 
     @pytest.mark.parametrize("alpha", [0.4, 1.0, 2.0])
     def test_moments(self, alpha):
         rng = np.random.default_rng(123)
-        draws = np.array([beta_sample(alpha, rng) for _ in range(100_000)])
+        draws = np.array([_lam(alpha, rng) for _ in range(100_000)])
         assert abs(draws.mean() - 0.5) < 0.01
         analytic_var = 1.0 / (4.0 * (2.0 * alpha + 1.0))
         assert abs(draws.var() - analytic_var) < 0.1 * analytic_var
 
     def test_deterministic_given_rng_state(self):
-        a = beta_sample(2.0, np.random.default_rng(9))
-        b = beta_sample(2.0, np.random.default_rng(9))
+        a = _lam(2.0, np.random.default_rng(9))
+        b = _lam(2.0, np.random.default_rng(9))
         assert a == b
 
 

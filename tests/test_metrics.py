@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fixed_logit_model
 from openset.datastore import LabeledSet, OpenSplit
-from openset.gradcore import DenseLayer
 from openset.metrics import (
     auc,
     confusion_matrix,
@@ -285,19 +285,6 @@ class TestOpenness:
             openness(0, 5)
 
 
-def _fixed_logit_model(closed_rows, dummy_rows):
-    closed = np.asarray(closed_rows, dtype=np.float64)
-    dummy = np.asarray(dummy_rows, dtype=np.float64)
-    d = closed.shape[0]
-    return SplitMlp(
-        pre_layers=[],
-        post_layers=[DenseLayer(np.eye(d), np.zeros(d), "linear")],
-        closed_head=DenseLayer(closed, np.zeros(closed.shape[1]), "linear"),
-        dummy_head=DenseLayer(dummy, np.zeros(dummy.shape[1]), "linear"),
-        input_dim=d,
-    )
-
-
 class TestEvaluate:
     # three known classes; test label 3 marks the rows of the unknown classes
     SPLIT = OpenSplit([0, 1, 2], [3, 4])
@@ -370,7 +357,7 @@ class TestEvaluate:
 
     def test_baseline_score_uses_max_softmax(self):
         # scores differ between the two detectors, so the AUCs generally differ
-        model = _fixed_logit_model(
+        model = fixed_logit_model(
             [[5.0, 0.0], [0.1, 0.0], [4.0, 0.0], [0.2, 0.1]],
             [[4.9], [-5.0], [-5.0], [0.0]],
         )

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import gradients, json_paths, softmax_rows
+from conftest import fixed_logit_model, gradients, json_paths, softmax_rows
 from openset.calibration import logit_gaps
 from openset.checkpoint import (
     CheckpointError,
@@ -50,24 +50,6 @@ _special_logits = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0,
 
 # few values, so that rows tie, between -0.0 and 0.0 too
 _tied_logits = st.sampled_from([0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan, 2.0])
-
-
-def _fixed_logit_model(closed_rows, dummy_rows):
-    """A model whose heads reproduce the given logits for one-hot inputs.
-
-    Input row i (one-hot) selects row i of closed_rows / dummy_rows. Both
-    embeddings are the identity, so logits equal the weight rows.
-    """
-    closed = np.asarray(closed_rows, dtype=np.float64)
-    dummy = np.asarray(dummy_rows, dtype=np.float64)
-    d = closed.shape[0]
-    return SplitMlp(
-        pre_layers=[],
-        post_layers=[DenseLayer(np.eye(d), np.zeros(d), "linear")],
-        closed_head=DenseLayer(closed, np.zeros(closed.shape[1]), "linear"),
-        dummy_head=DenseLayer(dummy, np.zeros(dummy.shape[1]), "linear"),
-        input_dim=d,
-    )
 
 
 class TestEmbedding:
@@ -129,18 +111,18 @@ def _heads(model, x):
 
 class TestAugmentedLogits:
     def test_single_dummy_column(self):
-        model = _fixed_logit_model([[1.0, 2.0, 3.0]], [[1.5]])
+        model = fixed_logit_model([[1.0, 2.0, 3.0]], [[1.5]])
         aug = model.augmented_logits(np.eye(1))
         np.testing.assert_array_equal(aug.combined, [[1.0, 2.0, 3.0, 1.5]])
 
     def test_max_selection(self):
-        model = _fixed_logit_model([[1.0, 2.0, 3.0]], [[0.5, 1.5]])
+        model = fixed_logit_model([[1.0, 2.0, 3.0]], [[0.5, 1.5]])
         aug = model.augmented_logits(np.eye(1))
         np.testing.assert_array_equal(aug.combined, [[1.0, 2.0, 3.0, 1.5]])
         assert _heads(model, np.eye(1)).dummy_argmax[0] == 1
 
     def test_duplicate_max_takes_lowest_index(self):
-        model = _fixed_logit_model([[0.0, 0.0]], [[2.0, 2.0, 1.0]])
+        model = fixed_logit_model([[0.0, 0.0]], [[2.0, 2.0, 1.0]])
         assert _heads(model, np.eye(1)).dummy_argmax[0] == 0
 
     def test_combined_always_k_plus_one_columns(self):
@@ -152,7 +134,7 @@ class TestAugmentedLogits:
             np.testing.assert_array_equal(aug.combined[:, :4], aug.closed)
 
     def test_combined_grad_routes_to_argmax_column_only(self):
-        model = _fixed_logit_model([[1.0, 2.0]], [[0.5, 1.5, -1.0]])
+        model = fixed_logit_model([[1.0, 2.0]], [[0.5, 1.5, -1.0]])
         heads = _heads(model, np.eye(1))
         d_closed, d_dummy = split_combined_grad(heads, np.array([[1.0, 2.0, 3.0]]))
         np.testing.assert_array_equal(d_closed, [[1.0, 2.0]])
@@ -177,17 +159,17 @@ class TestAugmentedLogits:
 
 class TestPredictOpen:
     def test_bias_pushes_to_unknown(self):
-        model = _fixed_logit_model([[1.0, 2.0, 3.0]], [[1.5]])
+        model = fixed_logit_model([[1.0, 2.0, 3.0]], [[1.5]])
         model.calibration_bias = 2.0
         assert predict_open(model, np.eye(1))[0] == 3  # 3.5 > 3
 
     def test_negative_bias_keeps_known(self):
-        model = _fixed_logit_model([[1.0, 2.0, 3.0]], [[1.5]])
+        model = fixed_logit_model([[1.0, 2.0, 3.0]], [[1.5]])
         model.calibration_bias = -10.0
         assert predict_open(model, np.eye(1))[0] == 2
 
     def test_exact_tie_resolves_to_known(self):
-        model = _fixed_logit_model([[3.0, 1.0]], [[3.0]])
+        model = fixed_logit_model([[3.0, 1.0]], [[3.0]])
         assert predict_open(model, np.eye(1), bias=0.0)[0] == 0
 
     def test_extreme_negative_bias_reduces_to_closed_argmax(self):
@@ -234,7 +216,7 @@ class TestPredictOpen:
 
 class TestScores:
     def test_knownness_value(self):
-        model = _fixed_logit_model([[1.0, 2.0, 3.0]], [[1.5]])
+        model = fixed_logit_model([[1.0, 2.0, 3.0]], [[1.5]])
         assert knownness_score(model, np.eye(1), bias=0.0)[0] == pytest.approx(1.5)
 
     def test_bias_shifts_scores_exactly(self):
@@ -247,18 +229,18 @@ class TestScores:
 
     def test_closed_only_shift_changes_scores(self):
         # shifting closed logits without the dummy moves the score: not shift-invariant
-        model = _fixed_logit_model([[1.0, 2.0, 3.0]], [[1.5]])
-        shifted = _fixed_logit_model([[2.0, 3.0, 4.0]], [[1.5]])
+        model = fixed_logit_model([[1.0, 2.0, 3.0]], [[1.5]])
+        shifted = fixed_logit_model([[2.0, 3.0, 4.0]], [[1.5]])
         a = knownness_score(model, np.eye(1), bias=0.0)[0]
         b = knownness_score(shifted, np.eye(1), bias=0.0)[0]
         assert a != b
 
     def test_baseline_confidence_uniform(self):
-        model = _fixed_logit_model([[0.0, 0.0, 0.0, 0.0]], [[5.0]])
+        model = fixed_logit_model([[0.0, 0.0, 0.0, 0.0]], [[5.0]])
         assert baseline_confidence(model, np.eye(1))[0] == pytest.approx(0.25)
 
     def test_baseline_confidence_extreme(self):
-        model = _fixed_logit_model([[10.0, -10.0]], [[0.0]])
+        model = fixed_logit_model([[10.0, -10.0]], [[0.0]])
         expected = 1.0 / (1.0 + math.exp(-20.0))
         assert baseline_confidence(model, np.eye(1))[0] == pytest.approx(expected, rel=1e-12)
 
@@ -328,7 +310,7 @@ class TestScores:
                     aug.knownness(bias)
 
     def test_non_finite_scores_raise_with_their_count(self):
-        model = _fixed_logit_model([[1.0, 0.0], [1.0, 2.0], [3.0, 0.0]], [[0.5], [1.5], [0.0]])
+        model = fixed_logit_model([[1.0, 0.0], [1.0, 2.0], [3.0, 0.0]], [[0.5], [1.5], [0.0]])
         x = np.eye(3)
         x[0, 0], x[2, 2] = np.nan, np.inf  # rows 0 and 2 turn non-finite
         with np.errstate(invalid="ignore"):

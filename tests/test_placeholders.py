@@ -30,8 +30,6 @@ from openset.placeholders import (
     loss_classifier_placeholder,
     loss_data_placeholder,
     masked_logits,
-    masked_pairs,
-    mix_hidden,
     MixPairs,
 )
 from openset.trainer import finetune_step
@@ -152,16 +150,31 @@ class TestClassifierPlaceholderLoss:
         assert before == after
 
 
+class _FixedRng:
+    """Stands in for the generator `build_mix_pairs` draws from: a fixed
+    permutation, then a fixed lambda."""
+
+    def __init__(self, perm, lam=0.5):
+        self.perm, self.lam = np.asarray(perm), lam
+
+    def permutation(self, n):
+        assert n == len(self.perm)
+        return self.perm
+
+    def beta(self, a, b):
+        return self.lam
+
+
 class TestMixPairs:
     def test_spec_enumeration(self):
-        left, right = masked_pairs([0, 0, 1, 1], [2, 3, 0, 1])
-        assert len(left) == 4
-        np.testing.assert_array_equal(left, [0, 1, 2, 3])
-        np.testing.assert_array_equal(right, [2, 3, 0, 1])
+        pairs = build_mix_pairs([0, 0, 1, 1], _FixedRng([2, 3, 0, 1], 0.25), 2.0)
+        assert len(pairs) == 4
+        np.testing.assert_array_equal(pairs.left, [0, 1, 2, 3])
+        np.testing.assert_array_equal(pairs.right, [2, 3, 0, 1])
+        assert pairs.lam == 0.25
 
     def test_identity_shuffle_gives_no_pairs(self):
-        left, right = masked_pairs([0, 1, 2], [0, 1, 2])
-        assert len(left) == 0
+        assert len(build_mix_pairs([0, 1, 2], _FixedRng([0, 1, 2]), 2.0)) == 0
 
     def test_all_labels_equal_gives_no_pairs(self):
         pairs = build_mix_pairs([3, 3, 3, 3], np.random.default_rng(0), 2.0)
@@ -190,47 +203,46 @@ class TestMixPairs:
            seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=200)
     def test_no_index_repeats_within_left_or_right(self, labels, seed):
-        # the hidden-mode step scatters with d_h[cut + left] += ... and
-        # d_h[cut + right] += ..., which equals np.add.at only without repeats
+        # `unmix` scatters with fancy +=, which equals np.add.at only
+        # without repeats
         rng = np.random.default_rng(seed)
-        left, right = masked_pairs(labels, rng.permutation(len(labels)))
         pairs = build_mix_pairs(labels, rng, 2.0)
-        for lo, hi in ((left, right), (pairs.left, pairs.right)):
-            assert np.all(np.diff(lo) > 0)
-            assert len(np.unique(hi)) == len(hi)
-            grad = rng.standard_normal((len(lo), 2))
-            fancy, at = np.zeros((len(labels), 2)), np.zeros((len(labels), 2))
-            fancy[lo] += grad
-            fancy[hi] += -grad
-            np.add.at(at, lo, grad)
-            np.add.at(at, hi, -grad)
-            assert fancy.tobytes() == at.tobytes()
+        assert np.all(np.diff(pairs.left) > 0)
+        assert len(np.unique(pairs.right)) == len(pairs.right)
+        d_mixed = rng.standard_normal((len(pairs), 2))
+        at = np.zeros((len(labels), 2))
+        np.add.at(at, pairs.left, pairs.lam * d_mixed)
+        np.add.at(at, pairs.right, (1.0 - pairs.lam) * d_mixed)
+        assert pairs.unmix(d_mixed, len(labels)).tobytes() == at.tobytes()
 
 
 class TestMixHidden:
+    """`MixPairs.mix`, which mixes the pre-embeddings (hidden mode) or the
+    raw rows (input mode), and the pair sets it accepts."""
+
+    def _pairs(self, lam):
+        return MixPairs(np.arange(3), np.arange(3, 6), lam)
+
     def test_lambda_one_returns_left_exactly(self):
-        a = np.random.default_rng(0).standard_normal((3, 4))
-        b = np.random.default_rng(1).standard_normal((3, 4))
-        np.testing.assert_array_equal(mix_hidden(a, b, 1.0), a)
+        rows = np.random.default_rng(0).standard_normal((6, 4))
+        np.testing.assert_array_equal(self._pairs(1.0).mix(rows), rows[:3])
 
     def test_lambda_zero_returns_right_exactly(self):
-        a = np.random.default_rng(0).standard_normal((3, 4))
-        b = np.random.default_rng(1).standard_normal((3, 4))
-        np.testing.assert_array_equal(mix_hidden(a, b, 0.0), b)
+        rows = np.random.default_rng(1).standard_normal((6, 4))
+        np.testing.assert_array_equal(self._pairs(0.0).mix(rows), rows[3:])
 
     def test_midpoint(self):
-        np.testing.assert_allclose(
-            mix_hidden([[0.0, 2.0]], [[2.0, 0.0]], 0.5), [[1.0, 1.0]], atol=1e-15
-        )
+        mixed = MixPairs(np.array([0]), np.array([1]), 0.5).mix(np.array([[0.0, 2.0], [2.0, 0.0]]))
+        np.testing.assert_allclose(mixed, [[1.0, 1.0]], atol=1e-15)
 
-    @pytest.mark.parametrize("lam", [-0.1, 1.1])
+    @pytest.mark.parametrize("lam", [-0.1, 1.1, math.nan])
     def test_lambda_out_of_range(self, lam):
-        with pytest.raises(ValueError):
-            mix_hidden(np.zeros((1, 2)), np.zeros((1, 2)), lam)
+        with pytest.raises(ValueError, match="lambda must be in"):
+            self._pairs(lam)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            mix_hidden(np.zeros((1, 2)), np.zeros((2, 2)), 0.5)
+        with pytest.raises(ValueError, match="2 left indices for 1 right indices"):
+            MixPairs(np.array([0, 1]), np.array([2]), 0.5)
 
 
 def step_loss(model, x, y, pairs, beta, gamma, mode) -> float:

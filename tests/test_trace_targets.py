@@ -4,7 +4,8 @@
 timing spans. A renamed or moved target, or a changed layer signature,
 would only fail a traced benchmark run; these tests fail first. They load
 the tracer's target table without installing anything, and install it only
-in a child process.
+in a child process. The benchmark's child process (`perfbench/child.py`)
+times training through two `cli` names, and one test runs it untraced.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 TRACER = REPO / "perfbench" / "tracer.py"
+CHILD = REPO / "perfbench" / "child.py"
 
 # runs `openset run --config argv[1]` with every tracer target installed and
 # prints the exit code and the per-layer metrics as one JSON line
@@ -64,7 +66,7 @@ def test_layer_methods_take_their_rows_first():
         assert list(inspect.signature(method).parameters)[1] == arg
 
 
-def test_a_traced_run_counts_its_training_rows(tmp_path):
+def _tiny_config(tmp_path) -> Path:
     config = {
         "dataset": {"generator": "blobs", "num_classes": 4, "per_class": 30, "dim": 2, "seed": 1},
         "split": {"known_class_ids": [0, 1, 2], "unknown_class_ids": [3], "seed": 1},
@@ -73,9 +75,36 @@ def test_a_traced_run_counts_its_training_rows(tmp_path):
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
+    return path
+
+
+def _run_python(*args) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", TRACED_RUN, str(path), str(TRACER)],
-                          capture_output=True, text=True, timeout=120, env=env)
+    return subprocess.run([sys.executable, *map(str, args)], capture_output=True, text=True, timeout=120, env=env)
+
+
+def test_the_benchmark_child_marks_the_training_of_a_run(tmp_path):
+    # perfbench/child.py rebinds cli.pretrain_closed and
+    # cli.finetune_placeholders to time training: a `run` that trained
+    # around those two names would leave its marks unset
+    from openset.cli import load_run_config
+    from openset.datastore import split_known_unknown
+
+    path = _tiny_config(tmp_path)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"workload": "blobs6_run", "config": str(path), "trace": False}))
+    result = tmp_path / "result.json"
+    done = _run_python(CHILD, spec, result)
+    assert done.returncode == 0, done.stderr
+    marks = json.loads(result.read_text())
+    assert marks["ready_cpu"] <= marks["end_cpu"]
+    cfg = load_run_config(path)
+    train_rows = len(split_known_unknown(cfg.dataset.load(), cfg.split)[0])
+    assert marks["rows"] == train_rows * (cfg.train.pretrain_epochs + cfg.train.finetune_epochs)
+
+
+def test_a_traced_run_counts_its_training_rows(tmp_path):
+    done = _run_python("-c", TRACED_RUN, _tiny_config(tmp_path), TRACER)
     assert done.returncode == 0, done.stderr
     metrics = json.loads(done.stdout.splitlines()[-1])
     assert metrics["exit"] == 0
