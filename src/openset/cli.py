@@ -222,7 +222,7 @@ def cmd_boundary_grid(checkpoint_path, out_path, x_range, y_range, resolution: i
         raise ConfigError(f"--resolution must be in [1, {MAX_RESOLUTION}], got {resolution}")
     if not np.isfinite([*x_range, *y_range]).all():
         raise ConfigError(f"--range must be four finite numbers, got {[*x_range, *y_range]}")
-    model, _, stats = load_checkpoint(checkpoint_path)
+    model, train_config, stats = load_checkpoint(checkpoint_path)
     if model.input_dim != 2:
         raise ConfigError(f"boundary grids need a 2-D model, this one takes {model.input_dim} inputs")
     xs = np.linspace(x_range[0], x_range[1], resolution)
@@ -236,7 +236,8 @@ def cmd_boundary_grid(checkpoint_path, out_path, x_range, y_range, resolution: i
         stats.apply(grid, out=grid)
     aug = model.augmented_logits(grid)
     bias = model.calibration_bias
-    labels, scores = aug.predictions(bias), aug.knownness(bias)
+    # the score `evaluate` ranks this checkpoint by
+    labels, scores = aug.predictions(bias), aug.score(train_config.train_mode, bias)
     with open(out_path, "w", encoding="utf-8") as f:
         write_grid_csv(f, xs, ys, labels, scores)
     return EXIT_OK

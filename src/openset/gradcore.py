@@ -4,6 +4,11 @@ Everything is float64 numpy. Layers are stateless: `forward` keeps nothing,
 and `backward` is handed the input and output of the forward pass it
 differentiates. There is no autodiff graph, only the fixed compositions this
 package needs.
+
+Shapes are checked once, by `SplitMlp`: its constructor checks the width
+chain and `augmented_logits` the input width. The layers, the losses and
+the optimizer check nothing per call; numpy's matmul, in-place add and
+fancy indexing raise on any mismatch left over.
 """
 
 from __future__ import annotations
@@ -38,14 +43,12 @@ def cross_entropy_from_logits(logits, targets) -> tuple[float, Array]:
     """Mean negative log-likelihood over rows.
 
     Returns (loss, grad) where grad = (softmax - onehot) / batch, the gradient
-    of the mean loss with respect to the logits.
+    of the mean loss with respect to the logits. Targets must lie in [0, K):
+    `LabeledSet` and the trainer check the labels once, and numpy raises
+    IndexError on one of K or above.
     """
     z = as_matrix(logits)
     t = np.asarray(targets, dtype=np.int64).reshape(-1)
-    if t.shape[0] != z.shape[0]:
-        raise ValueError(f"{t.shape[0]} targets for {z.shape[0]} logit rows")
-    if t.size and (t.min() < 0 or t.max() >= z.shape[1]):
-        raise IndexError(f"target out of range [0, {z.shape[1]}): {t}")
     n = z.shape[0]
     rows = np.arange(n)
     logp = log_softmax_rows(z)
@@ -99,26 +102,18 @@ class DenseLayer:
     def out_dim(self) -> int:
         return self.weights.shape[1]
 
-    def forward(self, x) -> Array:
-        x = as_matrix(x)
-        if x.shape[1] != self.in_dim:
-            raise ValueError(f"input shape {x.shape} does not match weight shape {self.weights.shape}")
+    def forward(self, x: Array) -> Array:
         out = x @ self.weights
         out += self.biases
         if self.activation == "relu":
             np.maximum(out, 0.0, out=out)
         return out
 
-    def backward(self, grad_out, x: Array, out: Array, input_grad: bool = True) -> Array | None:
+    def backward(self, grad_out: Array, x: Array, out: Array, input_grad: bool = True) -> Array | None:
         """Write the parameter gradients of the forward that mapped `x` to
         `out` (unchanged since) and return the gradient with respect to `x`;
         `input_grad=False` skips that gemm and returns None, as the input
         layer needs no input gradient."""
-        grad_out = as_matrix(grad_out)
-        if grad_out.shape != (x.shape[0], self.out_dim):
-            raise ValueError(
-                f"grad shape {grad_out.shape} does not match output shape {(x.shape[0], self.out_dim)}"
-            )
         if self.activation == "relu":
             # subgradient at exactly 0 is 0; relu(z) > 0 exactly where z > 0
             dz = grad_out * (out > 0)
@@ -138,13 +133,10 @@ class DenseLayer:
 
 class SgdMomentum:
     """v <- mu*v + g ; w <- w - lr*v  (no dampening, no Nesterov), on one
-    parameter array updated in place, such as `SplitMlp.pack`'s flat buffer."""
+    parameter array updated in place, such as `SplitMlp.pack`'s flat buffer.
+    `TrainConfig` checks the learning rate and momentum."""
 
     def __init__(self, params: Array, learning_rate: float, momentum: float):
-        if not 0 < learning_rate < math.inf:
-            raise ValueError(f"learning_rate must be positive and finite, got {learning_rate}")
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {momentum}")
         self.learning_rate = learning_rate
         self.momentum = momentum
         self.params = params
@@ -152,8 +144,6 @@ class SgdMomentum:
         self._update = np.empty_like(params)  # lr * v, reused by every step
 
     def step(self, grads: Array) -> None:
-        if grads.shape != self.params.shape:
-            raise ValueError(f"gradient shape {grads.shape} does not match parameter shape {self.params.shape}")
         self.velocity *= self.momentum
         self.velocity += grads
         np.multiply(self.velocity, self.learning_rate, out=self._update)

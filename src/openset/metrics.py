@@ -116,8 +116,7 @@ def evaluate(model: SplitMlp, test_set: LabeledSet, split: OpenSplit, train_mode
     """Fill every report field from one pass over the test set.
 
     Test labels live in [0, K], K marking open-set rows. The model is scored
-    as `train_mode` trained it: the baseline by max-softmax confidence, every
-    placeholder mode by the calibrated knownness score. Openness counts the
+    as `train_mode` trained it (`AugmentedLogits.score`). Openness counts the
     split's classes, K known plus every unknown class, whether or not the
     test rows hold each of them.
     """
@@ -132,7 +131,7 @@ def evaluate(model: SplitMlp, test_set: LabeledSet, split: OpenSplit, train_mode
     known_mask = labels < k
 
     aug = model.augmented_logits(test_set.features)
-    scores = aug.max_softmax() if train_mode == "baseline" else aug.knownness(model.calibration_bias)
+    scores = aug.score(train_mode, model.calibration_bias)
     preds = aug.predictions(model.calibration_bias)
 
     flags: list[str] = []

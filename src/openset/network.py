@@ -62,6 +62,12 @@ class AugmentedLogits:
         best[zero] = self.closed[zero].max(axis=1)
         return labels, best
 
+    def score(self, train_mode: str, bias: float) -> Array:
+        """The score a model trained in `train_mode` ranks rows by, higher =
+        more known: max-softmax confidence for the baseline, whose dummy head
+        is untrained, and the knownness at `bias` for every placeholder mode."""
+        return self.max_softmax() if train_mode == "baseline" else self.knownness(bias)
+
     def knownness(self, bias: float) -> Array:
         """Best closed logit minus the calibrated dummy logit; higher = more known."""
         return _finite(self._closed_max[1] - (self.dummy_max + bias))
@@ -160,16 +166,13 @@ class SplitMlp:
 
     # -- forward ----------------------------------------------------------
 
-    def embed_pre(self, x, tape: list[Array] | None = None) -> Array:
-        h = as_matrix(x)
-        if h.shape[1] != self.input_dim:
-            raise ValueError(f"input shape {h.shape} does not match input dimension {self.input_dim}")
-        return _forward(self.pre_layers, h, tape)
+    def embed_pre(self, x: Array, tape: list[Array] | None = None) -> Array:
+        return _forward(self.pre_layers, x, tape)
 
-    def embed_post(self, h, tape: list[Array] | None = None) -> Array:
-        return _forward(self.post_layers, as_matrix(h), tape)
+    def embed_post(self, h: Array, tape: list[Array] | None = None) -> Array:
+        return _forward(self.post_layers, h, tape)
 
-    def heads_from_embedding(self, embedding) -> HeadLogits:
+    def heads_from_embedding(self, embedding: Array) -> HeadLogits:
         closed = self.closed_head.forward(embedding)
         dummy_all = self.dummy_head.forward(embedding)
         dummy_argmax = dummy_all.argmax(axis=1)
@@ -179,8 +182,11 @@ class SplitMlp:
     def augmented_logits(self, x) -> AugmentedLogits:
         """Score `x` in chunks of SCORE_CHUNK or more rows, bit-identical to one
         pass. The result holds K+1 numbers per row, the closed logits and the
-        dummy max; it is allocated once and filled chunk by chunk."""
+        dummy max; it is allocated once and filled chunk by chunk. This is
+        where the input width is checked, once per scored set."""
         x = as_matrix(x)
+        if x.shape[1] != self.input_dim:
+            raise ValueError(f"input shape {x.shape} does not match input dimension {self.input_dim}")
         out = AugmentedLogits(np.empty((len(x), self.num_known)), np.empty(len(x)))
         start = 0
         for chunk in np.array_split(x, max(1, len(x) // SCORE_CHUNK)):
@@ -192,7 +198,7 @@ class SplitMlp:
 
     # -- backward ---------------------------------------------------------
 
-    def backward_heads(self, d_combined, aug: HeadLogits, tape: list[Array]) -> Array:
+    def backward_heads(self, d_combined: Array, aug: HeadLogits, tape: list[Array]) -> Array:
         """Gradient into the embedding (the end of `tape`) from that of `aug.combined`."""
         d_closed, d_dummy_all = split_combined_grad(aug, d_combined)
         embedding = tape[-1]
@@ -247,13 +253,12 @@ def _forward(layers: list[DenseLayer], h: Array, tape: list[Array] | None) -> Ar
     return h
 
 
-def split_combined_grad(aug: HeadLogits, d_combined) -> tuple[Array, Array]:
+def split_combined_grad(aug: HeadLogits, d_combined: Array) -> tuple[Array, Array]:
     """Route the gradient of the combined logits back to the two heads.
 
     Column K flows only into the per-row argmax dummy column; the other
     dummy columns receive exactly zero.
     """
-    d_combined = as_matrix(d_combined)
     n, k = aug.closed.shape
     d_closed = d_combined[:, :k].copy()
     d_dummy_all = np.zeros_like(aug.dummy_all)

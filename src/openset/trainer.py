@@ -66,10 +66,7 @@ class TrainConfig:
 
 def split_batch_halves(features: Array, labels: Array) -> tuple[tuple[Array, Array], tuple[Array, Array]]:
     """First ceil(B/2) rows and the remainder, order preserved."""
-    n = features.shape[0]
-    if n < 2:
-        raise ValueError(f"cannot split a batch of {n} rows into two halves")
-    cut = (n + 1) // 2
+    cut = (features.shape[0] + 1) // 2
     return (features[:cut], labels[:cut]), (features[cut:], labels[cut:])
 
 
@@ -122,14 +119,13 @@ def pretrain_closed(dataset: LabeledSet, config: TrainConfig,
                     log_lines: list[str] | None = None) -> SplitMlp:
     """Train a fresh model with K-way cross-entropy on the closed head only.
 
-    The dummy head is initialised but receives no gradient. K is the number
-    of distinct labels, which must be contiguous from 0.
+    The dummy head is initialised but receives no gradient. K is the largest
+    label + 1, so the labels should be contiguous from 0; `SplitMlp` refuses
+    K below 2.
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     num_known = int(dataset.labels.max()) + 1
-    if num_known < 2:
-        raise ValueError(f"need at least 2 known classes, got {num_known}")
     rng = np.random.default_rng(config.seed)
     model = SplitMlp.create(dataset.dim, num_known, config.num_dummy, rng)
     return _train_epochs(model, dataset, config, rng, "pretrain", config.pretrain_epochs,

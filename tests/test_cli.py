@@ -461,6 +461,20 @@ class TestBoundaryGrid:
             int(label)
             float(score)
 
+    def test_baseline_checkpoint_is_scored_by_max_softmax(self, tmp_path):
+        # the grid's score is the one `evaluate` ranks the checkpoint by
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(_write_config(tmp_path, _tiny_config(out, "baseline")))]) == 0
+        ckpt = out / "checkpoint.json"
+        grid = tmp_path / "grid.csv"
+        assert main(["boundary-grid", "--checkpoint", str(ckpt), "--out", str(grid),
+                     "--resolution", "3", "--range", "-2", "2", "-2", "2"]) == 0
+        rows = [line.split(",") for line in grid.read_text().splitlines()[1:]]
+        model, _, stats = load_checkpoint(ckpt)
+        points = stats.apply(np.array([[float(x), float(y)] for x, y, _, _ in rows]))
+        expected = model.augmented_logits(points).max_softmax()
+        assert [score for *_, score in rows] == list(map(repr, expected.tolist()))
+
     def test_extreme_bias_reduction(self, tmp_path):
         ckpt = self._checkpoint(tmp_path)
         model, cfg, stats = load_checkpoint(ckpt)

@@ -274,11 +274,6 @@ class TestSgdMomentum:
         with pytest.raises(ValueError):
             opt.step(np.zeros(3))
 
-    @pytest.mark.parametrize("lr", [0.0, -0.1, math.nan, math.inf])
-    def test_learning_rate_must_be_positive_and_finite(self, lr):
-        with pytest.raises(ValueError, match="learning_rate"):
-            SgdMomentum(np.zeros(2), learning_rate=lr, momentum=0.0)
-
 
 def _lam(alpha: float, rng) -> float:
     """The lambda `build_mix_pairs` draws, on a two-row batch."""

@@ -85,10 +85,6 @@ class TestMaskedLogits:
         once = masked_logits(combined, targets)
         np.testing.assert_array_equal(masked_logits(once, targets), once)
 
-    def test_dummy_class_target_rejected(self):
-        with pytest.raises(ValueError):
-            masked_logits([[1.0, 2.0, 0.0]], [2])  # K=2: target must be < 2
-
 
 class TestClassifierPlaceholderLoss:
     def test_beta_zero_is_plain_cross_entropy_bitwise(self):
@@ -110,10 +106,6 @@ class TestClassifierPlaceholderLoss:
         loss = loss_classifier_placeholder([[2.0, 1.0, 0.5]], [0], beta=1.0)[0]
         assert loss == pytest.approx(term1 + term2, rel=1e-12)
         assert loss == pytest.approx(1.4385, abs=1e-4)
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            loss_classifier_placeholder(np.zeros((0, 4)), [], beta=1.0)
 
     @given(combined=combined_logits, beta=st.sampled_from([0.0, 1.0, 0.3, 2.5]), data=st.data())
     @settings(max_examples=300)
@@ -179,10 +171,6 @@ class TestMixPairs:
     def test_all_labels_equal_gives_no_pairs(self):
         pairs = build_mix_pairs([3, 3, 3, 3], np.random.default_rng(0), 2.0)
         assert len(pairs) == 0
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            build_mix_pairs([], np.random.default_rng(0), 2.0)
 
     def test_lambda_in_unit_interval(self):
         rng = np.random.default_rng(1)

@@ -63,6 +63,9 @@ class TestTrainConfig:
         {"seed": -1},
         {"pretrain_epochs": True},
         {"finetune_epochs": 2.5},
+        {"learning_rate": -0.1},
+        {"momentum": -0.1},
+        {"momentum": math.nan},
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(ValueError, match=next(iter(bad))):
@@ -78,10 +81,6 @@ class TestSplitBatchHalves:
         assert len(x1) == len(y1) == first
         assert len(x2) == len(y2) == second
         np.testing.assert_array_equal(np.concatenate([x1, x2]), x)  # order preserved
-
-    def test_too_small(self):
-        with pytest.raises(ValueError):
-            split_batch_halves(np.zeros((1, 2)), np.zeros(1))
 
 
 class TestPretrainClosed:
@@ -244,6 +243,28 @@ class TestOneForwardPerRow:
         finetune_placeholders(model, data, cfg, [])
         rows = sum(n for layer, n in calls if layer is model.pre_layers[0])
         assert rows == cfg.finetune_epochs * len(data)
+
+    def test_full_finetune_skips_a_trailing_single_row(self, monkeypatch):
+        # the last batch of 2 * batch_size + 1 rows holds one row, which cannot
+        # be split into two halves: the step skips it before any forward
+        cfg = TrainConfig(pretrain_epochs=2, finetune_epochs=3, batch_size=16,
+                          train_mode="full", seed=0)
+        data = _standardized_blobs(3, 11, seed=0)
+        assert len(data) == 2 * cfg.batch_size + 1
+        model = pretrain_closed(data, cfg)
+        calls = _count_forward_rows(monkeypatch)
+        steps = []
+        step = SgdMomentum.step
+
+        def counted(optimizer, grads):
+            steps.append(grads)
+            step(optimizer, grads)
+
+        monkeypatch.setattr(SgdMomentum, "step", counted)
+        finetune_placeholders(model, data, cfg, [])
+        assert len(steps) == 2 * cfg.finetune_epochs
+        rows = sum(n for layer, n in calls if layer is model.pre_layers[0])
+        assert rows == 2 * cfg.batch_size * cfg.finetune_epochs
 
     @pytest.mark.parametrize("mix_mode", ["hidden", "input"])
     def test_full_finetune_runs_each_layer_once_per_step(self, monkeypatch, mix_mode):
