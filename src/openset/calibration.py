@@ -58,8 +58,6 @@ def candidate_biases(gaps, intervals: int) -> Array:
     gaps = np.asarray(gaps, dtype=np.float64)
     if gaps.size == 0:
         raise ValueError("empty gap list")
-    if intervals < 1:
-        raise ValueError(f"intervals must be at least 1, got {intervals}")
     lo = float(gaps.min())
     hi = float(gaps.max())
     if lo == hi:

@@ -298,28 +298,26 @@ def cmd_compare(config_path, seeds: int) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(config_path, unknown_counts: list[int], per_class: int, seed: int) -> int:
-    """Print each mode's macro-F1 as unknown blob classes join the config's
-    known ones; the blobs are drawn here, wider apart than the config's."""
-    if min(unknown_counts) < 0:
-        raise ConfigError(f"--unknown-counts must be at least 0, got {min(unknown_counts)}")
+def cmd_sweep(config_path, unknown_counts: list[int]) -> int:
+    """Print each mode's macro-F1 on the config's task as unknown classes
+    join it: a count n keeps the first n of the split's unknown classes, and
+    the dataset's rows of the other classes are left out."""
     with _bad_input():
-        cfg = load_run_config(config_path, ("split", "train")).at_seed(seed)
-        known = len(cfg.split.known_class_ids)
-        data = gen_gaussian_blobs(known + max(unknown_counts), per_class, center_scale=6.0, spread=0.35, seed=seed)
+        cfg = load_run_config(config_path, ("dataset", "split", "train"))
+        unknown = cfg.split.unknown_class_ids
+        for n in unknown_counts:
+            if not 0 <= n <= len(unknown):
+                raise ConfigError(f"--unknown-counts must be in [0, {len(unknown)}], the split's unknown classes, "
+                                  f"got {n}")
+        splits = [replace(cfg.split, unknown_class_ids=unknown[:n]) for n in unknown_counts]
+        # the dataset is loaded once, and every count's split is prepared
+        # before the header, so a split it cannot fill exits 2 with nothing printed
+        data = cfg.dataset.load()
+        parts = [prepare(data, split) for split in splits]
 
-        # every count's split is prepared before the header, so a split the
-        # data cannot fill exits 2 with nothing printed
-        splits = []
-        for n_unknown in unknown_counts:
-            num_classes = known + n_unknown
-            keep = data.labels < num_classes  # the first num_classes of the classes drawn, the first `known` known
-            split = replace(cfg.split, known_class_ids=list(range(known)),
-                            unknown_class_ids=list(range(known, num_classes)))
-            splits.append((split, prepare(LabeledSet(data.features[keep], data.labels[keep]), split)))
-
+    known = len(cfg.split.known_class_ids)
     print(f"{'unknown':>8s} {'openness':>9s} " + " ".join(f"{m:>11s}" for m in TRAIN_MODES))
-    for n_unknown, (split, (train, val, test, _)) in zip(unknown_counts, splits):
+    for n_unknown, split, (train, val, test, _) in zip(unknown_counts, splits, parts):
         runs = experiment(train, val, test, split, cfg.train, cfg.calibration)
         f1s = " ".join(f"{report.macro_f1:>11.3f}" for _, _, report in runs.values())
         print(f"{n_unknown:>8d} {openness(known, known + n_unknown):>8.2f}% {f1s}")
@@ -355,10 +353,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="macro-F1 of every training mode as unknown classes are added")
     p_sweep.add_argument("--config", required=True,
-                         help="its known-class count, split fractions, train and calibration blocks are used")
+                         help="each count N runs its task with the first N of its split's unknown classes")
     p_sweep.add_argument("--unknown-counts", type=int, nargs="+", default=[2, 4, 8, 12])
-    p_sweep.add_argument("--per-class", type=int, default=200)
-    p_sweep.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -380,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "compare":
             return cmd_compare(args.config, args.seeds)
         if args.command == "sweep":
-            return cmd_sweep(args.config, args.unknown_counts, args.per_class, args.seed)
+            return cmd_sweep(args.config, args.unknown_counts)
         return cmd_gen_data(args.config, args.out)
     except (ConfigError, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

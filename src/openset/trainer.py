@@ -120,14 +120,16 @@ def pretrain_closed(dataset: LabeledSet, config: TrainConfig,
     """Train a fresh model with K-way cross-entropy on the closed head only.
 
     The dummy head is initialised but receives no gradient. K is the largest
-    label + 1, so the labels should be contiguous from 0; `SplitMlp` refuses
+    label + 1, and every class in [0, K) must have a row; `SplitMlp` refuses
     K below 2.
     """
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    num_known = int(dataset.labels.max()) + 1
+    counts = np.bincount(dataset.labels)
+    if not counts.all():
+        raise ValueError(f"labels must cover [0, {len(counts)}), but class {int(counts.argmin())} has no rows")
     rng = np.random.default_rng(config.seed)
-    model = SplitMlp.create(dataset.dim, num_known, config.num_dummy, rng)
+    model = SplitMlp.create(dataset.dim, len(counts), config.num_dummy, rng)
     return _train_epochs(model, dataset, config, rng, "pretrain", config.pretrain_epochs,
                          lambda xb, yb: pretrain_step(model, xb, yb), log_lines)
 
@@ -187,6 +189,8 @@ def finetune_placeholders(model: SplitMlp, dataset: LabeledSet, config: TrainCon
         raise ValueError(
             f"label {dataset.labels.max()} out of range for {model.num_known} known classes"
         )
+    if dataset.dim != model.input_dim:
+        raise ValueError(f"the set has {dataset.dim} features, but the model takes {model.input_dim}")
     beta = 0.0 if config.train_mode == "mixup_only" else config.beta
     use_mix = config.train_mode in ("mixup_only", "full") and config.gamma > 0
     rng = np.random.default_rng(config.seed)

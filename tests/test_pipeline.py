@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 from openset.calibration import CalibrationConfig
-from openset.cli import main, parse_run_config
+from openset.cli import load_run_config, main, parse_run_config
 from openset.datastore import LabeledSet, OpenSplit, gen_gaussian_blobs, split_known_unknown
 from openset.pipeline import experiment, prepare
 from openset.trainer import TRAIN_MODES, TrainConfig, pretrain_closed
 
 ROOT = Path(__file__).resolve().parent.parent
-BLOBS6 = ROOT / "configs" / "blobs6.json"
+CONFIGS = ROOT / "configs"
+BLOBS6 = CONFIGS / "blobs6.json"
 
 
 def _param_bytes(model) -> list[bytes]:
@@ -69,6 +70,23 @@ def _tiny_blobs6() -> dict:
     return doc
 
 
+def _tiny_sweep() -> dict:
+    """configs/sweep_blobs.json with 8 classes of 30 rows, unknown classes 6
+    and 7, and 2 + 1 epochs."""
+    doc = json.loads((CONFIGS / "sweep_blobs.json").read_text())
+    doc["dataset"].update(num_classes=8, per_class=30)
+    doc["split"]["unknown_class_ids"] = [6, 7]
+    doc["train"].update(pretrain_epochs=2, finetune_epochs=1)
+    return doc
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda path: path.name)
+def test_every_bundled_config_loads_and_fits_its_split(path):
+    cfg = load_run_config(path, ("dataset", "split", "train"))
+    train, val, test, _ = prepare(cfg.dataset.load(), cfg.split)
+    assert len(train) and len(val) and len(test)
+
+
 def test_experiment_calibrates_with_the_calibration_block():
     doc = _tiny_blobs6()
     doc["calibration"] = {"intervals": 7}
@@ -92,10 +110,12 @@ def _run(argv, capsys) -> str:
     return capsys.readouterr().out
 
 
-def _write_tiny(path, split=None, train=None) -> str:
-    doc = _tiny_blobs6()
-    doc["split"].update(split or {})
-    doc["train"].update(train or {})
+def _write_tiny(path, doc=None, **blocks) -> str:
+    """`doc` (the tiny blobs6 by default), each block named in `blocks`
+    updated with its fields, written to `path`."""
+    doc = doc or _tiny_blobs6()
+    for name, values in blocks.items():
+        doc[name].update(values)
     path.write_text(json.dumps(doc))
     return str(path)
 
@@ -103,6 +123,11 @@ def _write_tiny(path, split=None, train=None) -> str:
 @pytest.fixture
 def tiny_config(tmp_path) -> str:
     return _write_tiny(tmp_path / "tiny.json")
+
+
+@pytest.fixture
+def tiny_sweep_config(tmp_path) -> str:
+    return _write_tiny(tmp_path / "sweep.json", _tiny_sweep())
 
 # Each command's full stdout for these arguments: a change to the task, the
 # split, the training or the scoring shows here.
@@ -127,13 +152,13 @@ def test_synthetic_benchmark_prints_a_row_per_mode(tiny_config, capsys):
     assert _run(["compare", "--seeds", "1", "--config", tiny_config], capsys) == SYNTHETIC_TINY
 
 
-def test_openness_sweep_prints_a_column_per_mode(tiny_config, capsys):
-    argv = ["sweep", "--unknown-counts", "1", "2", "--per-class", "30", "--config", tiny_config]
+def test_openness_sweep_prints_a_column_per_mode(tiny_sweep_config, capsys):
+    argv = ["sweep", "--unknown-counts", "1", "2", "--config", tiny_sweep_config]
     assert _run(argv, capsys) == OPENNESS_TINY
 
 
-def test_openness_sweep_without_unknown_classes_prints_the_closed_set_row(tiny_config, capsys):
-    argv = ["sweep", "--unknown-counts", "0", "--per-class", "30", "--config", tiny_config]
+def test_openness_sweep_without_unknown_classes_prints_the_closed_set_row(tiny_sweep_config, capsys):
+    argv = ["sweep", "--unknown-counts", "0", "--config", tiny_sweep_config]
     assert _run(argv, capsys) == OPENNESS_TINY.splitlines(True)[0] + \
         "       0     0.00%       0.180       0.180       0.180       0.180\n"
 
@@ -143,15 +168,23 @@ def test_openness_sweep_without_unknown_classes_prints_the_closed_set_row(tiny_c
     (["sweep", "--config", "{missing}"], "No such file or directory"),
     (["compare", "--seeds", "0", "--config", "{tiny}"], "--seeds must be at least 1, got 0"),
     (["compare", "--config", "{unknown_12}"], "class 12 not present in the dataset"),
-    (["sweep", "--seed", "-1", "--config", "{tiny}"], "seed must be an integer of at least 0, got -1"),
-    (["sweep", "--per-class", "0", "--config", "{tiny}"], "per_class must be an integer of at least 1, got 0"),
-    (["sweep", "--per-class", "2", "--config", "{tiny}"], "known class 0 has 2 rows, too few for val_fraction"),
-    (["sweep", "--unknown-counts", "2", "-1", "--config", "{tiny}"], "--unknown-counts must be at least 0, got -1"),
+    (["sweep", "--unknown-counts", "2", "--config", "{negative_seed}"], "seed must be an integer of at least 0, got -1"),
+    (["sweep", "--unknown-counts", "2", "--config", "{per_class_0}"], "per_class must be an integer of at least 1, got 0"),
+    (["sweep", "--unknown-counts", "2", "--config", "{per_class_2}"], "known class 0 has 2 rows, too few for val_fraction"),
+    (["sweep", "--unknown-counts", "2", "-1", "--config", "{sweep}"],
+     "--unknown-counts must be in [0, 2], the split's unknown classes, got -1"),
+    (["sweep", "--unknown-counts", "2", "3", "--config", "{sweep}"],
+     "--unknown-counts must be in [0, 2], the split's unknown classes, got 3"),
 ], ids=["compare_missing_config", "sweep_missing_config", "compare_no_seeds", "compare_split_class_missing",
-        "sweep_negative_seed", "sweep_no_rows", "sweep_too_few_rows", "sweep_negative_unknown_count"])
+        "sweep_negative_seed", "sweep_no_rows", "sweep_too_few_rows", "sweep_negative_unknown_count",
+        "sweep_count_above_the_unknown_classes"])
 def test_experiments_refuse_bad_input_with_exit_2(tmp_path, capsys, argv, message):
     paths = {"missing": str(tmp_path / "missing.json"), "tiny": _write_tiny(tmp_path / "tiny.json"),
-             "unknown_12": _write_tiny(tmp_path / "unknown_12.json", split={"unknown_class_ids": [6, 7, 8, 12]})}
+             "unknown_12": _write_tiny(tmp_path / "unknown_12.json", split={"unknown_class_ids": [6, 7, 8, 12]}),
+             "sweep": _write_tiny(tmp_path / "sweep.json", _tiny_sweep()),
+             "negative_seed": _write_tiny(tmp_path / "negative_seed.json", _tiny_sweep(), dataset={"seed": -1}),
+             "per_class_0": _write_tiny(tmp_path / "per_class_0.json", _tiny_sweep(), dataset={"per_class": 0}),
+             "per_class_2": _write_tiny(tmp_path / "per_class_2.json", _tiny_sweep(), dataset={"per_class": 2})}
     assert main([arg.format(**paths) for arg in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -134,6 +134,12 @@ class TestPretrainClosed:
         with pytest.raises(ValueError):
             pretrain_closed(data, TrainConfig())
 
+    def test_labels_with_a_gap_rejected(self):
+        # K is the largest label + 1, so labels {0, 2} would build a class 1 with no rows
+        data = LabeledSet(np.zeros((4, 2)), np.array([0, 2, 0, 2]))
+        with pytest.raises(ValueError, match=re.escape("labels must cover [0, 3), but class 1 has no rows")):
+            pretrain_closed(data, TrainConfig())
+
     def test_smoothed_loss_trace_non_increasing(self):
         data = _standardized_blobs(2, 100, seed=1)
         log: list[str] = []
@@ -195,6 +201,12 @@ class TestFinetunePlaceholders:
         bad = LabeledSet(data.features, np.full(len(data), 5, dtype=np.int64))
         with pytest.raises(ValueError):
             finetune_placeholders(model, bad, cfg)
+
+    def test_set_of_another_width_rejected(self):
+        data, cfg, model = self._pretrained()
+        wide = LabeledSet(np.zeros((len(data), 3)), data.labels)
+        with pytest.raises(ValueError, match="the set has 3 features, but the model takes 2"):
+            finetune_placeholders(model, wide, cfg)
 
     def test_dummy_training_targets_second_place(self):
         # after fine-tuning on separable data, the dummy column should sit
