@@ -1,4 +1,5 @@
-"""Versioned text checkpoints: architecture, weights, calibration, config.
+"""Versioned text checkpoints: architecture, weights, calibration, config,
+standardization.
 
 Weights round-trip through decimal text exactly (repr of a float64 parses
 back to the same bits), so a saved and reloaded model produces bit-identical
@@ -54,8 +55,7 @@ def _layer_from_doc(doc: dict, field: str) -> DenseLayer:
     return layer
 
 
-def checkpoint_text(model: SplitMlp, config: TrainConfig,
-                    standardization: Standardization | None = None) -> str:
+def checkpoint_text(model: SplitMlp, config: TrainConfig, standardization: Standardization) -> str:
     doc = {
         "format_version": FORMAT_VERSION,
         "architecture": {
@@ -70,23 +70,19 @@ def checkpoint_text(model: SplitMlp, config: TrainConfig,
         "dummy_head": _layer_doc(model.dummy_head),
         "calibration_bias": model.calibration_bias,
         "train_config": asdict(config),
-        "standardization": None if standardization is None else {
-            "mean": standardization.mean,
-            "std": standardization.std,
-        },
+        "standardization": {"mean": standardization.mean, "std": standardization.std},
     }
     return json_text(doc) + "\n"
 
 
-def save_checkpoint(path, model: SplitMlp, config: TrainConfig,
-                    standardization: Standardization | None = None) -> None:
+def save_checkpoint(path, model: SplitMlp, config: TrainConfig, standardization: Standardization) -> None:
     text = checkpoint_text(model, config, standardization)
     with open(path, "w", encoding="utf-8") as f:
         f.write(text)
 
 
-def load_checkpoint(path) -> tuple[SplitMlp, TrainConfig, Standardization | None]:
-    """The model, its training config and its standardization (or None).
+def load_checkpoint(path) -> tuple[SplitMlp, TrainConfig, Standardization]:
+    """The model, its training config and its standardization.
     A file that is not a consistent checkpoint raises CheckpointError
     naming it: every width must chain from `input_dim` through the layers
     to both heads, and the standardization must be `input_dim` long with
@@ -124,17 +120,18 @@ def load_checkpoint(path) -> tuple[SplitMlp, TrainConfig, Standardization | None
             raise CheckpointError("head widths do not match the declared architecture")
         config = TrainConfig(**doc["train_config"])
         std_doc = doc["standardization"]
-        standardization = None if std_doc is None else Standardization(
+        if not isinstance(std_doc, dict):
+            raise CheckpointError(f"standardization must be an object with mean and std, got {std_doc!r}")
+        standardization = Standardization(
             _finite("standardization.mean", np.array(std_doc["mean"], dtype=np.float64)),
             _finite("standardization.std", np.array(std_doc["std"], dtype=np.float64)),
         )
-        if standardization is not None:
-            for key, values in vars(standardization).items():
-                if values.shape != (model.input_dim,):
-                    raise CheckpointError(f"standardization.{key} has shape {values.shape}, "
-                                          f"expected ({model.input_dim},)")
-            if not (standardization.std > 0).all():
-                raise CheckpointError("standardization.std must be positive")
+        for key, values in vars(standardization).items():
+            if values.shape != (model.input_dim,):
+                raise CheckpointError(f"standardization.{key} has shape {values.shape}, "
+                                      f"expected ({model.input_dim},)")
+        if not (standardization.std > 0).all():
+            raise CheckpointError("standardization.std must be positive")
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

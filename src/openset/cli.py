@@ -195,7 +195,7 @@ def cmd_run(config_path) -> int:
     save_checkpoint(out_dir / "checkpoint.json", model, cfg.train, stats)
     (out_dir / "training_log.tsv").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
     (out_dir / "calibration.json").write_text(json_text(asdict(calib)) + "\n", encoding="utf-8")
-    (out_dir / "report.json").write_text(report.to_text(), encoding="utf-8")
+    (out_dir / "report.json").write_text(json_text(asdict(report)) + "\n", encoding="utf-8")
     return EXIT_OK
 
 
@@ -210,10 +210,9 @@ def cmd_evaluate(checkpoint_path, config_path) -> int:
     known = len(cfg.split.known_class_ids)
     if known != model.num_known:
         raise ConfigError(f"the split has {known} known classes, but the checkpoint's model has {model.num_known}")
-    if stats is not None:
-        stats.apply(test.features, out=test.features)
+    stats.apply(test.features, out=test.features)
     report = evaluate(model, test, cfg.split, train_config.train_mode)
-    sys.stdout.write(report.to_text())
+    sys.stdout.write(json_text(asdict(report)) + "\n")
     return EXIT_OK
 
 
@@ -232,8 +231,7 @@ def cmd_boundary_grid(checkpoint_path, out_path, x_range, y_range, resolution: i
     grid[:, :, 0] = xs
     grid[:, :, 1] = ys[:, None]
     grid = grid.reshape(-1, 2)
-    if stats is not None:
-        stats.apply(grid, out=grid)
+    stats.apply(grid, out=grid)
     aug = model.augmented_logits(grid)
     bias = model.calibration_bias
     # the score `evaluate` ranks this checkpoint by

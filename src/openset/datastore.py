@@ -198,12 +198,8 @@ def gen_gaussian_blobs(num_classes: int = 10, per_class: int = 300, dim: int = 2
         raise ValueError(f"center_scale {center_scale!r} is too large: the range of centers overflows")
     rng = np.random.default_rng(seed)
     centers = rng.uniform(-center_scale, center_scale, size=(num_classes, dim))
-    features = np.empty((num_classes * per_class, dim))
-    labels = np.empty(num_classes * per_class, dtype=np.int64)
-    for c in range(num_classes):
-        block = slice(c * per_class, (c + 1) * per_class)
-        features[block] = centers[c] + spread * rng.standard_normal((per_class, dim))
-        labels[block] = c
+    labels = np.repeat(np.arange(num_classes), per_class)
+    features = centers[labels] + spread * rng.standard_normal((num_classes * per_class, dim))
     _check_generated(features, f"center_scale {center_scale!r} and spread {spread!r}")
     return LabeledSet(features, labels)
 
@@ -217,14 +213,13 @@ def gen_rings(num_classes: int = 3, per_class: int = 300, noise: float = 0.05, s
     check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     features = np.empty((num_classes * per_class, 2))
-    labels = np.empty(num_classes * per_class, dtype=np.int64)
+    labels = np.repeat(np.arange(num_classes), per_class)
     for c in range(num_classes):
         angles = rng.uniform(0.0, 2.0 * math.pi, size=per_class)
         radii = (c + 1.0) + noise * rng.standard_normal(per_class)
         block = slice(c * per_class, (c + 1) * per_class)
         features[block, 0] = radii * np.cos(angles)
         features[block, 1] = radii * np.sin(angles)
-        labels[block] = c
     _check_generated(features, f"noise {noise!r}")
     return LabeledSet(features, labels)
 
@@ -247,7 +242,7 @@ def load_csv(path) -> LabeledSet:
     unless every cell is a number. Every error is a ValueError naming the
     file, and for a bad line its 1-based line number."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
+        with open(path, "r", encoding="utf-8-sig") as f:  # a leading byte-order mark is not a cell
             lines = f.read().splitlines()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .datastore import LabeledSet, OpenSplit, json_text
+from .datastore import LabeledSet, OpenSplit
 from .gradcore import Array
 from .network import SplitMlp
 from .trainer import TRAIN_MODES
@@ -93,23 +93,9 @@ class EvalReport:
     closed_accuracy: float
     openness_pct: float
     rejection_rate: float
+    flags: list[str]
     roc: Array        # n x 2, (false-positive-rate, true-positive-rate) rows
     confusion: Array  # (K+1) x (K+1), rows = true
-    flags: list[str] = field(default_factory=list)
-
-    def to_text(self) -> str:
-        """Stable, byte-reproducible JSON rendering."""
-        doc = {
-            "auc": self.auc,
-            "macro_f1": self.macro_f1,
-            "closed_accuracy": self.closed_accuracy,
-            "openness_pct": self.openness_pct,
-            "rejection_rate": self.rejection_rate,
-            "flags": list(self.flags),
-            "roc": self.roc,
-            "confusion": self.confusion,
-        }
-        return json_text(doc) + "\n"
 
 
 def evaluate(model: SplitMlp, test_set: LabeledSet, split: OpenSplit, train_mode: str) -> EvalReport:
@@ -155,7 +141,7 @@ def evaluate(model: SplitMlp, test_set: LabeledSet, split: OpenSplit, train_mode
         closed_accuracy=closed_accuracy,
         openness_pct=openness(k, k + len(split.unknown_class_ids)),
         rejection_rate=float((preds == k).mean()),
+        flags=flags,
         roc=roc,
         confusion=counts,
-        flags=flags,
     )

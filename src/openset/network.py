@@ -30,9 +30,11 @@ DUMMY_INIT_STD = 0.01
 # Minimum rows per scoring pass; chunks hold SCORE_CHUNK to 2 * SCORE_CHUNK - 1
 # rows, so a 1024 x 64 float64 activation (512 KB) stays in a core's 2 MB L2
 # cache. Scoring 116k blobs6 rows took 67 ms, against 72 ms at 4096 rows,
-# 70 ms at 2048 and 70 ms at 512 (min of 7, one BLAS thread, Xeon). Chunks
-# stay bit-identical to one pass, because BLAS rounds only short passes
-# differently: 1 row on the blobs6 shapes, under 20 rows on a 784-wide layer.
+# 70 ms at 2048 and 70 ms at 512 (min of 7, one BLAS thread, Xeon). On
+# OpenBLAS's SkylakeX kernel, chunks stay bit-identical to one pass, because
+# it rounds only short passes differently: 1 row on the blobs6 shapes, under
+# 20 rows on a 784-wide layer. Under OPENBLAS_CORETYPE=Haswell the chunked
+# closed logits of the blobs6 grid differ from one pass at byte 12288.
 SCORE_CHUNK = 1024
 
 
@@ -181,9 +183,9 @@ class SplitMlp:
 
     def augmented_logits(self, x) -> AugmentedLogits:
         """Score `x` in chunks of SCORE_CHUNK or more rows, bit-identical to one
-        pass. The result holds K+1 numbers per row, the closed logits and the
-        dummy max; it is allocated once and filled chunk by chunk. This is
-        where the input width is checked, once per scored set."""
+        pass on the SkylakeX kernel. The result holds K+1 numbers per row, the
+        closed logits and the dummy max; it is allocated once and filled chunk
+        by chunk. This is where the input width is checked, once per scored set."""
         x = as_matrix(x)
         if x.shape[1] != self.input_dim:
             raise ValueError(f"input shape {x.shape} does not match input dimension {self.input_dim}")

@@ -1,12 +1,15 @@
 """Shared oracle helpers: numerical gradient checking, norm-based errors,
 access to the gradients a DenseLayer or SplitMlp has written (each backward
-overwrites its layer's gradients), a model with fixed logits, and the plain
+overwrites its layer's gradients), a model with fixed logits, the plain
 log-softmax and cross-entropy compositions that the training step's losses
-must match byte for byte."""
+must match byte for byte, and the BLAS kernel a golden test's bytes depend on."""
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
+import os
 
 import numpy as np
 
@@ -16,6 +19,26 @@ from openset.placeholders import masked_logits
 
 # drawn often into the logit matrices of the byte-for-byte oracle tests
 SPECIAL_VALUES = (math.nan, 0.0, -0.0, math.inf, -math.inf, 1.0, -1.0, 5e-324)
+# the OpenBLAS kernel out/blobs6/ and the pinned digests were frozen on; other
+# kernels round the gemms differently
+GOLDEN_BLAS_KERNEL = "SkylakeX"
+
+
+def blas_kernel() -> str:
+    """The gemm kernel numpy's bundled OpenBLAS loaded: the one it picked for
+    this CPU, or the one OPENBLAS_CORETYPE names. Found in numpy.libs as
+    perfbench/child.py finds the BLAS thread count; "unknown" without it."""
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")):
+        corename = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
+
+
+def kernel_note() -> str:
+    """For the failure message of a test whose bytes depend on the gemm kernel."""
+    return f"(BLAS kernel {blas_kernel()}; the golden bytes were frozen on {GOLDEN_BLAS_KERNEL})"
 
 
 def rel_error(a, b) -> float:

@@ -9,6 +9,7 @@ import re
 import shlex
 import struct
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import json_paths
+from conftest import json_paths, kernel_note
 from openset.checkpoint import load_checkpoint
 from openset.cli import (
     MAX_RESOLUTION,
@@ -29,7 +30,7 @@ from openset.cli import (
     parse_run_config,
     write_grid_csv,
 )
-from openset.datastore import LabeledSet, load_csv, split_known_unknown
+from openset.datastore import LabeledSet, json_text, load_csv, split_known_unknown
 from openset.metrics import evaluate
 from openset.network import SplitMlp
 from openset.trainer import TRAIN_MODES
@@ -347,7 +348,7 @@ class TestGolden:
         doc["output_dir"] = str(tmp_path / "out")
         assert main(["run", "--config", str(_write_config(tmp_path, doc))]) == 0
         for name in GOLDEN_SHA256:
-            assert (tmp_path / "out" / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+            assert (tmp_path / "out" / name).read_bytes() == (GOLDEN / name).read_bytes(), f"{name} {kernel_note()}"
 
 
 class TestEvaluate:
@@ -418,6 +419,8 @@ INCONSISTENT_CHECKPOINTS = {
     "mean_of_length_3": lambda doc: doc["standardization"]["mean"].append(0.0),
     "std_0": lambda doc: doc["standardization"]["std"].__setitem__(0, 0.0),
     "std_negative": lambda doc: doc["standardization"]["std"].__setitem__(1, -1.0),
+    "standardization_null": lambda doc: doc.update(standardization=None),
+    "no_standardization": lambda doc: doc.pop("standardization"),
     "bias_true": lambda doc: doc.update(calibration_bias=True),
     "bias_string": lambda doc: doc.update(calibration_bias="1.5"),
 }
@@ -573,7 +576,7 @@ class TestBlobs6Grid:
         out = tmp_path / "grid.csv"
         assert main(["boundary-grid", "--checkpoint", str(GOLDEN / "checkpoint.json"), "--out", str(out),
                      "--resolution", "300", "--range", "-7", "7", "-7", "7"]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == GRID_300_SHA256
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GRID_300_SHA256, kernel_note()
 
     def test_writing_the_300_grid_holds_bounded_memory(self, tmp_path):
         model, _, stats = load_checkpoint(GOLDEN / "checkpoint.json")
@@ -589,7 +592,7 @@ class TestBlobs6Grid:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == GRID_300_SHA256
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GRID_300_SHA256, kernel_note()
         assert peak < 2e6, f"writing the grid peaked at {peak / 1e6:.2f} MB"
 
 
@@ -635,7 +638,7 @@ class TestPipelineConsistency:
         _, _, test = split_known_unknown(data, cfg.split)
         test = LabeledSet(stats.apply(test.features), test.labels)
         report = evaluate(model, test, cfg.split, cfg.train.train_mode)
-        assert report.to_text() == (out / "report.json").read_text()
+        assert json_text(asdict(report)) + "\n" == (out / "report.json").read_text()
 
 
 def _count_augmented_logits(monkeypatch):

@@ -173,6 +173,16 @@ class TestCsv:
         data = load_csv(path)
         assert len(data) == 1
 
+    def test_byte_order_mark_is_not_part_of_the_first_line(self, tmp_path):
+        # "\ufeff1.0" is no number, so the mark once made the first data row a header
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf1.0,2.0,0\n3.0,4.0,1\n5.0,6.0,1\n")
+        data = load_csv(path)
+        np.testing.assert_array_equal(data.features, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        np.testing.assert_array_equal(data.labels, [0, 1, 1])
+        path.write_bytes(b"\xef\xbb\xbff0,f1,label\n1.0,2.0,0\n3.0,4.0,1\n")
+        np.testing.assert_array_equal(load_csv(path).labels, [0, 1])
+
     def test_save_load_identity(self, tmp_path):
         original = gen_gaussian_blobs(3, 7, dim=4, seed=11)
         path = tmp_path / "gen.csv"

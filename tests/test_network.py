@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import fixed_logit_model, gradients, json_paths, softmax_rows
+from conftest import fixed_logit_model, gradients, json_paths, kernel_note, softmax_rows
 from openset.calibration import logit_gaps
 from openset.checkpoint import (
     CheckpointError,
@@ -333,12 +333,13 @@ def _one_pass(model, x):
     return AugmentedLogits(affine(model.closed_head, h), affine(model.dummy_head, h).max(axis=1))
 
 
-def _assert_same_bytes(aug, reference):
-    """Every field of the scoring result, and the combined logits, byte for byte."""
+def _assert_same_bytes(aug, reference, note=""):
+    """Every field of the scoring result, and the combined logits, byte for
+    byte; `note` is added to the failure message."""
     assert vars(aug).keys() == vars(reference).keys()
     for name, value in vars(aug).items():
-        assert value.tobytes() == getattr(reference, name).tobytes(), name
-    assert aug.combined.tobytes() == reference.combined.tobytes()
+        assert value.tobytes() == getattr(reference, name).tobytes(), f"{name} {note}"
+    assert aug.combined.tobytes() == reference.combined.tobytes(), f"combined {note}"
 
 
 def _blobs6_grid(resolution=300):
@@ -371,7 +372,7 @@ class TestStatelessScoring:
     def test_chunked_scoring_matches_one_pass_on_the_blobs6_checkpoint(self):
         model, grid = _blobs6_grid()
         x = grid[:2 * SCORE_CHUNK + 1]
-        _assert_same_bytes(model.augmented_logits(x), _one_pass(model, x))
+        _assert_same_bytes(model.augmented_logits(x), _one_pass(model, x), kernel_note())
 
     @staticmethod
     def _scoring_peak() -> float:
@@ -410,19 +411,21 @@ class TestCheckpoint:
         rng = np.random.default_rng(17)
         model = SplitMlp.create(3, 3, 2, rng, pre_widths=(5,), post_widths=(4,))
         model.calibration_bias = 0.321
-        return model, TrainConfig(seed=17)
+        stats = Standardization(np.array([0.5, -1.0, 2.0]), np.array([1.0, 0.25, 3.0]))
+        return model, TrainConfig(seed=17), stats
 
     def test_round_trip_logits_bit_exact(self, tmp_path):
-        model, config = self._model_and_config()
+        model, config, stats = self._model_and_config()
         path = tmp_path / "model.json"
-        save_checkpoint(path, model, config)
-        loaded, loaded_config, stats = load_checkpoint(path)
+        save_checkpoint(path, model, config, stats)
+        loaded, loaded_config, loaded_stats = load_checkpoint(path)
         x = np.random.default_rng(0).standard_normal((10, 3))
         assert model.augmented_logits(x).combined.tobytes() == \
             loaded.augmented_logits(x).combined.tobytes()
         assert loaded.calibration_bias == model.calibration_bias
         assert loaded_config == config
-        assert stats is None
+        assert loaded_stats.mean.tobytes() == stats.mean.tobytes()
+        assert loaded_stats.std.tobytes() == stats.std.tobytes()
 
     def test_wide_checkpoint_save_load_save_is_byte_exact(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -442,9 +445,8 @@ class TestCheckpoint:
         assert a == b
 
     def test_version_mismatch_names_versions(self, tmp_path):
-        model, config = self._model_and_config()
         path = tmp_path / "model.json"
-        save_checkpoint(path, model, config)
+        save_checkpoint(path, *self._model_and_config())
         doc = path.read_text().replace('"format_version": 1', '"format_version": 99')
         path.write_text(doc)
         with pytest.raises(CheckpointError, match="99.*1"):
@@ -459,9 +461,7 @@ class TestCheckpoint:
     @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_one_mutated_value_loads_a_working_model_or_raises_checkpoint_error(self, tmp_path, data):
-        model, config = self._model_and_config()
-        stats = Standardization(np.array([0.5, -1.0, 2.0]), np.array([1.0, 0.25, 3.0]))
-        doc = json.loads(checkpoint_text(model, config, stats))
+        doc = json.loads(checkpoint_text(*self._model_and_config()))
         paths = list(json_paths(doc))
         *parents, key = data.draw(st.sampled_from(paths))
         container = doc
@@ -480,13 +480,13 @@ class TestCheckpoint:
             return
         x = np.zeros((3, loaded.input_dim))
         with np.errstate(all="ignore"):
-            aug = loaded.augmented_logits(x if loaded_stats is None else loaded_stats.apply(x))
+            aug = loaded.augmented_logits(loaded_stats.apply(x))
         assert aug.closed.shape == (3, loaded.num_known)
 
     def test_non_finite_weights_are_refused_and_nothing_is_written(self, tmp_path):
-        model, config = self._model_and_config()
+        model, config, stats = self._model_and_config()
         model.closed_head.biases[0] = np.nan
         path = tmp_path / "model.json"
         with pytest.raises(ValueError):
-            save_checkpoint(path, model, config)
+            save_checkpoint(path, model, config, stats)
         assert not path.exists()

@@ -5,7 +5,8 @@ timing spans. A renamed or moved target, or a changed layer signature,
 would only fail a traced benchmark run; these tests fail first. They load
 the tracer's target table without installing anything, and install it only
 in a child process. The benchmark's child process (`perfbench/child.py`)
-times training through two `cli` names, and one test runs it untraced.
+times training through two `cli` names; one test runs it untraced on a
+training workload, and one on the scoring workload.
 """
 
 from __future__ import annotations
@@ -101,6 +102,28 @@ def test_the_benchmark_child_marks_the_training_of_a_run(tmp_path):
     cfg = load_run_config(path)
     train_rows = len(split_known_unknown(cfg.dataset.load(), cfg.split)[0])
     assert marks["rows"] == train_rows * (cfg.train.pretrain_epochs + cfg.train.finetune_epochs)
+
+
+def test_the_benchmark_child_scores_the_committed_checkpoint(tmp_path):
+    # the open_eval workload, untraced, on blobs6 itself: its report, its
+    # calibration and its grid are the ones the program writes
+    golden = REPO / "out" / "blobs6"
+    spec = tmp_path / "spec.json"
+    report, grid = tmp_path / "report.json", tmp_path / "grid.csv"
+    spec.write_text(json.dumps({
+        "workload": "open_eval", "checkpoint": str(golden / "checkpoint.json"),
+        "config": str(REPO / "configs" / "blobs6.json"), "report": str(report), "grid": str(grid),
+        "grid_resolution": 3, "grid_range": [-7.0, 7.0, -7.0, 7.0], "test_rows": 6 * 90 + 4 * 300, "trace": False,
+    }))
+    result = tmp_path / "result.json"
+    done = _run_python(CHILD, spec, result)
+    assert done.returncode == 0, done.stderr
+    assert report.read_bytes() == (golden / "report.json").read_bytes()
+    calibration = json.loads((golden / "calibration.json").read_text())
+    marks = json.loads(result.read_text())
+    for key in ("chosen_bias", "achieved_known_rate", "target_met"):
+        assert marks["calibration"][key] == calibration[key], key
+    assert len(grid.read_text().splitlines()[1:]) == 9
 
 
 def test_a_traced_run_counts_its_training_rows(tmp_path):

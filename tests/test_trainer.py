@@ -12,7 +12,7 @@ import pytest
 
 from conftest import gradients, zero_grads
 from openset.checkpoint import checkpoint_text
-from openset.datastore import LabeledSet, fit_standardization, gen_gaussian_blobs
+from openset.datastore import LabeledSet, Standardization, fit_standardization, gen_gaussian_blobs
 from openset import trainer
 from openset.gradcore import DenseLayer, SgdMomentum
 from openset.network import SplitMlp
@@ -24,6 +24,10 @@ def _standardized_blobs(num_classes, per_class, seed, spread=0.5):
                               spread=spread, seed=seed)
     stats = fit_standardization(data.features)
     return LabeledSet(stats.apply(data.features), data.labels)
+
+
+# the standardization a checkpoint of these 2-D models is written with
+IDENTITY_2D = Standardization(np.zeros(2), np.ones(2))
 
 
 class TestTrainConfig:
@@ -103,8 +107,8 @@ class TestPretrainClosed:
     def test_same_seed_gives_bit_identical_checkpoints(self):
         data = _standardized_blobs(3, 30, seed=2)
         cfg = TrainConfig(pretrain_epochs=5, seed=9)
-        a = checkpoint_text(pretrain_closed(data, cfg), cfg)
-        b = checkpoint_text(pretrain_closed(data, cfg), cfg)
+        a = checkpoint_text(pretrain_closed(data, cfg), cfg, IDENTITY_2D)
+        b = checkpoint_text(pretrain_closed(data, cfg), cfg, IDENTITY_2D)
         assert a == b
 
     def test_dummy_head_untouched(self):
@@ -182,7 +186,7 @@ class TestFinetunePlaceholders:
         twin = copy.deepcopy(model)
         finetune_placeholders(model, data, cfg)
         finetune_placeholders(twin, data, cfg)
-        assert checkpoint_text(model, cfg) == checkpoint_text(twin, cfg)
+        assert checkpoint_text(model, cfg, IDENTITY_2D) == checkpoint_text(twin, cfg, IDENTITY_2D)
 
     def test_full_mode_trains_and_logs(self):
         data, cfg, model = self._pretrained()
