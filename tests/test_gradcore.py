@@ -89,16 +89,16 @@ class TestCrossEntropy:
 
     def test_extreme_logits_high_precision(self):
         # scalar oracle: -log sigmoid(20) = log1p(exp(-20))
-        loss, _ = cross_entropy_from_logits([[10.0, -10.0]], [0])
+        loss, _ = cross_entropy_from_logits(np.array([[10.0, -10.0]]), np.array([0]))
         assert loss == pytest.approx(math.log1p(math.exp(-20.0)), rel=1e-12)
 
     def test_gradient_uniform_two_classes(self):
-        _, grad = cross_entropy_from_logits([[0.0, 0.0]], [0])
+        _, grad = cross_entropy_from_logits(np.array([[0.0, 0.0]]), np.array([0]))
         np.testing.assert_allclose(grad, [[-0.5, 0.5]], atol=1e-15)
 
     def test_target_out_of_range(self):
         with pytest.raises(IndexError):
-            cross_entropy_from_logits([[0.0, 0.0]], [2])
+            cross_entropy_from_logits(np.array([[0.0, 0.0]]), np.array([2]))
 
     def test_matches_row_oracle(self):
         rng = np.random.default_rng(11)
@@ -277,7 +277,7 @@ class TestSgdMomentum:
 
 def _lam(alpha: float, rng) -> float:
     """The lambda `build_mix_pairs` draws, on a two-row batch."""
-    return build_mix_pairs([0, 1], rng, alpha).lam
+    return build_mix_pairs(np.array([0, 1]), rng, alpha).lam
 
 
 class TestBetaSample:

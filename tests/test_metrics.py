@@ -92,7 +92,7 @@ tie_heavy_scores = st.lists(
 )
 
 
-# the same without NaN, plus subnormals, for `auc`
+# the same without NaN, plus subnormals, for `auc` and `roc_points`
 ordered_scores = st.lists(
     st.one_of(st.sampled_from([0.0, -0.0, 0.5, -1.0, 2.0, math.inf, -math.inf, 5e-324, -5e-324, 1e-300]),
               st.floats(allow_nan=False)),
@@ -192,15 +192,15 @@ class TestAverageRanks:
 
 
 class TestRoc:
-    @given(known=tie_heavy_scores, unknown=tie_heavy_scores)
+    @given(known=ordered_scores, unknown=ordered_scores)
     @settings(max_examples=300)
     def test_equals_loop_reference_exactly(self, known, unknown):
-        got = roc_points(known, unknown)
+        got = roc_points(np.array(known), np.array(unknown))
         assert got.dtype == np.float64
         assert got.tobytes() == np.array(roc_points_loop(known, unknown)).tobytes()
 
     def test_endpoints(self):
-        pts = roc_points([0.9, 0.4], [0.5, 0.1])
+        pts = roc_points(np.array([0.9, 0.4]), np.array([0.5, 0.1]))
         assert pts.shape == (5, 2)
         assert pts[0].tolist() == [0.0, 0.0]
         assert pts[-1].tolist() == [1.0, 1.0]
