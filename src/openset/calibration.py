@@ -44,10 +44,9 @@ class CalibrationResult:
     target_met: bool
 
 
-def logit_gaps(model: SplitMlp, features) -> Array:
+def logit_gaps(model: SplitMlp, features: Array) -> Array:
     """Per instance: the knownness score at bias 0 (max closed minus max raw dummy logit)."""
-    features = np.asarray(features, dtype=np.float64)
-    if features.shape[0] == 0:
+    if len(features) == 0:
         raise ValueError("empty validation set")
     return model.augmented_logits(features).knownness(0.0)
 

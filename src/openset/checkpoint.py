@@ -90,7 +90,7 @@ def load_checkpoint(path) -> tuple[SplitMlp, TrainConfig, Standardization]:
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.loads(f.read())
-    except ValueError as exc:  # invalid JSON or UTF-8, or an integer too long to parse
+    except (ValueError, RecursionError) as exc:  # invalid or too deeply nested JSON, bad UTF-8, an integer too long
         raise CheckpointError(f"{path}: not a valid checkpoint ({exc})") from None
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise CheckpointError(f"{path}: missing format_version")

@@ -170,7 +170,7 @@ def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as f:
             return json.load(f)
-    except ValueError as exc:  # invalid JSON or UTF-8, or an integer too long to parse
+    except (ValueError, RecursionError) as exc:  # invalid or too deeply nested JSON, bad UTF-8, an integer too long
         raise ConfigError(f"{path}: invalid JSON ({exc})") from None
 
 
@@ -376,7 +376,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return cmd_sweep(args.config, args.unknown_counts)
         return cmd_gen_data(args.config, args.out)
-    except (ConfigError, CheckpointError, OSError) as exc:
+    except (ConfigError, CheckpointError, OSError, MemoryError, OverflowError) as exc:
+        # MemoryError and OverflowError: a count too large to allocate or to convert
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, RuntimeError, IndexError) as exc:

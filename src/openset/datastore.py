@@ -168,17 +168,16 @@ class Standardization:
     mean: Array
     std: Array
 
-    def apply(self, features, out: Array | None = None) -> Array:
+    def apply(self, features: Array, out: Array | None = None) -> Array:
         """`(features - mean) / std`, written into `out` when given (which may
         be `features` itself, to standardize in place), else into a new array."""
-        z = np.subtract(np.asarray(features, dtype=np.float64), self.mean, out=out)
+        z = np.subtract(features, self.mean, out=out)
         return np.divide(z, self.std, out=z)
 
 
-def fit_standardization(features) -> Standardization:
-    x = np.asarray(features, dtype=np.float64)
-    mean = x.mean(axis=0)
-    std = x.std(axis=0)
+def fit_standardization(features: Array) -> Standardization:
+    mean = features.mean(axis=0)
+    std = features.std(axis=0)
     std = np.where(std < 1e-12, 1.0, std)
     return Standardization(mean, std)
 

@@ -6,12 +6,13 @@ final embedding; the dummy head's per-row max joins the closed logits as
 column K of the combined logit matrix, with gradients routed only through
 the selected dummy column.
 
-Layers keep no activations. A training step keeps them on a tape: a list
-that starts with the forward's input and gets each layer's output from
-`embed_pre` and `embed_post`; the backward helpers pop them off again, last
-layer first; a hidden-mode fine-tuning step keeps a second tape from its
-mixed pre-embeddings on. Scoring keeps no tape, runs in row chunks and keeps
-K+1 numbers per row: the closed logits and the dummy max.
+Layers keep no activations. Two functions walk a list of layers: a
+training step hands `forward_layers` a tape, a list that starts with the
+forward's input and gets each layer's output, and `backward_layers` pops
+them off again, last layer first. A fine-tuning step mixes at one layer
+index, after the pre-layers or at the input, and starts a second tape at the
+mixed rows. Scoring keeps no tape, runs in row chunks and keeps K+1 numbers
+per row: the closed logits and the dummy max.
 """
 
 from __future__ import annotations
@@ -168,12 +169,6 @@ class SplitMlp:
 
     # -- forward ----------------------------------------------------------
 
-    def embed_pre(self, x: Array, tape: list[Array] | None = None) -> Array:
-        return _forward(self.pre_layers, x, tape)
-
-    def embed_post(self, h: Array, tape: list[Array] | None = None) -> Array:
-        return _forward(self.post_layers, h, tape)
-
     def heads_from_embedding(self, embedding: Array) -> HeadLogits:
         closed = self.closed_head.forward(embedding)
         dummy_all = self.dummy_head.forward(embedding)
@@ -190,9 +185,10 @@ class SplitMlp:
         if x.shape[1] != self.input_dim:
             raise ValueError(f"input shape {x.shape} does not match input dimension {self.input_dim}")
         out = AugmentedLogits(np.empty((len(x), self.num_known)), np.empty(len(x)))
+        body = [*self.pre_layers, *self.post_layers]
         start = 0
         for chunk in np.array_split(x, max(1, len(x) // SCORE_CHUNK)):
-            heads = self.heads_from_embedding(self.embed_post(self.embed_pre(chunk)))
+            heads = self.heads_from_embedding(forward_layers(body, chunk))
             rows = slice(start, start + len(chunk))
             out.closed[rows], out.dummy_max[rows] = heads.closed, heads.dummy_max
             start = rows.stop
@@ -206,18 +202,6 @@ class SplitMlp:
         embedding = tape[-1]
         return (self.closed_head.backward(d_closed, embedding, aug.closed)
                 + self.dummy_head.backward(d_dummy_all, embedding, aug.dummy_all))
-
-    def backward_post(self, d, tape: list[Array]) -> Array:
-        """Backpropagate through the post-layers, popping their outputs off `tape`."""
-        for layer in reversed(self.post_layers):
-            d = layer.backward(d, tape[-2], tape.pop())  # (input, output), left to right
-        return d
-
-    def backward_pre(self, d, tape: list[Array]) -> None:
-        """Backpropagate through the pre-layers, popping their outputs off `tape`.
-        Nothing reads the gradient of the raw input, so the input layer skips it."""
-        for i in range(len(self.pre_layers) - 1, -1, -1):
-            d = self.pre_layers[i].backward(d, tape[-2], tape.pop(), input_grad=i > 0)
 
     # -- parameter plumbing ------------------------------------------------
 
@@ -247,12 +231,23 @@ class SplitMlp:
         return params, grads
 
 
-def _forward(layers: list[DenseLayer], h: Array, tape: list[Array] | None) -> Array:
+def forward_layers(layers: list[DenseLayer], h: Array, tape: list[Array] | None = None) -> Array:
+    """Run `layers` in order on `h`, appending each output to `tape` if given."""
     for layer in layers:
         h = layer.forward(h)
         if tape is not None:
             tape.append(h)
     return h
+
+
+def backward_layers(layers: list[DenseLayer], d: Array, tape: list[Array], input_grad: bool) -> Array | None:
+    """Backpropagate `d` through `layers`, popping their outputs off `tape`,
+    last layer first. Without `input_grad` the first layer skips the gradient
+    of its input, which nothing reads, and None is returned."""
+    for i in range(len(layers) - 1, -1, -1):
+        # (input, output), left to right
+        d = layers[i].backward(d, tape[-2], tape.pop(), input_grad=input_grad or i > 0)
+    return d
 
 
 def split_combined_grad(aug: HeadLogits, d_combined: Array) -> tuple[Array, Array]:

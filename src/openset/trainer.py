@@ -16,7 +16,7 @@ import numpy as np
 
 from .datastore import LabeledSet, check_int, check_real
 from .gradcore import Array, SgdMomentum, cross_entropy_from_logits
-from .network import SplitMlp
+from .network import SplitMlp, backward_layers, forward_layers
 from .placeholders import MixPairs, build_mix_pairs, loss_classifier_placeholder, loss_data_placeholder
 
 MIX_MODES = ("hidden", "input")
@@ -108,10 +108,11 @@ def _train_epochs(model: SplitMlp, dataset: LabeledSet, config: TrainConfig, rng
 def pretrain_step(model: SplitMlp, xb: Array, yb: Array) -> tuple[float, float, Array, Array]:
     """Backpropagate the K-way cross-entropy of the closed head on the batch
     into the model; returns (loss, 0.0, closed logits, labels), as `finetune_step` does."""
+    body = [*model.pre_layers, *model.post_layers]
     tape = [xb]
-    logits = model.closed_head.forward(model.embed_post(model.embed_pre(xb, tape), tape))
+    logits = model.closed_head.forward(forward_layers(body, xb, tape))
     loss, d_logits = cross_entropy_from_logits(logits, yb)
-    model.backward_pre(model.backward_post(model.closed_head.backward(d_logits, tape[-1], logits), tape), tape)
+    backward_layers(body, model.closed_head.backward(d_logits, tape[-1], logits), tape, input_grad=False)
     return loss, 0.0, logits, yb
 
 
@@ -134,39 +135,36 @@ def pretrain_closed(dataset: LabeledSet, config: TrainConfig,
                          lambda xb, yb: pretrain_step(model, xb, yb), log_lines)
 
 
-def _mix_rows(rows: Array, cut: int, pairs: MixPairs) -> Array:
-    """The first `cut` rows, then the mixes of the pairs of later rows."""
-    return np.concatenate([rows[:cut], pairs.mix(rows[cut:])])
-
-
 def finetune_step(model: SplitMlp, xb: Array, yb: Array, pairs: MixPairs | None, beta: float,
                   gamma: float, mix_mode: str) -> tuple[float, float, Array, Array]:
     """Run the network once on the first half's rows stacked over the mixes
-    of `pairs` (indices into the second half; mixed after the pre-layers in
-    mix_mode "hidden", as raw rows in "input"), take both losses on row
-    slices, and backpropagate l1 + gamma * l2 once into the model. Without
-    pairs only the first half is forwarded and l2 is 0. Returns (l1, l2,
-    closed logits of the first half, its labels)."""
+    of `pairs` (indices into the second half), take both losses on row
+    slices, and backpropagate l1 + gamma * l2 once into the model. The rows
+    are mixed at one layer index: after the pre-layers in mix_mode "hidden",
+    at the input in "input". Without pairs only the first half is forwarded
+    and l2 is 0. Returns (l1, l2, closed logits of the first half, its
+    labels)."""
     (x1, y1), _ = split_batch_halves(xb, yb)
     cut = len(y1)
-    mix = bool(pairs)
-    hidden = mix and mix_mode == "hidden"
-    rows = xb if hidden else _mix_rows(xb, cut, pairs) if mix else x1
-    pre_tape = [rows]
-    h = model.embed_pre(rows, pre_tape)
-    # a hidden-mode step starts a second tape at the mixed pre-embeddings
-    tape = [_mix_rows(h, cut, pairs)] if hidden else pre_tape
-    aug = model.heads_from_embedding(model.embed_post(tape[-1], tape))
+    body = [*model.pre_layers, *model.post_layers]
+    at = len(model.pre_layers) if mix_mode == "hidden" else 0
+    tape = [xb if pairs else x1]
+    h = forward_layers(body[:at], tape[0], tape)
+    if pairs:
+        h = np.concatenate([h[:cut], pairs.mix(h[cut:])])
+    mixed_tape = [h]
+    aug = model.heads_from_embedding(forward_layers(body[at:], h, mixed_tape))
     combined = aug.combined
     l1, d_combined = loss_classifier_placeholder(combined[:cut], y1, beta)
     l2 = 0.0
-    if mix:
+    if pairs:
         l2, d_mixed = loss_data_placeholder(combined[cut:])
         d_combined = np.concatenate([d_combined, gamma * d_mixed])
-    d = model.backward_post(model.backward_heads(d_combined, aug, tape), tape)
-    if hidden:
-        d = np.concatenate([d[:cut], pairs.unmix(d[cut:], len(h) - cut)])
-    model.backward_pre(d, pre_tape)
+    d = backward_layers(body[at:], model.backward_heads(d_combined, aug, mixed_tape), mixed_tape, input_grad=at > 0)
+    if at:
+        if pairs:
+            d = np.concatenate([d[:cut], pairs.unmix(d[cut:], len(yb) - cut)])
+        backward_layers(body[:at], d, tape, input_grad=False)
     return l1, l2, aug.closed[:cut], y1
 
 

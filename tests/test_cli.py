@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import json_paths, kernel_note
+from openset import cli
 from openset.checkpoint import load_checkpoint
 from openset.cli import (
     MAX_RESOLUTION,
@@ -624,6 +626,54 @@ class TestGenData:
         path = _write_config(tmp_path, doc, "partial.json")
         assert main(["gen-data", "--config", str(path), "--out", str(partial_csv)]) == 0
         assert partial_csv.read_bytes() == full_csv.read_bytes()
+
+
+class TestOversizedInput:
+    """Input too large to parse or to hold exits 2 with one `error:` line."""
+
+    @pytest.mark.parametrize("command", ["run", "evaluate", "boundary-grid"])
+    def test_deeply_nested_json_exits_2_naming_the_file(self, tmp_path, capsys, command):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000 + "]" * 200_000)
+        grid = tmp_path / "grid.csv"
+        argv = {
+            "run": ["run", "--config", str(deep)],
+            "evaluate": ["evaluate", "--checkpoint", str(deep), "--config", str(REPO / "configs" / "blobs6.json")],
+            "boundary-grid": ["boundary-grid", "--checkpoint", str(deep), "--out", str(grid),
+                              "--resolution", "3", "--range", "0", "1", "0", "1"],
+        }[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not grid.exists()
+        assert captured.err.startswith(f"error: {deep}: ") and captured.err.count("\n") == 1, captured.err
+
+    def test_a_count_too_large_to_convert_exits_2(self, tmp_path, capsys):
+        doc = _tiny_config(tmp_path / "out")
+        doc["dataset"]["per_class"] = 10 ** 20
+        out_csv = tmp_path / "data.csv"
+        assert main(["gen-data", "--config", str(_write_config(tmp_path, doc)), "--out", str(out_csv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out_csv.exists()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+
+    @pytest.mark.parametrize("command", ["run", "gen-data"])
+    def test_a_dataset_too_large_to_allocate_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        # a real multi-TiB request could be granted on a host that overcommits, then killed
+        message = "Unable to allocate 146. TiB for an array with shape (10000000000000, 2) and data type float64"
+
+        @functools.wraps(cli.gen_gaussian_blobs)  # the config parser reads its signature
+        def too_large(**params):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "gen_gaussian_blobs", too_large)
+        monkeypatch.setattr(cli, "pretrain_closed", _no_training)
+        path = _write_config(tmp_path, _tiny_config(tmp_path / "out"))
+        argv = ["run", "--config", str(path)] if command == "run" else \
+            ["gen-data", "--config", str(path), "--out", str(tmp_path / "data.csv")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists() and not (tmp_path / "data.csv").exists()
 
 
 class TestPipelineConsistency:

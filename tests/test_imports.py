@@ -40,3 +40,46 @@ def test_the_check_sees_an_unused_name():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+ROOT = SRC.parent.parent
+
+
+def unused_definitions(definitions: dict[str, list[str]], sources: list[str]) -> list[str]:
+    """The module-level functions and classes in `definitions` (module ->
+    names) that no source names: a name read, an attribute, an imported name
+    or a string equal to the name counts (`perfbench/tracer.py` names its
+    targets in strings); the definition itself does not."""
+    named: set[str] = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name.split(".")[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)
+    return [f"{module}: {name}" for module, names in definitions.items() for name in names if name not in named]
+
+
+def _definitions(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
+def test_the_check_sees_an_unused_definition():
+    definitions = {"m.py": ["used", "traced", "unused"]}
+    sources = ["def used():\n    pass\n\n\ndef traced():\n    pass\n\n\ndef unused():\n    used()\n",
+               "TARGETS = [('openset.m', 'traced')]\n"]
+    assert unused_definitions(definitions, sources) == ["m.py: unused"]
+
+
+def test_every_definition_has_a_user():
+    definitions = {path.name: _definitions(path) for path in sorted(SRC.glob("*.py"))}
+    sources = [path.read_text(encoding="utf-8")
+               for folder in ("src", "tests", "perfbench") for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert sum(map(len, definitions.values())) > 0
+    assert unused_definitions(definitions, sources) == []

@@ -27,7 +27,9 @@ from openset.network import (
     SCORE_CHUNK,
     AugmentedLogits,
     SplitMlp,
+    backward_layers,
     baseline_confidence,
+    forward_layers,
     knownness_score,
     predict_open,
     split_combined_grad,
@@ -57,14 +59,14 @@ class TestEmbedding:
         rng = np.random.default_rng(0)
         model = SplitMlp.create(3, 2, 1, rng, pre_widths=(), post_widths=(4,))
         x = rng.standard_normal((5, 3))
-        np.testing.assert_array_equal(model.embed_pre(x), x)
+        np.testing.assert_array_equal(forward_layers(model.pre_layers, x), x)
 
     def test_identity_layer_passthrough(self):
         rng = np.random.default_rng(0)
         model = SplitMlp.create(3, 2, 1, rng, pre_widths=(3,), post_widths=(4,))
         model.pre_layers[0] = DenseLayer(np.eye(3), np.zeros(3), "linear")
         x = rng.standard_normal((5, 3))
-        np.testing.assert_array_equal(model.embed_pre(x), x)
+        np.testing.assert_array_equal(forward_layers(model.pre_layers, x), x)
 
     def test_seeded_construction_is_bytes_stable(self):
         x = np.random.default_rng(99).standard_normal((4, 3))
@@ -72,7 +74,7 @@ class TestEmbedding:
         for _ in range(2):
             model = SplitMlp.create(3, 2, 2, np.random.default_rng(7), pre_widths=(8, 8),
                                     post_widths=(4,))
-            outs.append(model.embed_post(model.embed_pre(x)))
+            outs.append(forward_layers([*model.pre_layers, *model.post_layers], x))
         assert outs[0].tobytes() == outs[1].tobytes()
 
     def test_pack_makes_layers_views_of_two_flat_buffers(self):
@@ -91,22 +93,23 @@ class TestEmbedding:
             np.testing.assert_array_equal(p, old + 1.0)
             np.testing.assert_array_equal(g, 2.0)
 
-    def test_backward_pre_returns_no_input_gradient(self):
+    def test_backward_layers_without_input_grad_returns_none(self):
         model = SplitMlp.create(3, 2, 1, np.random.default_rng(0), pre_widths=(4, 4))
         tape = [np.ones((2, 3))]
-        h = model.embed_pre(tape[0], tape)
-        assert model.backward_pre(np.ones_like(h), tape) is None
+        h = forward_layers(model.pre_layers, tape[0], tape)
+        assert backward_layers(model.pre_layers, np.ones_like(h), tape, input_grad=False) is None
+        assert len(tape) == 1
         assert all(layer.grad_weights.any() for layer in model.pre_layers)
 
     def test_shape_mismatch(self):
         model = SplitMlp.create(3, 2, 1, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            model.embed_pre(np.zeros((1, 4)))
+            forward_layers(model.pre_layers, np.zeros((1, 4)))
 
 
 def _heads(model, x):
     """The training forward's heads on `x`, which keep every dummy logit."""
-    return model.heads_from_embedding(model.embed_post(model.embed_pre(x)))
+    return model.heads_from_embedding(forward_layers([*model.pre_layers, *model.post_layers], x))
 
 
 class TestAugmentedLogits:

@@ -1,13 +1,14 @@
 """The internal fine-tune and scoring functions get what their callers promise.
 
 The placeholder losses, `log_softmax_rows`, `cross_entropy_from_logits`,
-`build_mix_pairs`, `roc_points` and `candidate_biases` convert and check
+`build_mix_pairs`, `roc_points`, `candidate_biases`, `logit_gaps`,
+`fit_standardization` and `Standardization.apply` convert and check
 nothing. Each rule on their inputs has one owner elsewhere: `LabeledSet` makes
-int64 labels, the network float64 logits, `build_mix_pairs` every `MixPairs`,
-`evaluate` and `_finite` the ROC scores, and `logit_gaps` and `_finite` the
-calibration gaps. One test spies on every call those functions get in real
-runs and asserts that promise, so a lost owner fails here rather than in a
-silently wrong number.
+int64 labels and float64 features, the network float64 logits,
+`build_mix_pairs` every `MixPairs`, `evaluate` and `_finite` the ROC scores,
+and `logit_gaps` and `_finite` the calibration gaps. One test spies on every
+call those functions get in real runs and asserts that promise, so a lost
+owner fails here rather than in a silently wrong number.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ TINY_RUN = {
 }
 
 
-def _logits(z) -> None:
+def _matrix(z) -> None:
     assert isinstance(z, np.ndarray) and z.dtype == np.float64 and z.ndim == 2, (type(z), z.dtype, z.shape)
 
 
@@ -54,33 +55,44 @@ def _mix_pairs(labels, rng, alpha, pairs) -> None:
     assert len(pairs.left) == len(pairs.right)
 
 
-# (module, function) -> check(*args, result)
+# (module, function or Class.method) -> check(*args, result, **kwargs)
 CHECKS = {
-    ("openset.gradcore", "log_softmax_rows"): lambda z, out: _logits(z),
-    ("openset.gradcore", "cross_entropy_from_logits"): lambda z, t, out: (_logits(z), _labels(t, len(z))),
-    ("openset.placeholders", "masked_logits"): lambda z, t, out: (_logits(z), _labels(t, len(z))),
-    ("openset.placeholders", "loss_classifier_placeholder"): lambda z, t, beta, out: (_logits(z), _labels(t, len(z))),
-    ("openset.placeholders", "loss_data_placeholder"): lambda z, out: _logits(z),
+    ("openset.gradcore", "log_softmax_rows"): lambda z, out: _matrix(z),
+    ("openset.gradcore", "cross_entropy_from_logits"): lambda z, t, out: (_matrix(z), _labels(t, len(z))),
+    ("openset.placeholders", "masked_logits"): lambda z, t, out: (_matrix(z), _labels(t, len(z))),
+    ("openset.placeholders", "loss_classifier_placeholder"): lambda z, t, beta, out: (_matrix(z), _labels(t, len(z))),
+    ("openset.placeholders", "loss_data_placeholder"): lambda z, out: _matrix(z),
     ("openset.placeholders", "build_mix_pairs"): _mix_pairs,
     ("openset.metrics", "roc_points"): lambda known, unknown, out: (_scores(known), _scores(unknown)),
     ("openset.calibration", "candidate_biases"): lambda gaps, intervals, out: _scores(gaps),
+    ("openset.calibration", "logit_gaps"): lambda model, features, out: _matrix(features),
+    ("openset.datastore", "fit_standardization"): lambda features, out: _matrix(features),
+    ("openset.datastore", "Standardization.apply"): lambda stats, features, result, out=None: _matrix(features),
 }
 
 
 def _spy(monkeypatch, calls: list[str]) -> None:
     """Wrap every checked function in its home module and wherever another
     `openset` module bound it by name, as `perfbench/tracer.py` installs its
-    spans; each call is checked and its name appended to `calls`."""
+    spans, or on its class for a method; each call is checked and its name
+    appended to `calls`."""
     modules = [m for n, m in sys.modules.items() if n == "openset" or n.startswith("openset.")]
     for (module_name, name), check in CHECKS.items():
-        original = getattr(importlib.import_module(module_name), name)
+        owner = importlib.import_module(module_name)
+        *cls, name = name.split(".")
+        if cls:
+            owner = getattr(owner, cls[0])
+        original = getattr(owner, name)
 
-        def spy(*args, _original=original, _name=name, _check=check):
-            result = _original(*args)
-            _check(*args, result)
+        def spy(*args, _original=original, _name=name, _check=check, **kwargs):
+            result = _original(*args, **kwargs)
+            _check(*args, result, **kwargs)
             calls.append(_name)
             return result
 
+        if cls:
+            monkeypatch.setattr(owner, name, spy)
+            continue
         for module in modules:
             for key, value in list(vars(module).items()):
                 if value is original:
@@ -95,17 +107,17 @@ def test_each_unchecked_function_gets_what_its_owner_promises(tmp_path, monkeypa
     _spy(monkeypatch, calls)
 
     assert main(["run", "--config", str(config)]) == 0
-    assert set(calls) == {name for _, name in CHECKS}
+    assert set(calls) == {name.split(".")[-1] for _, name in CHECKS}
 
-    calls.clear()
     model, train_config, _ = load_checkpoint(out / "checkpoint.json")
     cfg = load_run_config(config)
     train, _, _, _ = prepare(cfg.dataset.load(), cfg.split)
+    calls.clear()
     finetune_placeholders(model, train, dataclasses.replace(train_config, mix_mode="input"))
     assert set(calls) == {"log_softmax_rows", "masked_logits", "loss_classifier_placeholder",
                           "loss_data_placeholder", "build_mix_pairs"}
 
     calls.clear()
     assert main(["evaluate", "--checkpoint", str(out / "checkpoint.json"), "--config", str(config)]) == 0
-    assert calls == ["roc_points"]
+    assert calls == ["apply", "roc_points"]
     assert capsys.readouterr().out == (out / "report.json").read_text(encoding="utf-8")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import math
 import re
 from dataclasses import replace
@@ -10,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import gradients, zero_grads
+from conftest import gradients, kernel_note, zero_grads
 from openset.checkpoint import checkpoint_text
 from openset.datastore import LabeledSet, Standardization, fit_standardization, gen_gaussian_blobs
 from openset import trainer
@@ -422,3 +423,28 @@ class TestPackedTraining:
         reference = finetune_placeholders(copy.deepcopy(pretrained), self.data, cfg)
         assert _param_bytes(packed) == _param_bytes(reference)
         assert _param_bytes(packed) != original
+
+
+# sha256 of each tiny training's packed parameters and both logs, frozen on
+# the SkylakeX kernel; (train_mode, mix_mode) -> digest
+MODE_DIGESTS = {
+    ("dummy_only", "hidden"): "aeafd130dc4a209334ab9e83fb9ea7505f6760a9b9de8a6d3d54b25d67b30fcd",
+    ("dummy_only", "input"): "aeafd130dc4a209334ab9e83fb9ea7505f6760a9b9de8a6d3d54b25d67b30fcd",
+    ("mixup_only", "hidden"): "c5aaf16f7a8b20015c0ac5f4cfb70beaea3edc09580abde3dd94d2765d0a981b",
+    ("mixup_only", "input"): "b9441daa64304701ef585728802d7a3f82167ad555f73c4b6a9c06bc13580f6b",
+    ("full", "hidden"): "75b32b7e636b2b54ca5a043fc7ca0e1550ab595c70a3ae753f294a509c12d40a",
+    ("full", "input"): "2f29baf2dc4aaeff8cfbc5e916e264745ea4f5d88e587328d7425c647a5c220f",
+}
+
+
+@pytest.mark.parametrize("train_mode, mix_mode", MODE_DIGESTS)
+def test_every_mode_and_mix_mode_keeps_its_bytes(train_mode, mix_mode):
+    # 36 rows in batches of 7 end in a 1-row batch, which fine-tuning skips,
+    # and every other batch splits into halves of 4 and 3 rows
+    data = _standardized_blobs(3, 12, seed=4)
+    cfg = TrainConfig(pretrain_epochs=3, finetune_epochs=3, batch_size=7,
+                      train_mode=train_mode, mix_mode=mix_mode, seed=4)
+    log: list[str] = []
+    model = finetune_placeholders(pretrain_closed(data, cfg, log), data, cfg, log)
+    digest = hashlib.sha256(model.pack()[0].tobytes() + "\n".join(log).encode()).hexdigest()
+    assert digest == MODE_DIGESTS[train_mode, mix_mode], kernel_note()
