@@ -194,6 +194,7 @@ def gen_gaussian_blobs(num_classes: int = 10, per_class: int = 300, dim: int = 2
     check_scale("center_scale", center_scale)
     check_scale("spread", spread)
     check_int("seed", seed, 0)
+    _check_size({"num_classes": num_classes, "per_class": per_class}, dim)
     if not math.isfinite(2.0 * center_scale):
         raise ValueError(f"center_scale {center_scale!r} is too large: the range of centers overflows")
     rng = np.random.default_rng(seed)
@@ -211,6 +212,7 @@ def gen_rings(num_classes: int = 3, per_class: int = 300, noise: float = 0.05, s
     check_int("per_class", per_class, 1)
     check_scale("noise", noise)
     check_int("seed", seed, 0)
+    _check_size({"num_classes": num_classes, "per_class": per_class}, 2)
     rng = np.random.default_rng(seed)
     features = np.empty((num_classes * per_class, 2))
     labels = np.repeat(np.arange(num_classes), per_class)
@@ -222,6 +224,15 @@ def gen_rings(num_classes: int = 3, per_class: int = 300, noise: float = 0.05, s
         features[block, 1] = radii * np.sin(angles)
     _check_generated(features, f"noise {noise!r}")
     return LabeledSet(features, labels)
+
+
+def _check_size(counts: dict[str, int], width: int) -> None:
+    """Raise ValueError naming `counts` unless the product of their values,
+    rows of `width` float64 features, is an array numpy can size: one whose
+    byte count fits in an intp."""
+    if math.prod(counts.values()) * width > np.iinfo(np.intp).max // 8:
+        rows = " x ".join(f"{name} {value}" for name, value in counts.items())
+        raise ValueError(f"{rows} rows of {width} features are too many for one array")
 
 
 def _check_generated(features: Array, params: str) -> None:
@@ -341,9 +352,12 @@ def split_known_unknown(dataset: LabeledSet, split: OpenSplit) -> tuple[LabeledS
     Every unknown-class row lands in test with label K. Train and val never
     contain unknown rows.
     """
-    present = set(np.unique(dataset.labels).tolist())
+    # one binary search per class in the sorted labels: no table sized by the
+    # label range, and no numpy.ma import, which np.unique would make
+    sorted_labels = np.sort(dataset.labels)
     for cls in [*split.known_class_ids, *split.unknown_class_ids]:
-        if cls not in present:
+        at = sorted_labels.searchsorted(min(cls, np.iinfo(np.int64).max))
+        if at == sorted_labels.size or int(sorted_labels[at]) != cls:
             raise ValueError(f"class {cls} not present in the dataset")
     known_sorted = np.sort(split.known_class_ids)
 

@@ -38,7 +38,10 @@ def roc_points(known_scores: Array, unknown_scores: Array) -> Array:
     sweeping from (0,0) to (1,1) and thresholding "known" at score >= t for
     descending unique thresholds. Both sides are non-empty float64 1-D
     arrays of finite scores: `evaluate` passes only those."""
-    thresholds = np.unique(np.concatenate([known_scores, unknown_scores]))[::-1]
+    # the first of each run of equal sorted scores (-0.0 equals 0.0), as
+    # np.unique keeps them, without the numpy.ma import np.unique makes
+    pooled = np.sort(np.concatenate([known_scores, unknown_scores]))
+    thresholds = pooled[np.concatenate(([True], pooled[1:] != pooled[:-1]))][::-1]
 
     points = np.zeros((thresholds.size + 1, 2))
     for column, scores in enumerate((unknown_scores, known_scores)):

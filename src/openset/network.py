@@ -28,15 +28,26 @@ from .gradcore import Array, DenseLayer, as_matrix
 DEFAULT_PRE_WIDTHS = (64, 64)
 DEFAULT_POST_WIDTHS = (32, 16)
 DUMMY_INIT_STD = 0.01
-# Minimum rows per scoring pass; chunks hold SCORE_CHUNK to 2 * SCORE_CHUNK - 1
-# rows, so a 1024 x 64 float64 activation (512 KB) stays in a core's 2 MB L2
-# cache. Scoring 116k blobs6 rows took 67 ms, against 72 ms at 4096 rows,
-# 70 ms at 2048 and 70 ms at 512 (min of 7, one BLAS thread, Xeon). On
-# OpenBLAS's SkylakeX kernel, chunks stay bit-identical to one pass, because
-# it rounds only short passes differently: 1 row on the blobs6 shapes, under
-# 20 rows on a 784-wide layer. Under OPENBLAS_CORETYPE=Haswell the chunked
-# closed logits of the blobs6 grid differ from one pass at byte 12288.
+# Maximum rows per scoring pass. A set of n rows is scored in
+# ceil(n / SCORE_CHUNK) chunks, so no pass holds more than SCORE_CHUNK rows,
+# and a 1024 x 64 float64 activation (512 KB) stays in a core's 2 MB L2
+# cache; blobs6's 1740 test rows go in two passes, not one that lifts the
+# run's peak RSS. Scoring 116k blobs6 rows took 71 ms, against 74 ms with
+# passes of at most 2048 rows and 88 ms at 4096 (min of 15, one BLAS thread,
+# Xeon). A set above SCORE_CHUNK rows gets passes of at least 497 rows, far
+# above the short passes OpenBLAS's SkylakeX kernel rounds differently (1 row
+# on the blobs6 shapes, under 20 rows on a 784-wide layer).
 SCORE_CHUNK = 1024
+# Every chunk starts at a multiple of SCORE_ALIGN rows. A gemm kernel works
+# through rows in blocks of a few (4 on Haswell), and a row that falls in a
+# shorter tail block is rounded differently. With aligned starts and one
+# BLAS thread, chunked scoring of the blobs6 grid and of a 784-wide layer was
+# bit-identical to one pass under every kernel this numpy's OpenBLAS loads
+# for OPENBLAS_CORETYPE (SkylakeX, Haswell, Sandybridge, Nehalem, Prescott,
+# Katmai); with unaligned starts, it differed under four of them. With two
+# threads it still differs under those four, as OpenBLAS splits the rows
+# between its threads by its own rule.
+SCORE_ALIGN = 16
 
 
 @dataclass
@@ -177,21 +188,24 @@ class SplitMlp:
         return HeadLogits(closed, dummy_max, dummy_all, dummy_argmax)
 
     def augmented_logits(self, x) -> AugmentedLogits:
-        """Score `x` in chunks of SCORE_CHUNK or more rows, bit-identical to one
-        pass on the SkylakeX kernel. The result holds K+1 numbers per row, the
-        closed logits and the dummy max; it is allocated once and filled chunk
-        by chunk. This is where the input width is checked, once per scored set."""
+        """Score `x` in chunks of at most SCORE_CHUNK rows that start at
+        multiples of SCORE_ALIGN, bit-identical to one pass with one BLAS
+        thread on every OpenBLAS kernel measured. The result holds K+1
+        numbers per row, the closed logits and the dummy max; it is allocated
+        once and filled chunk by chunk. This is where the input width is
+        checked, once per scored set."""
         x = as_matrix(x)
         if x.shape[1] != self.input_dim:
             raise ValueError(f"input shape {x.shape} does not match input dimension {self.input_dim}")
-        out = AugmentedLogits(np.empty((len(x), self.num_known)), np.empty(len(x)))
+        n = len(x)
+        out = AugmentedLogits(np.empty((n, self.num_known)), np.empty(n))
         body = [*self.pre_layers, *self.post_layers]
-        start = 0
-        for chunk in np.array_split(x, max(1, len(x) // SCORE_CHUNK)):
-            heads = self.heads_from_embedding(forward_layers(body, chunk))
-            rows = slice(start, start + len(chunk))
-            out.closed[rows], out.dummy_max[rows] = heads.closed, heads.dummy_max
-            start = rows.stop
+        chunks = max(1, -(-n // SCORE_CHUNK))
+        # chunk i starts at i * n / chunks, rounded up to a multiple of SCORE_ALIGN
+        bounds = [-(-i * n // (chunks * SCORE_ALIGN)) * SCORE_ALIGN for i in range(chunks)] + [n]
+        for start, stop in zip(bounds, bounds[1:]):
+            heads = self.heads_from_embedding(forward_layers(body, x[start:stop]))
+            out.closed[start:stop], out.dummy_max[start:stop] = heads.closed, heads.dummy_max
         return out
 
     # -- backward ---------------------------------------------------------

@@ -21,6 +21,9 @@ from .placeholders import MixPairs, build_mix_pairs, loss_classifier_placeholder
 
 MIX_MODES = ("hidden", "input")
 TRAIN_MODES = ("baseline", "dummy_only", "mixup_only", "full")
+# the dummy head is embedding width x num_dummy; a count above this is
+# refused with the config, before `run` makes its output directory
+MAX_DUMMY = 10_000
 
 
 @dataclass
@@ -48,6 +51,8 @@ class TrainConfig:
         if not 0 <= self.gamma < math.inf:
             raise ValueError(f"gamma must be nonnegative and finite, got {self.gamma}")
         check_int("num_dummy", self.num_dummy, 1)
+        if self.num_dummy > MAX_DUMMY:
+            raise ValueError(f"num_dummy must be at most {MAX_DUMMY}, got {self.num_dummy}")
         if not 0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if not 0 < self.learning_rate < math.inf:

@@ -2,7 +2,8 @@
 access to the gradients a DenseLayer or SplitMlp has written (each backward
 overwrites its layer's gradients), a model with fixed logits, the plain
 log-softmax and cross-entropy compositions that the training step's losses
-must match byte for byte, and the BLAS kernel a golden test's bytes depend on."""
+must match byte for byte, the ROC with `np.unique` thresholds, and the BLAS
+kernel a golden test's bytes depend on."""
 
 from __future__ import annotations
 
@@ -183,6 +184,17 @@ def cross_entropy_row_oracle(row, target) -> float:
     m = max(row)
     lse = m + math.log(sum(math.exp(v - m) for v in row))
     return lse - row[target]
+
+
+def roc_points_unique_oracle(known_scores, unknown_scores) -> np.ndarray:
+    """`metrics.roc_points` with its thresholds taken by `np.unique`, which
+    imports numpy.ma on its first call."""
+    thresholds = np.unique(np.concatenate([known_scores, unknown_scores]))[::-1]
+    points = np.zeros((thresholds.size + 1, 2))
+    for column, scores in enumerate((unknown_scores, known_scores)):
+        passed = scores.size - np.searchsorted(np.sort(scores), thresholds, "left")
+        np.divide(passed, scores.size, out=points[1:, column])
+    return points
 
 
 def json_paths(doc, prefix=()):

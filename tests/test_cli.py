@@ -7,8 +7,11 @@ import hashlib
 import io
 import json
 import re
+import os
 import shlex
 import struct
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
@@ -77,6 +80,13 @@ def _tiny_config(out_dir, train_mode="full", train_overrides=None, split_overrid
         "calibration": {"target_rate": 0.95, "intervals": 100},
         "output_dir": str(out_dir),
     }
+
+
+# (field, value, the error it gives, or None for "<field> must be an integer of at least")
+_BAD_COUNTS = [("per_class", 2.5, None), ("per_class", True, None), ("per_class", 0, None),
+               ("num_classes", 5.0, None), ("dim", "2", None), ("seed", -1, None),
+               ("per_class", 10 ** 20, "num_classes 5 x per_class 100000000000000000000 rows of 2 features "
+                                       "are too many for one array")]
 
 
 def _no_training(*args, **kwargs):
@@ -210,9 +220,8 @@ class TestRun:
         doc["calibration"]["intervals"] = 1_000_000
         assert parse_run_config(doc).calibration.intervals == 1_000_000
 
-    @pytest.mark.parametrize("key,value", [("per_class", 2.5), ("per_class", True), ("per_class", 0),
-                                           ("num_classes", 5.0), ("dim", "2"), ("seed", -1)])
-    def test_bad_generator_count_exits_2_naming_it(self, tmp_path, capsys, key, value):
+    @pytest.mark.parametrize("key,value,message", _BAD_COUNTS, ids=[f"{key}-{value}" for key, value, _ in _BAD_COUNTS])
+    def test_bad_generator_count_exits_2_naming_it(self, tmp_path, capsys, key, value, message):
         out = tmp_path / "out"
         doc = _tiny_config(out)
         doc["dataset"][key] = value
@@ -221,8 +230,20 @@ class TestRun:
         assert main(["run", "--config", str(path)]) == 2
         assert main(["gen-data", "--config", str(path), "--out", str(csv)]) == 2
         err = capsys.readouterr().err
-        assert err.count(f"{key} must be an integer of at least") == 2, err
+        assert err.count(message or f"{key} must be an integer of at least") == 2, err
         assert not out.exists() and not csv.exists()
+
+    @pytest.mark.parametrize("num_dummy", [10_001, 10 ** 12])
+    def test_num_dummy_above_ten_thousand_exits_2_before_training(self, tmp_path, capsys, monkeypatch, num_dummy):
+        monkeypatch.setattr("openset.cli.pretrain_closed", _no_training)
+        out = tmp_path / "out"
+        doc = _tiny_config(out, train_overrides={"num_dummy": num_dummy})
+        assert main(["run", "--config", str(_write_config(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: invalid train block: num_dummy must be at most 10000, got {num_dummy}\n"
+        assert not out.exists()
+        doc["train"]["num_dummy"] = 10_000
+        assert parse_run_config(doc).train.num_dummy == 10_000
 
     @pytest.mark.parametrize("generator,key,value,message", [
         ("blobs", "center_scale", -float("inf"), "center_scale must be a finite number of at least 0, got -inf"),
@@ -674,6 +695,27 @@ class TestOversizedInput:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {message}\n"
         assert not (tmp_path / "out").exists() and not (tmp_path / "data.csv").exists()
+
+
+class TestLeanProcess:
+    def test_run_evaluate_and_grid_never_import_numpy_ma(self, tmp_path):
+        # np.unique imports all of numpy.ma on its first call (about 11 ms of
+        # CPU and 1.2 MB of memory), so no command may reach it
+        config = str(_write_config(tmp_path, _tiny_config(tmp_path / "out")))
+        checkpoint = str(tmp_path / "out" / "checkpoint.json")
+        commands = [["run", "--config", config],
+                    ["evaluate", "--checkpoint", checkpoint, "--config", config],
+                    ["boundary-grid", "--checkpoint", checkpoint, "--out", str(tmp_path / "grid.csv"),
+                     "--resolution", "5", "--range", "-7", "7", "-7", "7"]]
+        script = ("import json, sys\n"
+                  "from openset.cli import main\n"
+                  "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+                  "print(json.dumps([codes, 'numpy.ma' in sys.modules]))\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(REPO / "src"), os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                              capture_output=True, text=True, timeout=120, env=env)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == [[0, 0, 0], False]
 
 
 class TestPipelineConsistency:

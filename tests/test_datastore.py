@@ -121,6 +121,19 @@ class TestGeneratorFields:
             _GENERATORS[name](3, 10, **{key: value})
         assert str(exc.value) == f"{key} must be a finite number of at least 0, got {value!r}"
 
+    @pytest.mark.parametrize("name,fields,width", [
+        ("blobs", {"num_classes": 3, "per_class": 10 ** 20}, 2),
+        ("blobs", {"num_classes": 2 ** 40, "per_class": 2 ** 19}, 2),
+        ("blobs", {"num_classes": 3, "per_class": 10, "dim": 2 ** 60}, 2 ** 60),
+        ("rings", {"num_classes": 2 ** 60, "per_class": 1}, 2),
+    ])
+    def test_a_row_count_numpy_cannot_size_is_named(self, name, fields, width):
+        # numpy sizes an array only if its byte count fits in an intp
+        with pytest.raises(ValueError) as exc:
+            _GENERATORS[name](**fields)
+        rows = f"num_classes {fields['num_classes']} x per_class {fields['per_class']}"
+        assert str(exc.value) == f"{rows} rows of {width} features are too many for one array"
+
 
 class TestLabeledSet:
     @pytest.mark.parametrize("shape", [(4, 0), (0, 0)], ids=["4x0", "0x0"])
@@ -524,6 +537,19 @@ class TestSplitKnownUnknown:
         split = OpenSplit(known_class_ids=[0, 7], val_fraction=0.2, test_fraction=0.2)
         with pytest.raises(ValueError):
             split_known_unknown(data, split)
+
+    def test_a_label_of_2_to_the_62_is_found_without_a_table_over_the_label_range(self):
+        # a presence table sized by the label range would take 2**62 entries here
+        labels = np.repeat([0, 5, 2 ** 62], 10)
+        data = LabeledSet(np.arange(30.0)[:, None], labels)
+        train, val, test = split_known_unknown(data, OpenSplit([2 ** 62, 0], [5], 0.2, 0.2))
+        assert sorted(set(train.labels.tolist())) == [0, 1]
+        assert test.labels.tolist().count(2) == 10
+        # known classes are checked first, then unknown, each in its listed order
+        for known, unknown, missing in (([0, 2 ** 62 + 1], [7], 2 ** 62 + 1), ([0, 5], [2 ** 62 - 1, 6], 2 ** 62 - 1),
+                                        ([0, 2 ** 62], [2 ** 70], 2 ** 70)):
+            with pytest.raises(ValueError, match=f"^class {missing} not present in the dataset$"):
+                split_known_unknown(data, OpenSplit(known, unknown, 0.2, 0.2))
 
     @pytest.mark.parametrize("seed", [1.5, -1, True])
     def test_non_integer_or_negative_seed_rejected(self, seed):

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fixed_logit_model
+from conftest import fixed_logit_model, roc_points_unique_oracle
 from openset.datastore import LabeledSet, OpenSplit, json_text
 from openset.metrics import (
     auc,
@@ -98,6 +99,11 @@ ordered_scores = st.lists(
               st.floats(allow_nan=False)),
     min_size=1, max_size=40,
 )
+
+
+# finite, as `evaluate` passes them, and mostly tied, -0.0 against 0.0 too
+tied_finite_scores = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -1.0, 2.0, 5e-324, -5e-324]),
+                               st.floats(allow_nan=False, allow_infinity=False))
 
 
 def macro_f1_by_hand(preds, labels, num_classes) -> float:
@@ -198,6 +204,16 @@ class TestRoc:
         got = roc_points(np.array(known), np.array(unknown))
         assert got.dtype == np.float64
         assert got.tobytes() == np.array(roc_points_loop(known, unknown)).tobytes()
+
+    @given(known=st.lists(tied_finite_scores, min_size=1, max_size=40),
+           unknown=st.lists(tied_finite_scores, min_size=1, max_size=40))
+    @settings(max_examples=300)
+    def test_equals_the_np_unique_thresholds_byte_for_byte(self, known, unknown):
+        known, unknown = np.array(known), np.array(unknown)
+        # np.unique reaches numpy.ma through np.ma.is_masked; roc_points must not
+        with mock.patch.object(np.ma, "is_masked", side_effect=AssertionError("numpy.ma reached")):
+            got = roc_points(known, unknown)
+        assert got.tobytes() == roc_points_unique_oracle(known, unknown).tobytes()
 
     def test_endpoints(self):
         pts = roc_points(np.array([0.9, 0.4]), np.array([0.5, 0.1]))

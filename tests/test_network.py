@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import fixed_logit_model, gradients, json_paths, kernel_note, softmax_rows
+from openset import network
 from openset.calibration import logit_gaps
 from openset.checkpoint import (
     CheckpointError,
@@ -24,6 +25,7 @@ from openset.checkpoint import (
 from openset.datastore import Standardization
 from openset.gradcore import DenseLayer
 from openset.network import (
+    SCORE_ALIGN,
     SCORE_CHUNK,
     AugmentedLogits,
     SplitMlp,
@@ -371,6 +373,24 @@ class TestStatelessScoring:
         model = SplitMlp.create(784, 6, 5, rng)
         x = rng.standard_normal((rows, 784))
         _assert_same_bytes(model.augmented_logits(x), _one_pass(model, x))
+
+    @pytest.mark.parametrize("rows", [2 * SCORE_CHUNK - 1, SCORE_CHUNK + 1, 90_000])
+    def test_no_scoring_pass_holds_more_than_score_chunk_rows(self, monkeypatch, rows):
+        passes = []
+        walk = network.forward_layers
+
+        def spied(layers, h, tape=None):
+            passes.append(len(h))
+            return walk(layers, h, tape)
+
+        monkeypatch.setattr(network, "forward_layers", spied)
+        model = SplitMlp.create(2, 3, 2, np.random.default_rng(4), pre_widths=(4,), post_widths=(3,))
+        model.augmented_logits(np.random.default_rng(5).standard_normal((rows, 2)))
+        assert sum(passes) == rows
+        assert max(passes) <= SCORE_CHUNK, passes
+        # each pass starts at a multiple of SCORE_ALIGN, and none is short
+        assert all(n % SCORE_ALIGN == 0 for n in passes[:-1]), passes
+        assert min(passes) > SCORE_CHUNK // 2 - SCORE_ALIGN, passes
 
     def test_chunked_scoring_matches_one_pass_on_the_blobs6_checkpoint(self):
         model, grid = _blobs6_grid()
