@@ -376,8 +376,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return cmd_sweep(args.config, args.unknown_counts)
         return cmd_gen_data(args.config, args.out)
-    except (ConfigError, CheckpointError, OSError, MemoryError, OverflowError) as exc:
-        # MemoryError and OverflowError: a count too large to allocate or to convert
+    except (ConfigError, CheckpointError, OSError, MemoryError) as exc:
+        # MemoryError: a dataset too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, RuntimeError, IndexError) as exc:

@@ -121,8 +121,6 @@ class LabeledSet:
             raise ValueError(
                 f"{self.labels.shape[0]} labels for {self.features.shape[0]} feature rows"
             )
-        if self.labels.size and self.labels.min() < 0:
-            raise ValueError("labels must be nonnegative")
 
     def __len__(self) -> int:
         return self.features.shape[0]

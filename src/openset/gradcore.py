@@ -43,8 +43,8 @@ def cross_entropy_from_logits(logits: Array, targets: Array) -> tuple[float, Arr
 
     Returns (loss, grad) where grad = (softmax - onehot) / batch, the gradient
     of the mean loss with respect to the logits. Targets must lie in [0, K):
-    `LabeledSet` and the trainer check the labels once, and numpy raises
-    IndexError on one of K or above.
+    the trainer checks the labels once, and numpy raises IndexError on one
+    of K or above.
     """
     n = logits.shape[0]
     rows = np.arange(n)

@@ -128,8 +128,6 @@ class SplitMlp:
                  input_dim: int, calibration_bias: float = 0.0):
         if closed_head.out_dim < 2:
             raise ValueError(f"need at least 2 known classes, got {closed_head.out_dim}")
-        if dummy_head.out_dim < 1:
-            raise ValueError("need at least 1 dummy classifier")
         check_int("input_dim", input_dim, 1)
         width = input_dim
         for i, layer in enumerate([*pre_layers, *post_layers]):

@@ -10,6 +10,7 @@ seed; identical configs give bit-identical models.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,17 +46,17 @@ class TrainConfig:
         for name in ("beta", "gamma", "alpha", "learning_rate", "momentum"):
             check_real(name, getattr(self, name))
         # each test reads `not <valid range>`, so NaN, which fails every
-        # comparison, is rejected too
-        if not 0 <= self.beta < math.inf:
+        # comparison, is rejected too; the bound refuses an int a float cannot hold
+        if not 0 <= self.beta <= sys.float_info.max:
             raise ValueError(f"beta must be nonnegative and finite, got {self.beta}")
-        if not 0 <= self.gamma < math.inf:
+        if not 0 <= self.gamma <= sys.float_info.max:
             raise ValueError(f"gamma must be nonnegative and finite, got {self.gamma}")
         check_int("num_dummy", self.num_dummy, 1)
         if self.num_dummy > MAX_DUMMY:
             raise ValueError(f"num_dummy must be at most {MAX_DUMMY}, got {self.num_dummy}")
-        if not 0 < self.alpha < math.inf:
+        if not 0 < self.alpha <= sys.float_info.max:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-        if not 0 < self.learning_rate < math.inf:
+        if not 0 < self.learning_rate <= sys.float_info.max:
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
@@ -129,8 +130,6 @@ def pretrain_closed(dataset: LabeledSet, config: TrainConfig,
     label + 1, and every class in [0, K) must have a row; `SplitMlp` refuses
     K below 2.
     """
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
     counts = np.bincount(dataset.labels)
     if not counts.all():
         raise ValueError(f"labels must cover [0, {len(counts)}), but class {int(counts.argmin())} has no rows")
@@ -186,12 +185,9 @@ def finetune_placeholders(model: SplitMlp, dataset: LabeledSet, config: TrainCon
     """
     if config.train_mode == "baseline":
         return model
-    if len(dataset) < 2:
-        raise ValueError(f"fine-tuning needs at least 2 rows to split a batch, got {len(dataset)}")
-    if dataset.labels.max() >= model.num_known:
-        raise ValueError(
-            f"label {dataset.labels.max()} out of range for {model.num_known} known classes"
-        )
+    if dataset.labels.min() < 0 or dataset.labels.max() >= model.num_known:
+        raise ValueError(f"labels must be in [0, {model.num_known}), got {dataset.labels.min()} "
+                         f"to {dataset.labels.max()}")
     if dataset.dim != model.input_dim:
         raise ValueError(f"the set has {dataset.dim} features, but the model takes {model.input_dim}")
     beta = 0.0 if config.train_mode == "mixup_only" else config.beta

@@ -93,6 +93,25 @@ def _no_training(*args, **kwargs):
     raise AssertionError("training started")
 
 
+# case -> (config for an output directory, the cause `run` names)
+MALFORMED_CONFIGS = {
+    "root_a_list": (lambda out: [_tiny_config(out)], "config root must be an object"),
+    "idx_images_alone": (lambda out: {**_tiny_config(out), "dataset": {"idx_images": "img.idx"}},
+                         "idx datasets need both idx_images and idx_labels"),
+    "dataset_of_no_kind": (lambda out: {**_tiny_config(out), "dataset": {}},
+                           "dataset block needs a 'generator', 'csv', or 'idx_images'/'idx_labels'"),
+    "one_known_class": (lambda out: _tiny_config(out, split_overrides={"known_class_ids": [0]}),
+                        "invalid split block: need at least 2 known classes"),
+    "val_fraction_0": (lambda out: _tiny_config(out, split_overrides={"val_fraction": 0.0}),
+                       "invalid split block: val_fraction must be in (0, 1), got 0.0"),
+    "test_fraction_1": (lambda out: _tiny_config(out, split_overrides={"test_fraction": 1.0}),
+                        "invalid split block: test_fraction must be in (0, 1), got 1.0"),
+    "no_room_for_training_rows": (
+        lambda out: _tiny_config(out, split_overrides={"val_fraction": 0.5, "test_fraction": 0.5}),
+        "invalid split block: val_fraction + test_fraction must leave room for training rows"),
+}
+
+
 def _write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc, indent=2))
@@ -136,6 +155,32 @@ class TestConfigParsing:
         path.write_text("{nope")
         with pytest.raises(ConfigError):
             load_run_config(path)
+
+    @pytest.mark.parametrize("case", MALFORMED_CONFIGS)
+    def test_malformed_config_exits_2_naming_the_cause(self, tmp_path, capsys, monkeypatch, case):
+        monkeypatch.setattr("openset.cli.pretrain_closed", _no_training)
+        make, cause = MALFORMED_CONFIGS[case]
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(_write_config(tmp_path, make(out)))]) == 2
+        assert capsys.readouterr().err == f"error: {cause}\n"
+        assert not out.exists()
+
+
+class TestUsage:
+    @pytest.mark.parametrize("argv,cause", [
+        ([], "the following arguments are required: command"),
+        (["run"], "the following arguments are required: --config"),
+        (["bogus"], "invalid choice: 'bogus'"),
+    ], ids=["no_command", "run_without_config", "unknown_command"])
+    def test_a_usage_error_exits_2_with_the_usage(self, capsys, argv, cause):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("usage: openset") and cause in captured.err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: openset") and captured.err == ""
 
 
 class TestRun:
@@ -339,6 +384,17 @@ MALFORMED_DATASETS = {
 
 
 class TestDatasetFiles:
+    def test_blank_lines_load_as_if_absent(self, tmp_path):
+        texts = {"plain": "f0,f1,label\n1.5,2.0,0\n-1.0,0.25,1\n",
+                 "blank_lines": "\n  \nf0,f1,label\n1.5,2.0,0\n\n \t\n-1.0,0.25,1\n\n"}
+        written = {}
+        for name, text in texts.items():
+            (tmp_path / f"{name}.csv").write_text(text)
+            config = _write_config(tmp_path, {"dataset": {"csv": str(tmp_path / f"{name}.csv")}}, f"{name}.json")
+            assert main(["gen-data", "--config", str(config), "--out", str(tmp_path / f"{name}.out")]) == 0
+            written[name] = (tmp_path / f"{name}.out").read_text()
+        assert written["blank_lines"] == written["plain"] == "f0,f1,label\n1.5,2.0,0\n-1.0,0.25,1\n"
+
     @pytest.mark.parametrize("case", MALFORMED_DATASETS)
     def test_malformed_file_exits_2_naming_it(self, tmp_path, capsys, case):
         files = MALFORMED_DATASETS[case]
@@ -435,17 +491,39 @@ def _narrow_first_layer(doc):
     layer.update({"out": 32, "weights": [row[:32] for row in layer["weights"]], "biases": layer["biases"][:32]})
 
 
+def _narrow_closed_head(doc):
+    head = doc["closed_head"]
+    head.update({"in": 15, "weights": head["weights"][:15]})
+
+
+def _no_dummy_columns(doc):
+    head = doc["dummy_head"]
+    head.update({"out": 0, "weights": [[] for _ in head["weights"]], "biases": []})
+
+
+# case -> (edit of the golden checkpoint, the cause its error names)
 INCONSISTENT_CHECKPOINTS = {
-    "input_dim_3": lambda doc: doc["architecture"].update(input_dim=3),
-    "input_dim_string": lambda doc: doc["architecture"].update(input_dim="2"),
-    "32_outputs_into_64_inputs": _narrow_first_layer,
-    "mean_of_length_3": lambda doc: doc["standardization"]["mean"].append(0.0),
-    "std_0": lambda doc: doc["standardization"]["std"].__setitem__(0, 0.0),
-    "std_negative": lambda doc: doc["standardization"]["std"].__setitem__(1, -1.0),
-    "standardization_null": lambda doc: doc.update(standardization=None),
-    "no_standardization": lambda doc: doc.pop("standardization"),
-    "bias_true": lambda doc: doc.update(calibration_bias=True),
-    "bias_string": lambda doc: doc.update(calibration_bias="1.5"),
+    "input_dim_3": (lambda doc: doc["architecture"].update(input_dim=3), "layer 0 reads 2 inputs, but gets 3"),
+    "input_dim_string": (lambda doc: doc["architecture"].update(input_dim="2"),
+                         "input_dim must be an integer of at least 1, got '2'"),
+    "32_outputs_into_64_inputs": (_narrow_first_layer, "layer 1 reads 64 inputs, but gets 32"),
+    "closed_head_reads_15_of_16": (_narrow_closed_head,
+                                   "the closed head reads 15 inputs, but the embedding is 16 wide"),
+    "no_dummy_columns": (_no_dummy_columns, "dummy_head.out must be an integer of at least 1, got 0"),
+    "num_known_5_declared": (lambda doc: doc["architecture"].update(num_known=5),
+                             "head widths do not match the declared architecture"),
+    "split_index_1": (lambda doc: doc["architecture"].update(split_index=1),
+                      "split_index does not match the stored pre-layers"),
+    "mean_of_length_3": (lambda doc: doc["standardization"]["mean"].append(0.0),
+                         "standardization.mean has shape (3,), expected (2,)"),
+    "std_0": (lambda doc: doc["standardization"]["std"].__setitem__(0, 0.0), "standardization.std must be positive"),
+    "std_negative": (lambda doc: doc["standardization"]["std"].__setitem__(1, -1.0),
+                     "standardization.std must be positive"),
+    "standardization_null": (lambda doc: doc.update(standardization=None),
+                             "standardization must be an object with mean and std, got None"),
+    "no_standardization": (lambda doc: doc.pop("standardization"), "malformed checkpoint ('standardization')"),
+    "bias_true": (lambda doc: doc.update(calibration_bias=True), "calibration_bias must be a number, got True"),
+    "bias_string": (lambda doc: doc.update(calibration_bias="1.5"), "calibration_bias must be a number, got '1.5'"),
 }
 
 
@@ -453,7 +531,8 @@ class TestInconsistentCheckpoint:
     @pytest.mark.parametrize("case", INCONSISTENT_CHECKPOINTS)
     def test_evaluate_and_grid_exit_2_naming_the_file(self, tmp_path, capsys, case):
         doc = json.loads((GOLDEN / "checkpoint.json").read_text())
-        INCONSISTENT_CHECKPOINTS[case](doc)
+        edit, cause = INCONSISTENT_CHECKPOINTS[case]
+        edit(doc)
         ckpt = tmp_path / "bad.json"
         ckpt.write_text(json.dumps(doc))
         grid = tmp_path / "grid.csv"
@@ -464,6 +543,7 @@ class TestInconsistentCheckpoint:
         assert captured.out == "" and not grid.exists()
         lines = captured.err.splitlines()
         assert len(lines) == 2 and all(line.startswith(f"error: {ckpt}: ") for line in lines), captured.err
+        assert all(cause in line for line in lines), captured.err
 
 
 class TestBoundaryGrid:
@@ -668,14 +748,18 @@ class TestOversizedInput:
         assert captured.out == "" and not grid.exists()
         assert captured.err.startswith(f"error: {deep}: ") and captured.err.count("\n") == 1, captured.err
 
-    def test_a_count_too_large_to_convert_exits_2(self, tmp_path, capsys):
-        doc = _tiny_config(tmp_path / "out")
-        doc["dataset"]["per_class"] = 10 ** 20
-        out_csv = tmp_path / "data.csv"
-        assert main(["gen-data", "--config", str(_write_config(tmp_path, doc)), "--out", str(out_csv)]) == 2
+    @pytest.mark.parametrize("key,rule", [("beta", "nonnegative"), ("gamma", "nonnegative"),
+                                          ("alpha", "positive"), ("learning_rate", "positive")])
+    def test_a_hyperparameter_above_float_range_exits_2(self, tmp_path, capsys, monkeypatch, key, rule):
+        # a JSON integer parses exactly, and 10**400 is above every float;
+        # TrainConfig refuses it by name, before the output directory is made
+        monkeypatch.setattr("openset.cli.pretrain_closed", _no_training)
+        out = tmp_path / "out"
+        doc = _tiny_config(out, train_overrides={key: 10 ** 400})
+        assert main(["run", "--config", str(_write_config(tmp_path, doc))]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and not out_csv.exists()
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+        assert captured.out == "" and not out.exists()
+        assert captured.err == f"error: invalid train block: {key} must be {rule} and finite, got 1{'0' * 400}\n"
 
     @pytest.mark.parametrize("command", ["run", "gen-data"])
     def test_a_dataset_too_large_to_allocate_exits_2(self, tmp_path, capsys, monkeypatch, command):

@@ -143,6 +143,11 @@ class TestLabeledSet:
         with pytest.raises(ValueError, match=re.escape(f"at least 1 column, got shape {shape}")):
             LabeledSet(np.zeros(shape), np.zeros(shape[0], dtype=np.int64))
 
+    def test_a_label_count_other_than_the_row_count_is_refused(self):
+        # without the check, the split would drop the rows past the last label
+        with pytest.raises(ValueError, match="2 labels for 3 feature rows"):
+            LabeledSet(np.zeros((3, 2)), [0, 1])
+
 
 # cell texts: numbers, near-numbers and arbitrary text without a comma or a
 # line break, so a cell edit keeps the file's lines and widths
@@ -611,6 +616,11 @@ class TestJsonText:
     def test_non_finite_numbers_are_refused(self, bad, wrap):
         with pytest.raises(ValueError):
             json_text(wrap(bad))
+
+    def test_a_key_that_is_not_a_string_is_refused(self):
+        # json.dumps would write {"1": 2}; writing the key as it is would not be JSON
+        with pytest.raises(TypeError, match="JSON object keys must be strings"):
+            json_text({"a": {1: 2}})
 
     @pytest.mark.parametrize("shape", [(), (3,), (2, 2)])
     def test_bool_arrays_are_refused(self, shape):

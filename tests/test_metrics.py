@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import asdict
 from unittest import mock
 
@@ -258,6 +259,11 @@ class TestMacroF1:
         with pytest.raises(ValueError):
             macro_f1([0, 3], [0, 1], 3)
 
+    def test_one_prediction_for_three_labels_is_refused(self):
+        # without the check, the one prediction would broadcast over every label
+        with pytest.raises(ValueError, match="1 predictions for 3 labels"):
+            macro_f1([0], [0, 1, 2], 3)
+
     def test_matches_hand_computation_on_random_cases(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
@@ -393,6 +399,24 @@ class TestEvaluate:
         a = json_text(asdict(evaluate(model, data, self.SPLIT, "full"))) + "\n"
         b = json_text(asdict(evaluate(model, data, self.SPLIT, "full"))) + "\n"
         assert a.encode() == b.encode()
+
+    def test_an_empty_test_set_is_refused(self):
+        model, _ = self._model_and_data()
+        with pytest.raises(ValueError, match="empty test set"):
+            evaluate(model, LabeledSet(np.zeros((0, 2)), []), self.SPLIT, "full")
+
+    def test_no_known_rows_gives_closed_accuracy_0_and_a_flag(self):
+        model, data = self._model_and_data()
+        unknown_only = LabeledSet(data.features, np.full(len(data), 3))
+        report = evaluate(model, unknown_only, self.SPLIT, "full")
+        assert report.closed_accuracy == 0.0
+        assert report.flags == ["auc_omitted_one_sided_test_set", "no_known_rows"]
+
+    def test_a_label_above_k_is_refused_by_the_confusion_matrix(self):
+        model, data = self._model_and_data()
+        above = LabeledSet(data.features, np.where(data.labels == 3, 4, data.labels))
+        with pytest.raises(ValueError, match=re.escape("label out of range [0, 4)")):
+            evaluate(model, above, self.SPLIT, "full")
 
     def test_unknown_score_kind_rejected(self):
         model, data = self._model_and_data()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -107,6 +108,16 @@ class TestEmbedding:
         model = SplitMlp.create(3, 2, 1, np.random.default_rng(0))
         with pytest.raises(ValueError):
             forward_layers(model.pre_layers, np.zeros((1, 4)))
+
+    def test_empty_post_widths_are_refused(self):
+        # without the check, the pre-layers' output would silently become the embedding
+        with pytest.raises(ValueError, match="post_widths must contain at least the embedding width"):
+            SplitMlp.create(3, 2, 1, np.random.default_rng(0), post_widths=())
+
+    def test_scoring_input_of_another_width_is_refused_naming_both(self):
+        model = SplitMlp.create(3, 2, 1, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=re.escape("input shape (4, 5) does not match input dimension 3")):
+            model.augmented_logits(np.zeros((4, 5)))
 
 
 def _heads(model, x):

@@ -139,6 +139,15 @@ class TestPretrainClosed:
         with pytest.raises(ValueError):
             pretrain_closed(data, TrainConfig())
 
+    def test_an_empty_set_is_refused_by_the_model(self):
+        # no label gives K = 0, and SplitMlp refuses fewer than 2 known classes
+        with pytest.raises(ValueError, match="need at least 2 known classes, got 0"):
+            pretrain_closed(LabeledSet(np.zeros((0, 2)), []), TrainConfig())
+
+    def test_a_negative_label_is_refused(self):
+        with pytest.raises(ValueError, match="no negative elements"):
+            pretrain_closed(LabeledSet(np.zeros((4, 2)), [0, 1, -1, 1]), TrainConfig())
+
     def test_labels_with_a_gap_rejected(self):
         # K is the largest label + 1, so labels {0, 2} would build a class 1 with no rows
         data = LabeledSet(np.zeros((4, 2)), np.array([0, 2, 0, 2]))
@@ -205,6 +214,13 @@ class TestFinetunePlaceholders:
         data, cfg, model = self._pretrained(num_classes=3)
         bad = LabeledSet(data.features, np.full(len(data), 5, dtype=np.int64))
         with pytest.raises(ValueError):
+            finetune_placeholders(model, bad, cfg)
+
+    def test_a_negative_label_is_refused_naming_the_range(self):
+        # without the check, label -1 would index the last logit column, with no error
+        data, cfg, model = self._pretrained(num_classes=3)
+        bad = LabeledSet(data.features, np.where(np.arange(len(data)) == 7, -1, data.labels))
+        with pytest.raises(ValueError, match=re.escape("labels must be in [0, 3), got -1 to 2")):
             finetune_placeholders(model, bad, cfg)
 
     def test_set_of_another_width_rejected(self):
