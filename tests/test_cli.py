@@ -748,7 +748,16 @@ class TestOversizedInput:
         assert captured.out == "" and not grid.exists()
         assert captured.err.startswith(f"error: {deep}: ") and captured.err.count("\n") == 1, captured.err
 
-    @pytest.mark.parametrize("key,rule", [("beta", "nonnegative"), ("gamma", "nonnegative"),
+    def test_a_count_too_large_to_convert_exits_2(self, tmp_path, capsys):
+        doc = _tiny_config(tmp_path / "out")
+        doc["dataset"]["per_class"] = 10 ** 20
+        out_csv = tmp_path / "data.csv"
+        assert main(["gen-data", "--config", str(_write_config(tmp_path, doc)), "--out", str(out_csv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out_csv.exists()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+
+    @pytest.mark.parametrize("key,rule",[("beta", "nonnegative"), ("gamma", "nonnegative"),
                                           ("alpha", "positive"), ("learning_rate", "positive")])
     def test_a_hyperparameter_above_float_range_exits_2(self, tmp_path, capsys, monkeypatch, key, rule):
         # a JSON integer parses exactly, and 10**400 is above every float;
