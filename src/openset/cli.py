@@ -45,6 +45,9 @@ EXIT_USAGE = 2
 RUN_BLOCKS = ("dataset", "split", "train", "output_dir")
 # 1000 x 1000 on the blobs6 checkpoint peaks at 138 MB ru_maxrss (2000: 459 MB)
 MAX_RESOLUTION = 1000
+# seeds run one after another, each pretraining once and fine-tuning three
+# modes: about 2.6 s a seed on blobs6, so this many take about 45 minutes
+MAX_SEEDS = 1000
 
 
 class ConfigError(ValueError):
@@ -274,6 +277,8 @@ def cmd_compare(config_path, seeds: int) -> int:
     over the config's task at seeds 0 to `seeds`-1."""
     if seeds < 1:
         raise ConfigError(f"--seeds must be at least 1, got {seeds}")
+    if seeds > MAX_SEEDS:
+        raise ConfigError(f"--seeds must be at most {MAX_SEEDS}, got {seeds}")
     with _bad_input():
         base = load_run_config(config_path, ("dataset", "split", "train"))
     results = {mode: [] for mode in TRAIN_MODES}

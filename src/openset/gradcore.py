@@ -38,23 +38,27 @@ def log_softmax_rows(z: Array) -> Array:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def cross_entropy_from_logits(logits: Array, targets: Array) -> tuple[float, Array]:
-    """Mean negative log-likelihood over the rows of float64 (B, K) logits.
-
-    Returns (loss, grad) where grad = (softmax - onehot) / batch, the gradient
-    of the mean loss with respect to the logits. Targets must lie in [0, K):
-    the trainer checks the labels once, and numpy raises IndexError on one
-    of K or above.
-    """
-    n = logits.shape[0]
+def nll_from_log_probs(logp: Array, targets: Array) -> tuple[float, Array]:
+    """Mean negative log-likelihood of one target per row of float64 (B, K)
+    log-probabilities, and its gradient with respect to the logits they were
+    taken from, (softmax - onehot) / B: the one copy of that arithmetic
+    behind every loss. Targets must lie in [0, K): numpy raises IndexError
+    on one of K or above."""
+    n = logp.shape[0]
     rows = np.arange(n)
-    logp = log_softmax_rows(logits)
     # sum / n is the float `mean` returns, without its wrapper
     loss = float(-logp[rows, targets].sum() / n)
     grad = np.exp(logp)
     grad[rows, targets] -= 1.0
     grad /= n
     return loss, grad
+
+
+def cross_entropy_from_logits(logits: Array, targets: Array) -> tuple[float, Array]:
+    """`nll_from_log_probs` of the log-softmax of float64 (B, K) logits:
+    (loss, gradient of the mean loss with respect to the logits). The
+    trainer checks the labels once."""
+    return nll_from_log_probs(log_softmax_rows(logits), targets)
 
 
 class DenseLayer:

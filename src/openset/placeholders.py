@@ -7,8 +7,8 @@ made. The classifier-placeholder loss trains the dummy column to rank
 second on known instances by masking the ground-truth logit out of the
 softmax. The data-placeholder loss trains the logits of mixed
 different-class instances as the unknown class K. Each loss takes one
-log-softmax and gives the same bytes as composing
-`cross_entropy_from_logits` calls.
+log-softmax and hands each block of it to `nll_from_log_probs`, the one
+copy of the cross-entropy gradient.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradcore import Array, cross_entropy_from_logits, log_softmax_rows
+from .gradcore import Array, cross_entropy_from_logits, log_softmax_rows, nll_from_log_probs
 
 # large enough that exp(logit - max) underflows to exactly 0 in float64
 MASK_SENTINEL = -1e30
@@ -84,24 +84,15 @@ def loss_classifier_placeholder(combined: Array, labels: Array, beta: float) -> 
     # one log-softmax over the rows stacked on their masked copy; rows are
     # independent, so each block gives the bytes of its own cross-entropy
     n, k = combined.shape[0], combined.shape[1] - 1
-    rows = np.arange(n)
     logp = log_softmax_rows(np.concatenate([combined, masked_logits(combined, labels)]))
-    loss = float(-logp[rows, labels].sum() / n) + beta * float(-logp[n:, k].sum() / n)
-    grad = np.exp(logp)
-    grad[rows, labels] -= 1.0
-    grad[n:, k] -= 1.0
-    grad /= n
+    l1, g1 = nll_from_log_probs(logp[:n], labels)
+    l2, g2 = nll_from_log_probs(logp[n:], np.full(n, k))
     # the sentinel entry is a constant, no gradient flows through it
-    grad[n + rows, labels] = 0.0
-    return loss, grad[:n] + beta * grad[n:]
+    g2[np.arange(n), labels] = 0.0
+    return l1 + beta * l2, g1 + beta * g2
 
 
 def loss_data_placeholder(combined: Array) -> tuple[float, Array]:
     """Mean cross-entropy of the combined logits of mixed instances against
     the dummy class K; returns (loss, d_combined)."""
-    n, k = combined.shape[0], combined.shape[1] - 1
-    logp = log_softmax_rows(combined)
-    grad = np.exp(logp)
-    grad[:, k] -= 1.0
-    grad /= n
-    return float(-logp[:, k].sum() / n), grad
+    return cross_entropy_from_logits(combined, np.full(combined.shape[0], combined.shape[1] - 1))

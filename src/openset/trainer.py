@@ -25,6 +25,10 @@ TRAIN_MODES = ("baseline", "dummy_only", "mixup_only", "full")
 # the dummy head is embedding width x num_dummy; a count above this is
 # refused with the config, before `run` makes its output directory
 MAX_DUMMY = 10_000
+# blobs6 trains an epoch in about 5 ms, so this many take about 8 minutes;
+# a count above it (10**400 would never end) is refused with the config,
+# before `run` makes its output directory
+MAX_EPOCHS = 100_000
 
 
 @dataclass
@@ -61,8 +65,11 @@ class TrainConfig:
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         check_int("batch_size", self.batch_size, 2)
-        check_int("pretrain_epochs", self.pretrain_epochs, 0)
-        check_int("finetune_epochs", self.finetune_epochs, 0)
+        for name in ("pretrain_epochs", "finetune_epochs"):
+            epochs = getattr(self, name)
+            check_int(name, epochs, 0)
+            if epochs > MAX_EPOCHS:
+                raise ValueError(f"{name} must be at most {MAX_EPOCHS}, got {epochs}")
         check_int("seed", self.seed, 0)
         if self.mix_mode not in MIX_MODES:
             raise ValueError(f"mix_mode must be one of {MIX_MODES}, got {self.mix_mode!r}")
@@ -86,9 +93,9 @@ def _train_epochs(model: SplitMlp, dataset: LabeledSet, config: TrainConfig, rng
     nothing is zeroed between steps; a layer the step never reaches (the dummy
     head in pretraining) keeps the zeros `pack` gives it. The model is packed
     into one flat parameter and one flat gradient buffer first, so the update
-    and the finiteness check each act on one array. A non-finite
-    mean loss or parameter after an epoch raises ValueError naming stage and
-    epoch."""
+    and the finiteness check each act on one array. An epoch that skips every
+    batch (a 1-row fine-tune set), or a non-finite mean loss or parameter
+    after an epoch, raises ValueError naming stage and epoch."""
     params, grads = model.pack()
     optimizer = SgdMomentum(params, config.learning_rate, config.momentum)
     for epoch in range(epochs):
@@ -103,6 +110,8 @@ def _train_epochs(model: SplitMlp, dataset: LabeledSet, config: TrainConfig, rng
             optimizer.step(grads)
             losses.append((l1, l2))
             hits.append(logits.argmax(axis=1) == labels)
+        if not losses:
+            raise ValueError(f"{stage} epoch {epoch} took no step: a fine-tune step needs a batch of at least 2 rows")
         l1, l2 = (float(np.mean(values)) for values in zip(*losses))
         if not (math.isfinite(l1) and math.isfinite(l2) and np.isfinite(params).all()):
             raise ValueError(f"training diverged: {stage} epoch {epoch} has a non-finite loss or parameter")

@@ -290,6 +290,19 @@ class TestRun:
         doc["train"]["num_dummy"] = 10_000
         assert parse_run_config(doc).train.num_dummy == 10_000
 
+    @pytest.mark.parametrize("value", [100_001, 10 ** 400], ids=["cap_plus_1", "ten_to_the_400"])
+    @pytest.mark.parametrize("key", ["pretrain_epochs", "finetune_epochs"])
+    def test_epochs_above_the_cap_exit_2_before_training(self, tmp_path, capsys, monkeypatch, key, value):
+        monkeypatch.setattr("openset.cli.pretrain_closed", _no_training)
+        out = tmp_path / "out"
+        doc = _tiny_config(out, train_overrides={key: value})
+        assert main(["run", "--config", str(_write_config(tmp_path, doc))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == f"error: invalid train block: {key} must be at most 100000, got {value}\n"
+        doc["train"][key] = 100_000
+        assert getattr(parse_run_config(doc).train, key) == 100_000
+
     @pytest.mark.parametrize("generator,key,value,message", [
         ("blobs", "center_scale", -float("inf"), "center_scale must be a finite number of at least 0, got -inf"),
         ("blobs", "spread", "x", "spread must be a finite number of at least 0, got 'x'"),

@@ -26,6 +26,7 @@ from openset.gradcore import (
     SgdMomentum,
     cross_entropy_from_logits,
     log_softmax_rows,
+    nll_from_log_probs,
 )
 from openset.placeholders import build_mix_pairs
 
@@ -82,6 +83,14 @@ class TestSoftmax:
             assert log_softmax_rows(z).tobytes() == log_softmax_rows_oracle(z).tobytes()
 
 
+# finite logit matrices with ties and signed zeros drawn often, single rows too
+finite_logit_matrices = hnp.arrays(
+    np.float64,
+    st.tuples(st.one_of(st.just(1), st.integers(1, 40)), st.integers(1, 8)),
+    elements=st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0)), st.floats(-1e3, 1e3)),
+)
+
+
 class TestCrossEntropy:
     def test_uniform_logits(self):
         loss, _ = cross_entropy_from_logits(np.zeros((3, 4)), [0, 1, 3])
@@ -115,6 +124,15 @@ class TestCrossEntropy:
         with np.errstate(all="ignore"):
             loss, grad = cross_entropy_from_logits(z, t)
             expected, expected_grad = cross_entropy_oracle(z, t)
+        assert np.float64(loss).tobytes() == np.float64(expected).tobytes()
+        assert grad.tobytes() == expected_grad.tobytes()
+
+    @given(z=finite_logit_matrices, data=st.data())
+    @settings(max_examples=200)
+    def test_the_kernel_keeps_the_bytes_of_the_oracle(self, z, data):
+        t = data.draw(hnp.arrays(np.int64, z.shape[0], elements=st.integers(0, z.shape[1] - 1)))
+        loss, grad = nll_from_log_probs(log_softmax_rows(z), t)
+        expected, expected_grad = cross_entropy_oracle(z, t)
         assert np.float64(loss).tobytes() == np.float64(expected).tobytes()
         assert grad.tobytes() == expected_grad.tobytes()
 

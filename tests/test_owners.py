@@ -1,12 +1,13 @@
 """The internal fine-tune and scoring functions get what their callers promise.
 
 The placeholder losses, `log_softmax_rows`, `cross_entropy_from_logits`,
-`build_mix_pairs`, `roc_points`, `candidate_biases`, `logit_gaps`,
-`fit_standardization` and `Standardization.apply` convert and check
-nothing. Each rule on their inputs has one owner elsewhere: `LabeledSet` makes
-int64 labels and float64 features, the network float64 logits,
-`build_mix_pairs` every `MixPairs`, `evaluate` and `_finite` the ROC scores,
-and `logit_gaps` and `_finite` the calibration gaps. One test spies on every
+`nll_from_log_probs`, `build_mix_pairs`, `roc_points`, `candidate_biases`,
+`logit_gaps`, `fit_standardization` and `Standardization.apply` convert and
+check nothing. Each rule on their inputs has one owner elsewhere: `LabeledSet`
+makes int64 labels and float64 features, `pretrain_closed` and
+`finetune_placeholders` keep labels in [0, K), the network makes float64
+logits, `build_mix_pairs` every `MixPairs`, `evaluate` and `_finite` the ROC
+scores, and `logit_gaps` and `_finite` the calibration gaps. One test spies on every
 call those functions get in real runs and asserts that promise, so a lost
 owner fails here rather than in a silently wrong number.
 """
@@ -44,6 +45,11 @@ def _labels(t, rows: int) -> None:
     assert isinstance(t, np.ndarray) and t.dtype == np.int64 and t.shape == (rows,), (type(t), t.dtype, t.shape)
 
 
+def _targets(t, logp) -> None:
+    _labels(t, len(logp))
+    assert 0 <= t.min() and t.max() < logp.shape[1], (t.min(), t.max(), logp.shape)
+
+
 def _scores(s) -> None:
     assert isinstance(s, np.ndarray) and s.dtype == np.float64 and s.ndim == 1, (type(s), s.dtype, s.shape)
     assert s.size and np.isfinite(s).all()
@@ -59,6 +65,7 @@ def _mix_pairs(labels, rng, alpha, pairs) -> None:
 CHECKS = {
     ("openset.gradcore", "log_softmax_rows"): lambda z, out: _matrix(z),
     ("openset.gradcore", "cross_entropy_from_logits"): lambda z, t, out: (_matrix(z), _labels(t, len(z))),
+    ("openset.gradcore", "nll_from_log_probs"): lambda logp, t, out: (_matrix(logp), _targets(t, logp)),
     ("openset.placeholders", "masked_logits"): lambda z, t, out: (_matrix(z), _labels(t, len(z))),
     ("openset.placeholders", "loss_classifier_placeholder"): lambda z, t, beta, out: (_matrix(z), _labels(t, len(z))),
     ("openset.placeholders", "loss_data_placeholder"): lambda z, out: _matrix(z),
@@ -115,7 +122,8 @@ def test_each_unchecked_function_gets_what_its_owner_promises(tmp_path, monkeypa
     calls.clear()
     finetune_placeholders(model, train, dataclasses.replace(train_config, mix_mode="input"))
     assert set(calls) == {"log_softmax_rows", "masked_logits", "loss_classifier_placeholder",
-                          "loss_data_placeholder", "build_mix_pairs"}
+                          "loss_data_placeholder", "cross_entropy_from_logits", "nll_from_log_probs",
+                          "build_mix_pairs"}
 
     calls.clear()
     assert main(["evaluate", "--checkpoint", str(out / "checkpoint.json"), "--config", str(config)]) == 0

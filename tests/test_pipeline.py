@@ -192,6 +192,19 @@ def test_experiments_refuse_bad_input_with_exit_2(tmp_path, capsys, argv, messag
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
 
 
+@pytest.mark.parametrize("seeds", [1001, 10 ** 400], ids=["cap_plus_1", "ten_to_the_400"])
+def test_seeds_above_the_cap_exit_2_before_any_seed_trains(tmp_path, capsys, monkeypatch, seeds):
+    def no_training(*args, **kwargs):
+        raise AssertionError("a seed trained")
+
+    monkeypatch.setattr("openset.cli.experiment", no_training)
+    path = _write_tiny(tmp_path / "tiny.json")
+    assert main(["compare", "--seeds", str(seeds), "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --seeds must be at most 1000, got {seeds}\n"
+
+
 def test_a_diverged_experiment_exits_1(tmp_path, capsys):
     path = _write_tiny(tmp_path / "tiny.json", train={"learning_rate": 1e300})
     with np.errstate(all="ignore"):

@@ -223,6 +223,14 @@ class TestFinetunePlaceholders:
         with pytest.raises(ValueError, match=re.escape("labels must be in [0, 3), got -1 to 2")):
             finetune_placeholders(model, bad, cfg)
 
+    def test_a_one_row_set_names_the_epoch_without_a_step(self):
+        # the split gives every known class a training row, so no command gets here
+        data, cfg, model = self._pretrained()
+        one_row = LabeledSet(data.features[:1], data.labels[:1])
+        message = "finetune epoch 0 took no step: a fine-tune step needs a batch of at least 2 rows"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            finetune_placeholders(model, one_row, cfg)
+
     def test_set_of_another_width_rejected(self):
         data, cfg, model = self._pretrained()
         wide = LabeledSet(np.zeros((len(data), 3)), data.labels)
