@@ -29,9 +29,7 @@ class CalibrationConfig:
         check_real("target_rate", self.target_rate)
         if not 0.0 < self.target_rate <= 1.0:
             raise ValueError(f"target_rate must be in (0, 1], got {self.target_rate}")
-        check_int("intervals", self.intervals, 1)
-        if self.intervals > MAX_INTERVALS:
-            raise ValueError(f"intervals must be at most {MAX_INTERVALS}, got {self.intervals}")
+        check_int("intervals", self.intervals, 1, MAX_INTERVALS)
 
 
 @dataclass
@@ -71,8 +69,9 @@ def select_bias(model: SplitMlp, features, target_rate: float, intervals: int) -
     """
     gaps = logit_gaps(model, features)
     candidates = candidate_biases(gaps, intervals)
-    # each candidate's known rate: the share of gaps strictly above it
-    rates = (gaps.size - np.searchsorted(np.sort(gaps), candidates, "right")) / gaps.size
+    # each candidate's known rate: the share of gaps at or above it, as
+    # `AugmentedLogits.predictions` keeps a row known on a tie
+    rates = (gaps.size - np.searchsorted(np.sort(gaps), candidates, "left")) / gaps.size
     # ascending candidates, non-increasing rates: the passing prefix
     failing = np.flatnonzero(~(rates >= target_rate))
     passed = int(failing[0]) if failing.size else len(candidates)

@@ -13,7 +13,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .datastore import Standardization, check_int, json_text
+from .datastore import Standardization, check_int, check_real, json_text
 from .gradcore import DenseLayer
 from .network import SplitMlp
 from .trainer import TrainConfig
@@ -60,12 +60,12 @@ def checkpoint_text(model: SplitMlp, config: TrainConfig, standardization: Stand
         "format_version": FORMAT_VERSION,
         "architecture": {
             "input_dim": model.input_dim,
-            "split_index": len(model.pre_layers),
+            "split_index": model.split_index,
             "num_known": model.num_known,
             "num_dummy": model.num_dummy,
         },
-        "pre_layers": [_layer_doc(layer) for layer in model.pre_layers],
-        "post_layers": [_layer_doc(layer) for layer in model.post_layers],
+        "pre_layers": [_layer_doc(layer) for layer in model.body[:model.split_index]],
+        "post_layers": [_layer_doc(layer) for layer in model.body[model.split_index:]],
         "closed_head": _layer_doc(model.closed_head),
         "dummy_head": _layer_doc(model.dummy_head),
         "calibration_bias": model.calibration_bias,
@@ -104,17 +104,17 @@ def load_checkpoint(path) -> tuple[SplitMlp, TrainConfig, Standardization]:
         for key, minimum in (("split_index", 0), ("num_known", 2), ("num_dummy", 1)):
             check_int(f"architecture.{key}", arch[key], minimum)
         bias = doc["calibration_bias"]
-        if isinstance(bias, bool) or not isinstance(bias, (int, float)):
-            raise CheckpointError(f"calibration_bias must be a number, got {bias!r}")
+        check_real("calibration_bias", bias)
         model = SplitMlp(
-            pre_layers=[_layer_from_doc(d, f"pre_layers[{i}]") for i, d in enumerate(doc["pre_layers"])],
-            post_layers=[_layer_from_doc(d, f"post_layers[{i}]") for i, d in enumerate(doc["post_layers"])],
+            body=[_layer_from_doc(d, f"{key}[{i}]") for key in ("pre_layers", "post_layers")
+                  for i, d in enumerate(doc[key])],
+            split_index=len(doc["pre_layers"]),
             closed_head=_layer_from_doc(doc["closed_head"], "closed_head"),
             dummy_head=_layer_from_doc(doc["dummy_head"], "dummy_head"),
             input_dim=arch["input_dim"],
             calibration_bias=_finite("calibration_bias", float(bias)),
         )
-        if arch["split_index"] != len(model.pre_layers):
+        if arch["split_index"] != model.split_index:
             raise CheckpointError("split_index does not match the stored pre-layers")
         if (arch["num_known"], arch["num_dummy"]) != (model.num_known, model.num_dummy):
             raise CheckpointError("head widths do not match the declared architecture")

@@ -18,11 +18,14 @@ IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
 
-def check_int(name: str, value, minimum: int) -> None:
+def check_int(name: str, value, minimum: int, maximum: int | None = None) -> None:
     """Raise ValueError naming `name` unless `value` is an int of at least
-    `minimum`; a bool, or an integral float such as 2.0, is not an int."""
+    `minimum` and, if given, at most `maximum`; a bool, or an integral float
+    such as 2.0, is not an int."""
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ValueError(f"{name} must be at most {maximum}, got {value!r}")
 
 
 def check_real(name: str, value) -> None:

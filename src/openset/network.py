@@ -1,17 +1,17 @@
 """Split MLP with a closed-set head and a dummy rejection head.
 
-The embedding is split into pre-layers and post-layers so hidden
-representations can be mixed at the split point. Both heads read the same
-final embedding; the dummy head's per-row max joins the closed logits as
-column K of the combined logit matrix, with gradients routed only through
-the selected dummy column.
+The hidden layers run in one list, `body`, and rows can be mixed at one
+index into it, `split_index`: after that many layers, or at the input when
+it is 0. Both heads read the same final embedding; the dummy head's per-row
+max joins the closed logits as column K of the combined logit matrix, with
+gradients routed only through the selected dummy column.
 
 Layers keep no activations. Two functions walk a list of layers: a
 training step hands `forward_layers` a tape, a list that starts with the
 forward's input and gets each layer's output, and `backward_layers` pops
 them off again, last layer first. A fine-tuning step mixes at one layer
-index, after the pre-layers or at the input, and starts a second tape at the
-mixed rows. Scoring keeps no tape, runs in row chunks and keeps K+1 numbers
+index, `split_index` or the input, and starts a second tape at the mixed
+rows. Scoring keeps no tape, runs in row chunks and keeps K+1 numbers
 per row: the closed logits and the dummy max.
 """
 
@@ -123,22 +123,23 @@ def _finite(scores: Array) -> Array:
 
 
 class SplitMlp:
-    def __init__(self, pre_layers: list[DenseLayer], post_layers: list[DenseLayer],
+    def __init__(self, body: list[DenseLayer], split_index: int,
                  closed_head: DenseLayer, dummy_head: DenseLayer,
                  input_dim: int, calibration_bias: float = 0.0):
         if closed_head.out_dim < 2:
             raise ValueError(f"need at least 2 known classes, got {closed_head.out_dim}")
         check_int("input_dim", input_dim, 1)
+        check_int("split_index", split_index, 0, len(body))
         width = input_dim
-        for i, layer in enumerate([*pre_layers, *post_layers]):
+        for i, layer in enumerate(body):
             if layer.in_dim != width:
                 raise ValueError(f"layer {i} reads {layer.in_dim} inputs, but gets {width}")
             width = layer.out_dim
         for name, head in (("closed", closed_head), ("dummy", dummy_head)):
             if head.in_dim != width:
                 raise ValueError(f"the {name} head reads {head.in_dim} inputs, but the embedding is {width} wide")
-        self.pre_layers = pre_layers
-        self.post_layers = post_layers
+        self.body = body
+        self.split_index = split_index
         self.closed_head = closed_head
         self.dummy_head = dummy_head
         self.input_dim = input_dim
@@ -148,25 +149,19 @@ class SplitMlp:
     def create(cls, input_dim: int, num_known: int, num_dummy: int, rng: np.random.Generator,
                pre_widths: tuple[int, ...] = DEFAULT_PRE_WIDTHS,
                post_widths: tuple[int, ...] = DEFAULT_POST_WIDTHS) -> SplitMlp:
-        """Build the default architecture: relu pre-layers, relu post-layers
-        with a final linear embedding, linear heads. `pre_widths` may be empty,
-        which makes the pre-embedding the identity (mixing then happens on raw
-        inputs). `post_widths` must end with the embedding width."""
+        """Build the default architecture: relu hidden layers of `pre_widths`
+        then `post_widths`, the last one a linear embedding, and linear heads;
+        rows are mixed after the `pre_widths` layers. `pre_widths` may be
+        empty, which mixes raw inputs. `post_widths` must end with the
+        embedding width."""
         if not post_widths:
             raise ValueError("post_widths must contain at least the embedding width")
-        pre_layers = []
-        width = input_dim
-        for w in pre_widths:
-            pre_layers.append(DenseLayer.create(width, w, "relu", rng))
-            width = w
-        post_layers = []
-        for i, w in enumerate(post_widths):
-            act = "linear" if i == len(post_widths) - 1 else "relu"
-            post_layers.append(DenseLayer.create(width, w, act, rng))
-            width = w
-        closed_head = DenseLayer.create(width, num_known, "linear", rng)
-        dummy_head = DenseLayer.create(width, num_dummy, "linear", rng, weight_std=DUMMY_INIT_STD)
-        return cls(pre_layers, post_layers, closed_head, dummy_head, input_dim)
+        widths = (input_dim, *pre_widths, *post_widths)
+        body = [DenseLayer.create(n_in, n_out, "relu" if i < len(widths) - 2 else "linear", rng)
+                for i, (n_in, n_out) in enumerate(zip(widths, widths[1:]))]
+        closed_head = DenseLayer.create(widths[-1], num_known, "linear", rng)
+        dummy_head = DenseLayer.create(widths[-1], num_dummy, "linear", rng, weight_std=DUMMY_INIT_STD)
+        return cls(body, len(pre_widths), closed_head, dummy_head, input_dim)
 
     @property
     def num_known(self) -> int:
@@ -197,12 +192,11 @@ class SplitMlp:
             raise ValueError(f"input shape {x.shape} does not match input dimension {self.input_dim}")
         n = len(x)
         out = AugmentedLogits(np.empty((n, self.num_known)), np.empty(n))
-        body = [*self.pre_layers, *self.post_layers]
         chunks = max(1, -(-n // SCORE_CHUNK))
         # chunk i starts at i * n / chunks, rounded up to a multiple of SCORE_ALIGN
         bounds = [-(-i * n // (chunks * SCORE_ALIGN)) * SCORE_ALIGN for i in range(chunks)] + [n]
         for start, stop in zip(bounds, bounds[1:]):
-            heads = self.heads_from_embedding(forward_layers(body, x[start:stop]))
+            heads = self.heads_from_embedding(forward_layers(self.body, x[start:stop]))
             out.closed[start:stop], out.dummy_max[start:stop] = heads.closed, heads.dummy_max
         return out
 
@@ -218,7 +212,7 @@ class SplitMlp:
     # -- parameter plumbing ------------------------------------------------
 
     def layers(self) -> list[DenseLayer]:
-        return [*self.pre_layers, *self.post_layers, self.closed_head, self.dummy_head]
+        return [*self.body, self.closed_head, self.dummy_head]
 
     def parameters(self) -> list[Array]:
         return [p for layer in self.layers() for p in layer.parameters()]

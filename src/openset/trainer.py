@@ -55,9 +55,7 @@ class TrainConfig:
             raise ValueError(f"beta must be nonnegative and finite, got {self.beta}")
         if not 0 <= self.gamma <= sys.float_info.max:
             raise ValueError(f"gamma must be nonnegative and finite, got {self.gamma}")
-        check_int("num_dummy", self.num_dummy, 1)
-        if self.num_dummy > MAX_DUMMY:
-            raise ValueError(f"num_dummy must be at most {MAX_DUMMY}, got {self.num_dummy}")
+        check_int("num_dummy", self.num_dummy, 1, MAX_DUMMY)
         if not 0 < self.alpha <= sys.float_info.max:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if not 0 < self.learning_rate <= sys.float_info.max:
@@ -66,10 +64,7 @@ class TrainConfig:
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         check_int("batch_size", self.batch_size, 2)
         for name in ("pretrain_epochs", "finetune_epochs"):
-            epochs = getattr(self, name)
-            check_int(name, epochs, 0)
-            if epochs > MAX_EPOCHS:
-                raise ValueError(f"{name} must be at most {MAX_EPOCHS}, got {epochs}")
+            check_int(name, getattr(self, name), 0, MAX_EPOCHS)
         check_int("seed", self.seed, 0)
         if self.mix_mode not in MIX_MODES:
             raise ValueError(f"mix_mode must be one of {MIX_MODES}, got {self.mix_mode!r}")
@@ -123,11 +118,10 @@ def _train_epochs(model: SplitMlp, dataset: LabeledSet, config: TrainConfig, rng
 def pretrain_step(model: SplitMlp, xb: Array, yb: Array) -> tuple[float, float, Array, Array]:
     """Backpropagate the K-way cross-entropy of the closed head on the batch
     into the model; returns (loss, 0.0, closed logits, labels), as `finetune_step` does."""
-    body = [*model.pre_layers, *model.post_layers]
     tape = [xb]
-    logits = model.closed_head.forward(forward_layers(body, xb, tape))
+    logits = model.closed_head.forward(forward_layers(model.body, xb, tape))
     loss, d_logits = cross_entropy_from_logits(logits, yb)
-    backward_layers(body, model.closed_head.backward(d_logits, tape[-1], logits), tape, input_grad=False)
+    backward_layers(model.body, model.closed_head.backward(d_logits, tape[-1], logits), tape, input_grad=False)
     return loss, 0.0, logits, yb
 
 
@@ -153,14 +147,14 @@ def finetune_step(model: SplitMlp, xb: Array, yb: Array, pairs: MixPairs | None,
     """Run the network once on the first half's rows stacked over the mixes
     of `pairs` (indices into the second half), take both losses on row
     slices, and backpropagate l1 + gamma * l2 once into the model. The rows
-    are mixed at one layer index: after the pre-layers in mix_mode "hidden",
-    at the input in "input". Without pairs only the first half is forwarded
+    are mixed at one layer index: `model.split_index` in mix_mode "hidden",
+    0 (the input) in "input". Without pairs only the first half is forwarded
     and l2 is 0. Returns (l1, l2, closed logits of the first half, its
     labels)."""
     (x1, y1), _ = split_batch_halves(xb, yb)
     cut = len(y1)
-    body = [*model.pre_layers, *model.post_layers]
-    at = len(model.pre_layers) if mix_mode == "hidden" else 0
+    body = model.body
+    at = model.split_index if mix_mode == "hidden" else 0
     tape = [xb if pairs else x1]
     h = forward_layers(body[:at], tape[0], tape)
     if pairs:

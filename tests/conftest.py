@@ -102,8 +102,8 @@ def fixed_logit_model(closed_rows, dummy_rows):
     dummy = np.asarray(dummy_rows, dtype=np.float64)
     d = closed.shape[0]
     return SplitMlp(
-        pre_layers=[],
-        post_layers=[DenseLayer(np.eye(d), np.zeros(d), "linear")],
+        body=[DenseLayer(np.eye(d), np.zeros(d), "linear")],
+        split_index=0,
         closed_head=DenseLayer(closed, np.zeros(closed.shape[1]), "linear"),
         dummy_head=DenseLayer(dummy, np.zeros(dummy.shape[1]), "linear"),
         input_dim=d,
@@ -111,10 +111,11 @@ def fixed_logit_model(closed_rows, dummy_rows):
 
 
 def known_rate(gaps, bias: float) -> float:
-    """Fraction of instances with gap strictly above the bias: the known
-    rate `calibration.select_bias` counts for every candidate at once."""
+    """Fraction of instances with gap at or above the bias: the known rate
+    `calibration.select_bias` counts for every candidate at once, as
+    `AugmentedLogits.predictions` keeps a row known on a tie."""
     gaps = np.asarray(gaps, dtype=np.float64)
-    return float((gaps > bias).mean())
+    return float((gaps >= bias).mean())
 
 
 def softmax_rows(logits) -> np.ndarray:

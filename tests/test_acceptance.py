@@ -170,7 +170,7 @@ def test_criterion_4_reduction_properties():
     # gradient is scattered back to the mixed rows, equals input-mode mixup
     # up to rounding (an empty pre-embedding discards that scatter)
     linear = SplitMlp.create(3, 3, 2, np.random.default_rng(8), pre_widths=(5,), post_widths=(4,))
-    linear.pre_layers[0].activation = "linear"
+    linear.body[0].activation = "linear"
     twin = copy.deepcopy(linear)
     zero_grads(linear)
     zero_grads(twin)

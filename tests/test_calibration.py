@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,10 +12,15 @@ from hypothesis import strategies as st
 
 from conftest import fixed_logit_model, known_rate
 from openset.calibration import CalibrationConfig, CalibrationResult, candidate_biases, logit_gaps, select_bias
+from openset.checkpoint import load_checkpoint
+from openset.cli import load_run_config
 from openset.datastore import LabeledSet, fit_standardization, gen_gaussian_blobs
 from openset.gradcore import DenseLayer
 from openset.network import SplitMlp
+from openset.pipeline import prepare
 from openset.trainer import TrainConfig, finetune_placeholders, pretrain_closed
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 class TestLogitGaps:
@@ -26,8 +32,8 @@ class TestLogitGaps:
         rng = np.random.default_rng(0)
         w = rng.standard_normal((4, 3))
         model = SplitMlp(
-            pre_layers=[],
-            post_layers=[DenseLayer(np.eye(4), np.zeros(4), "linear")],
+            body=[DenseLayer(np.eye(4), np.zeros(4), "linear")],
+            split_index=0,
             closed_head=DenseLayer(w.copy(), np.zeros(3), "linear"),
             dummy_head=DenseLayer(w.copy(), np.zeros(3), "linear"),
             input_dim=4,
@@ -97,6 +103,16 @@ class TestSelectBias:
                 assert not result.target_met
                 assert result.chosen_bias == pytest.approx(candidates[0], abs=1e-12)
 
+    def test_the_blobs6_checkpoint_meets_a_target_of_one(self):
+        # the chosen bias is the minimum gap, and predictions keep its row known
+        model, _, _ = load_checkpoint(REPO / "out" / "blobs6" / "checkpoint.json")
+        cfg = load_run_config(REPO / "configs" / "blobs6.json")
+        _, val, _, _ = prepare(cfg.dataset.load(), cfg.split)
+        result = select_bias(model, val.features, 1.0, cfg.calibration.intervals)
+        kept = (model.augmented_logits(val.features).predictions(result.chosen_bias) < model.num_known).mean()
+        assert result.achieved_known_rate == kept == 1.0
+        assert result.target_met
+
     def test_known_rate_monotone_over_grid(self):
         rng = np.random.default_rng(3)
         gaps = rng.standard_normal(50)
@@ -153,4 +169,8 @@ def test_select_bias_equals_the_candidate_loop(gaps, target_rate, intervals):
     model = fixed_logit_model([[g, -100.0] for g in gaps], [[0.0]] * len(gaps))
     x = np.eye(len(gaps))
     want = _select_bias_loop(logit_gaps(model, x), target_rate, intervals)
-    assert repr(asdict(select_bias(model, x, target_rate, intervals))) == repr(asdict(want))
+    result = select_bias(model, x, target_rate, intervals)
+    assert repr(asdict(result)) == repr(asdict(want))
+    # the dummy logit is 0, so predictions keep a row known exactly when its gap is at or above the bias
+    kept = (model.augmented_logits(x).predictions(result.chosen_bias) < model.num_known).mean()
+    assert result.achieved_known_rate == kept

@@ -16,6 +16,7 @@ from hypothesis.extra import numpy as hnp
 from openset.datastore import (
     LabeledSet,
     OpenSplit,
+    check_int,
     fit_standardization,
     gen_gaussian_blobs,
     gen_rings,
@@ -113,6 +114,12 @@ class TestGeneratorFields:
             _GENERATORS[name](**{"num_classes": 3, "per_class": 10, key: value})
         minimum = 0 if key == "seed" else 1
         assert str(exc.value) == f"{key} must be an integer of at least {minimum}, got {value!r}"
+
+    def test_check_int_accepts_its_maximum_and_names_the_next(self):
+        check_int("count", 7, 1, 7)
+        with pytest.raises(ValueError) as exc:
+            check_int("count", 8, 1, 7)
+        assert str(exc.value) == "count must be at most 7, got 8"
 
     @pytest.mark.parametrize("name,key", [("blobs", "center_scale"), ("blobs", "spread"), ("rings", "noise")])
     @pytest.mark.parametrize("value", [-1, float("nan"), "x"])

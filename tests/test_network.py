@@ -62,14 +62,14 @@ class TestEmbedding:
         rng = np.random.default_rng(0)
         model = SplitMlp.create(3, 2, 1, rng, pre_widths=(), post_widths=(4,))
         x = rng.standard_normal((5, 3))
-        np.testing.assert_array_equal(forward_layers(model.pre_layers, x), x)
+        np.testing.assert_array_equal(forward_layers(model.body[:model.split_index], x), x)
 
     def test_identity_layer_passthrough(self):
         rng = np.random.default_rng(0)
         model = SplitMlp.create(3, 2, 1, rng, pre_widths=(3,), post_widths=(4,))
-        model.pre_layers[0] = DenseLayer(np.eye(3), np.zeros(3), "linear")
+        model.body[0] = DenseLayer(np.eye(3), np.zeros(3), "linear")
         x = rng.standard_normal((5, 3))
-        np.testing.assert_array_equal(forward_layers(model.pre_layers, x), x)
+        np.testing.assert_array_equal(forward_layers(model.body[:model.split_index], x), x)
 
     def test_seeded_construction_is_bytes_stable(self):
         x = np.random.default_rng(99).standard_normal((4, 3))
@@ -77,7 +77,7 @@ class TestEmbedding:
         for _ in range(2):
             model = SplitMlp.create(3, 2, 2, np.random.default_rng(7), pre_widths=(8, 8),
                                     post_widths=(4,))
-            outs.append(forward_layers([*model.pre_layers, *model.post_layers], x))
+            outs.append(forward_layers(model.body, x))
         assert outs[0].tobytes() == outs[1].tobytes()
 
     def test_pack_makes_layers_views_of_two_flat_buffers(self):
@@ -98,21 +98,29 @@ class TestEmbedding:
 
     def test_backward_layers_without_input_grad_returns_none(self):
         model = SplitMlp.create(3, 2, 1, np.random.default_rng(0), pre_widths=(4, 4))
+        pre = model.body[:model.split_index]
         tape = [np.ones((2, 3))]
-        h = forward_layers(model.pre_layers, tape[0], tape)
-        assert backward_layers(model.pre_layers, np.ones_like(h), tape, input_grad=False) is None
+        h = forward_layers(pre, tape[0], tape)
+        assert backward_layers(pre, np.ones_like(h), tape, input_grad=False) is None
         assert len(tape) == 1
-        assert all(layer.grad_weights.any() for layer in model.pre_layers)
+        assert all(layer.grad_weights.any() for layer in pre)
 
     def test_shape_mismatch(self):
         model = SplitMlp.create(3, 2, 1, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            forward_layers(model.pre_layers, np.zeros((1, 4)))
+            forward_layers(model.body[:model.split_index], np.zeros((1, 4)))
 
     def test_empty_post_widths_are_refused(self):
         # without the check, the pre-layers' output would silently become the embedding
         with pytest.raises(ValueError, match="post_widths must contain at least the embedding width"):
             SplitMlp.create(3, 2, 1, np.random.default_rng(0), post_widths=())
+
+    @pytest.mark.parametrize("split_index,message", [(-1, "split_index must be an integer of at least 0, got -1"),
+                                                     (3, "split_index must be at most 2, got 3")])
+    def test_a_split_index_outside_the_body_is_refused(self, split_index, message):
+        model = SplitMlp.create(3, 2, 1, np.random.default_rng(0), pre_widths=(4,), post_widths=(4,))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SplitMlp(model.body, split_index, model.closed_head, model.dummy_head, model.input_dim)
 
     def test_scoring_input_of_another_width_is_refused_naming_both(self):
         model = SplitMlp.create(3, 2, 1, np.random.default_rng(0))
@@ -122,7 +130,7 @@ class TestEmbedding:
 
 def _heads(model, x):
     """The training forward's heads on `x`, which keep every dummy logit."""
-    return model.heads_from_embedding(forward_layers([*model.pre_layers, *model.post_layers], x))
+    return model.heads_from_embedding(forward_layers(model.body, x))
 
 
 class TestAugmentedLogits:
@@ -344,7 +352,7 @@ def _one_pass(model, x):
         return np.maximum(out, 0.0) if layer.activation == "relu" else out
 
     h = x
-    for layer in [*model.pre_layers, *model.post_layers]:
+    for layer in model.body:
         h = affine(layer, h)
     return AugmentedLogits(affine(model.closed_head, h), affine(model.dummy_head, h).max(axis=1))
 

@@ -303,7 +303,7 @@ class TestDataPlaceholderLoss:
         mixed = (lam * x[2] + (1.0 - lam) * x[3])[None, :]
 
         def loss_of_mixed():
-            aug = model.heads_from_embedding(forward_layers(model.post_layers, mixed))
+            aug = model.heads_from_embedding(forward_layers(model.body[model.split_index:], mixed))
             return cross_entropy_from_logits(aug.combined, [model.num_known])[0]
 
         fd_mixed = finite_difference_gradients(loss_of_mixed, [mixed], h=1e-5)[0]

@@ -272,7 +272,7 @@ class TestOneForwardPerRow:
         cfg = TrainConfig(pretrain_epochs=4, batch_size=32, seed=0)
         calls = _count_forward_rows(monkeypatch)
         model = pretrain_closed(data, cfg, [])
-        rows = sum(n for layer, n in calls if layer is model.pre_layers[0])
+        rows = sum(n for layer, n in calls if layer is model.body[0])
         assert rows == cfg.pretrain_epochs * len(data)
 
     def test_full_finetune_forwards_each_row_once_per_epoch(self, monkeypatch):
@@ -282,7 +282,7 @@ class TestOneForwardPerRow:
         model = pretrain_closed(data, cfg)
         calls = _count_forward_rows(monkeypatch)
         finetune_placeholders(model, data, cfg, [])
-        rows = sum(n for layer, n in calls if layer is model.pre_layers[0])
+        rows = sum(n for layer, n in calls if layer is model.body[0])
         assert rows == cfg.finetune_epochs * len(data)
 
     def test_full_finetune_skips_a_trailing_single_row(self, monkeypatch):
@@ -304,7 +304,7 @@ class TestOneForwardPerRow:
         monkeypatch.setattr(SgdMomentum, "step", counted)
         finetune_placeholders(model, data, cfg, [])
         assert len(steps) == 2 * cfg.finetune_epochs
-        rows = sum(n for layer, n in calls if layer is model.pre_layers[0])
+        rows = sum(n for layer, n in calls if layer is model.body[0])
         assert rows == 2 * cfg.batch_size * cfg.finetune_epochs
 
     @pytest.mark.parametrize("mix_mode", ["hidden", "input"])
@@ -353,7 +353,7 @@ class TestGradientsWrittenOnce:
         steps = self._backward_layers_per_step(monkeypatch)
         model = pretrain_closed(data, cfg)
         assert steps.pop() == []
-        expected = [*model.pre_layers, *model.post_layers, model.closed_head]
+        expected = [*model.body, model.closed_head]
         assert len(steps) == cfg.pretrain_epochs * math.ceil(len(data) / cfg.batch_size)
         for layers in steps:
             assert sorted(map(id, layers)) == sorted(map(id, expected))
