@@ -43,10 +43,10 @@ class CalibrationResult:
 
 
 def logit_gaps(model: SplitMlp, features: Array) -> Array:
-    """Per instance: the knownness score at bias 0 (max closed minus max raw dummy logit)."""
+    """Per instance: the best closed logit minus the dummy max, `AugmentedLogits.gap`."""
     if len(features) == 0:
         raise ValueError("empty validation set")
-    return model.augmented_logits(features).knownness(0.0)
+    return model.augmented_logits(features).gap
 
 
 def candidate_biases(gaps: Array, intervals: int) -> Array:
@@ -69,8 +69,8 @@ def select_bias(model: SplitMlp, features, target_rate: float, intervals: int) -
     """
     gaps = logit_gaps(model, features)
     candidates = candidate_biases(gaps, intervals)
-    # each candidate's known rate: the share of gaps at or above it, as
-    # `AugmentedLogits.predictions` keeps a row known on a tie
+    # each candidate's known rate: the share of gaps at or above it, the
+    # rows `AugmentedLogits.predictions` keeps known at that bias
     rates = (gaps.size - np.searchsorted(np.sort(gaps), candidates, "left")) / gaps.size
     # ascending candidates, non-increasing rates: the passing prefix
     failing = np.flatnonzero(~(rates >= target_rate))

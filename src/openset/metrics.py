@@ -59,9 +59,8 @@ def confusion_matrix(predictions, labels, num_classes: int) -> Array:
     for name, arr in (("prediction", preds), ("label", labs)):
         if arr.size and (arr.min() < 0 or arr.max() >= num_classes):
             raise ValueError(f"{name} out of range [0, {num_classes})")
-    counts = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(counts, (labs, preds), 1)
-    return counts
+    # cell (label, prediction) is bin label * num_classes + prediction
+    return np.bincount(labs * num_classes + preds, minlength=num_classes ** 2).reshape(num_classes, num_classes)
 
 
 def _macro_f1(counts: Array) -> float:
@@ -127,8 +126,9 @@ def evaluate(model: SplitMlp, test_set: LabeledSet, split: OpenSplit, train_mode
         roc = roc_points(scores[known_mask], scores[~known_mask])
 
     counts = confusion_matrix(preds, labels, k + 1)
-    if known_mask.any():
-        closed_accuracy = float((preds[known_mask] == labels[known_mask]).mean())
+    known_counts = counts[:k]  # the rows of known labels; their diagonal is right
+    if known_counts.any():
+        closed_accuracy = float(np.trace(known_counts) / known_counts.sum())
     else:
         closed_accuracy = 0.0
         flags.append("no_known_rows")
@@ -137,7 +137,7 @@ def evaluate(model: SplitMlp, test_set: LabeledSet, split: OpenSplit, train_mode
         macro_f1=_macro_f1(counts),
         closed_accuracy=closed_accuracy,
         openness_pct=openness(k, k + len(split.unknown_class_ids)),
-        rejection_rate=float((preds == k).mean()),
+        rejection_rate=float(counts[:, k].sum() / labels.size),
         flags=flags,
         roc=roc,
         confusion=counts,

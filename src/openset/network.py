@@ -54,7 +54,7 @@ SCORE_ALIGN = 16
 class AugmentedLogits:
     """What the open-set rule reads of each row: the K closed logits and the
     winning dummy logit. Scoring (`SplitMlp.augmented_logits`) holds only these,
-    and the first score read adds `_closed_max`."""
+    and the first score read adds `_closed_max` and `gap`."""
 
     closed: Array     # B x K
     dummy_max: Array  # B
@@ -67,14 +67,17 @@ class AugmentedLogits:
 
     @functools.cached_property
     def _closed_max(self) -> tuple[Array, Array]:
-        """Per row: the closed argmax and max, taken once for the three scores.
-        The max is gathered at the argmax (NaN where the row has one), much
-        cheaper than a max along the short axis; at a zero max, `max` decides the sign."""
+        """Per row: the closed argmax and the logit there, taken once for the
+        gap and the max-softmax; much cheaper than a max along the short axis."""
         labels = self.closed.argmax(axis=1)
-        best = np.take_along_axis(self.closed, labels[:, None], axis=1)[:, 0]
-        zero = best == 0
-        best[zero] = self.closed[zero].max(axis=1)
-        return labels, best
+        return labels, np.take_along_axis(self.closed, labels[:, None], axis=1)[:, 0]
+
+    @functools.cached_property
+    def gap(self) -> Array:
+        """Per row: the best closed logit minus the dummy max. The one open-set
+        rule reads it: a row is known at `bias` exactly when `gap >= bias`.
+        A non-finite gap raises, whichever score or prediction reads it first."""
+        return _finite(self._closed_max[1] - self.dummy_max)
 
     def score(self, train_mode: str, bias: float) -> Array:
         """The score a model trained in `train_mode` ranks rows by, higher =
@@ -83,19 +86,14 @@ class AugmentedLogits:
         return self.max_softmax() if train_mode == "baseline" else self.knownness(bias)
 
     def knownness(self, bias: float) -> Array:
-        """Best closed logit minus the calibrated dummy logit; higher = more known."""
-        return _finite(self._closed_max[1] - (self.dummy_max + bias))
+        """The gap less the bias; at or above 0 exactly where `predictions` keeps
+        the row known. Higher = more known."""
+        return self.gap - bias
 
     def predictions(self, bias: float) -> Array:
-        """Per row: argmax over [closed logits, dummy_max + bias]. Label K means
-        "unknown"; ties go to the known class, so rejection needs strictly
-        higher dummy evidence."""
-        # the argmax of the (K+1)-column concatenation, without building it:
-        # a NaN closed logit wins where it stands, a NaN dummy logit wins
-        # over finite ones, as np.argmax lets the first NaN win
-        labels, closed_max = self._closed_max
-        unknown = ~(self.dummy_max + bias <= closed_max) & ~np.isnan(closed_max)
-        return np.where(unknown, self.closed.shape[1], labels)
+        """Per row: the closed argmax where `gap >= bias`, else K ("unknown").
+        A tie stays known, so rejection needs strictly higher dummy evidence."""
+        return np.where(self.gap >= bias, self._closed_max[0], self.closed.shape[1])
 
     def max_softmax(self) -> Array:
         """Max softmax probability over the K closed logits (dummy head ignored).

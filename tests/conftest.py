@@ -3,7 +3,8 @@ access to the gradients a DenseLayer or SplitMlp has written (each backward
 overwrites its layer's gradients), a model with fixed logits, the plain
 log-softmax and cross-entropy compositions that the training step's losses
 must match byte for byte, the ROC with `np.unique` thresholds, and the BLAS
-kernel a golden test's bytes depend on."""
+kernel and thread count a golden test's bytes depend on, which also open
+the test log's header."""
 
 from __future__ import annotations
 
@@ -25,21 +26,41 @@ SPECIAL_VALUES = (math.nan, 0.0, -0.0, math.inf, -math.inf, 1.0, -1.0, 5e-324)
 GOLDEN_BLAS_KERNEL = "SkylakeX"
 
 
+def _openblas_call(symbol: str, restype):
+    """Call `symbol` of numpy's bundled OpenBLAS, found in numpy.libs as
+    perfbench/child.py finds it; None without it."""
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")):
+        fn = getattr(ctypes.CDLL(path), symbol, None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], restype
+            return fn()
+    return None
+
+
 def blas_kernel() -> str:
     """The gemm kernel numpy's bundled OpenBLAS loaded: the one it picked for
-    this CPU, or the one OPENBLAS_CORETYPE names. Found in numpy.libs as
-    perfbench/child.py finds the BLAS thread count; "unknown" without it."""
-    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")):
-        corename = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
-        if corename is not None:
-            corename.restype = ctypes.c_char_p
-            return corename().decode()
-    return "unknown"
+    this CPU, or the one OPENBLAS_CORETYPE names; "unknown" without it."""
+    corename = _openblas_call("scipy_openblas_get_corename64_", ctypes.c_char_p)
+    return "unknown" if corename is None else corename.decode()
+
+
+def blas_threads() -> str:
+    """The number of threads numpy's bundled OpenBLAS runs a gemm on;
+    "unknown" without it."""
+    threads = _openblas_call("scipy_openblas_get_num_threads64_", ctypes.c_int)
+    return "unknown" if threads is None else str(threads)
+
+
+def pytest_report_header(config) -> str:
+    """Open a test log with what the golden bytes and the chunked-scoring
+    tests depend on (pytest leaves the header out under -q)."""
+    return f"OpenBLAS kernel {blas_kernel()}, {blas_threads()} thread(s)"
 
 
 def kernel_note() -> str:
     """For the failure message of a test whose bytes depend on the gemm kernel."""
-    return f"(BLAS kernel {blas_kernel()}; the golden bytes were frozen on {GOLDEN_BLAS_KERNEL})"
+    return (f"(BLAS kernel {blas_kernel()} on {blas_threads()} thread(s); "
+            f"the golden bytes were frozen on {GOLDEN_BLAS_KERNEL})")
 
 
 def rel_error(a, b) -> float:

@@ -1,4 +1,5 @@
-"""Bias search: gaps, candidate grids, the 95% rule, monotonicity."""
+"""Bias search: gaps, candidate grids, the 95% rule, monotonicity, and the one
+known-at-a-bias rule that calibration, knownness and predictions share."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import fixed_logit_model, known_rate
 from openset.calibration import CalibrationConfig, CalibrationResult, candidate_biases, logit_gaps, select_bias
@@ -16,7 +18,7 @@ from openset.checkpoint import load_checkpoint
 from openset.cli import load_run_config
 from openset.datastore import LabeledSet, fit_standardization, gen_gaussian_blobs
 from openset.gradcore import DenseLayer
-from openset.network import SplitMlp
+from openset.network import AugmentedLogits, SplitMlp
 from openset.pipeline import prepare
 from openset.trainer import TrainConfig, finetune_placeholders, pretrain_closed
 
@@ -171,6 +173,63 @@ def test_select_bias_equals_the_candidate_loop(gaps, target_rate, intervals):
     want = _select_bias_loop(logit_gaps(model, x), target_rate, intervals)
     result = select_bias(model, x, target_rate, intervals)
     assert repr(asdict(result)) == repr(asdict(want))
-    # the dummy logit is 0, so predictions keep a row known exactly when its gap is at or above the bias
+    # predictions keep a row known exactly when its gap is at or above the bias
     kept = (model.augmented_logits(x).predictions(result.chosen_bias) < model.num_known).mean()
     assert result.achieved_known_rate == kept
+
+
+@st.composite
+def _logit_rows(draw):
+    """(closed, dummy_max) of a few rows: tied values with signed zeros, or
+    3 x standard-normal logits, where d + (c - d) <= c is false for about
+    one row in seven."""
+    n, k = draw(st.integers(1, 12)), draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        tied = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0])
+        return draw(hnp.arrays(np.float64, (n, k), elements=tied)), draw(hnp.arrays(np.float64, n, elements=tied))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return 3.0 * rng.standard_normal((n, k)), 3.0 * rng.standard_normal(n)
+
+
+class _ScoredAs:
+    """A stand-in model: every set it scores gets these logits, signed zeros
+    kept (a real head's zero bias turns -0.0 into 0.0)."""
+
+    def __init__(self, closed, dummy_max):
+        self.closed, self.dummy_max = closed, dummy_max
+
+    def augmented_logits(self, features):
+        return AugmentedLogits(self.closed.copy(), self.dummy_max.copy())
+
+
+# 0.7 + (-1.4 - 0.7) rounds above -1.4
+_ROUNDS_UP = (np.array([[-1.4, -2.0]]), np.array([0.7]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_logit_rows())
+@example(_ROUNDS_UP)
+@example((np.array([[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [1.0, 1.0]]), np.array([0.0, -0.0, 0.0, 1.0])))
+def test_knownness_predictions_and_calibration_gaps_apply_one_rule(rows):
+    # with each row's own gap as the bias, every row sits at a tie or beside one
+    closed, dummy_max = rows
+    model = _ScoredAs(closed, dummy_max)
+    gaps = logit_gaps(model, np.eye(len(closed)))
+    aug = model.augmented_logits(None)
+    for b in (*gaps.tolist(), 0.0, -0.0):
+        known = gaps >= b
+        np.testing.assert_array_equal(aug.knownness(b) >= 0, known, err_msg=f"knownness at bias {b!r}")
+        np.testing.assert_array_equal(aug.predictions(b) != closed.shape[1], known, err_msg=f"predictions at bias {b!r}")
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=_logit_rows(), target_rate=st.sampled_from([0.95, 1.0]))
+@example(_ROUNDS_UP, 1.0)
+def test_select_bias_reports_the_share_predictions_keep_known(rows, target_rate):
+    closed, dummy_max = rows
+    model = fixed_logit_model(closed, dummy_max[:, None])
+    x = np.eye(len(closed))
+    result = select_bias(model, x, target_rate, 100)
+    kept = (model.augmented_logits(x).predictions(result.chosen_bias) < model.num_known).mean()
+    assert result.achieved_known_rate == kept
+    assert result.target_met == (result.achieved_known_rate >= target_rate)

@@ -52,7 +52,7 @@ GOLDEN_SHA256 = {
     "training_log.tsv": "8ef0afb4185ea83d8c4584d20f0cf3332149676bf83dd7b52c5e670134d274e1",
 }
 # `boundary-grid --resolution 300 --range -7 7 -7 7` on the committed checkpoint
-GRID_300_SHA256 = "d0e7c9f0532cb9592f586aceae31ea66f7241a0b29780327adeeba8209ed30b4"
+GRID_300_SHA256 = "9326976b876254652d75531e84bd82eb78700f6e8a4bbe428b2644bd1c04dbfa"
 
 
 def _tiny_config(out_dir, train_mode="full", train_overrides=None, split_overrides=None):

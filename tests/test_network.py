@@ -219,24 +219,6 @@ class TestPredictOpen:
         ]
         assert all(a >= b for a, b in zip(fractions, fractions[1:]))
 
-    @settings(max_examples=500, deadline=None)
-    @given(logits=hnp.arrays(np.float64, st.tuples(st.integers(0, 8), st.integers(3, 5)), elements=_special_logits),
-           bias=_special_logits)
-    @example(np.array([[1.0, 1.0, 1.0], [np.nan, 2.0, np.inf], [-np.inf, -np.inf, -np.inf],
-                       [0.0, -0.0, -0.0], [-0.0, 0.0, 0.0], [1.0, np.nan, np.nan]]), 0.0)
-    @example(np.array([[np.inf, 1.0, np.inf], [2.0, 1.0, np.inf]]), -np.inf)
-    def test_equals_the_argmax_of_the_concatenation(self, logits, bias):
-        # the last column is the dummy maximum; ties, signed zeros,
-        # infinities and NaN in any column or in the bias
-        closed, dummy_max = logits[:, :-1], logits[:, -1]
-        aug = AugmentedLogits(closed, dummy_max)
-        for b in (bias, -bias):  # a second read must find the shared closed argmax as it was
-            with np.errstate(invalid="ignore", over="ignore"):
-                want = np.concatenate([closed, (dummy_max + b)[:, None]], axis=1).argmax(axis=1)
-                got = aug.predictions(b)
-            assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
-
 
 class TestScores:
     def test_knownness_value(self):
@@ -286,7 +268,7 @@ class TestScores:
         assert predict_open(model, x, **kwargs).tobytes() == aug.predictions(b).tobytes()
         assert knownness_score(model, x, **kwargs).tobytes() == aug.knownness(b).tobytes()
         assert baseline_confidence(model, x).tobytes() == aug.max_softmax().tobytes()
-        assert logit_gaps(model, x).tobytes() == aug.knownness(0.0).tobytes()
+        assert logit_gaps(model, x).tobytes() == aug.gap.tobytes()
 
     @settings(max_examples=500, deadline=None)
     @given(closed=hnp.arrays(np.float64, st.tuples(st.integers(0, 8), st.integers(1, 5)),
@@ -316,22 +298,37 @@ class TestScores:
             assert AugmentedLogits(closed, np.zeros(len(closed))).max_softmax().tobytes() == want.tobytes()
 
     @settings(max_examples=500, deadline=None)
-    @given(logits=hnp.arrays(np.float64, st.tuples(st.integers(0, 8), st.integers(2, 6)), elements=_tied_logits),
-           bias=_tied_logits)
+    @given(logits=hnp.arrays(np.float64, st.tuples(st.integers(0, 8), st.integers(2, 6)),
+                             elements=st.one_of(_tied_logits, _special_logits)),
+           bias=_special_logits)
+    @example(np.array([[1.0, 1.0, 1.0], [np.nan, 2.0, np.inf], [-np.inf, -np.inf, -np.inf],
+                       [0.0, -0.0, -0.0], [-0.0, 0.0, 0.0], [1.0, np.nan, np.nan]]), 0.0)
+    @example(np.array([[np.inf, 1.0, np.inf], [2.0, 1.0, np.inf]]), -np.inf)
     @example(np.array([[-0.0, 0.0, 0.0], [0.0, -0.0, 0.0], [-0.0, -0.0, 0.0], [2.0, 2.0, 1.0]]), 0.0)
     @example(np.array([[-1.0, -0.0, 0.0, -0.0], [np.nan, 0.0, -0.0, 0.0], [-np.inf, -0.0, 0.0, 0.0]]), -0.0)
-    def test_knownness_equals_the_row_max_minus_the_biased_dummy(self, logits, bias):
-        # the row max decides the sign of a zero score: max(-0.0, 0.0) is
-        # the last tied zero, where an argmax would pick the first
+    def test_knownness_and_predictions_equal_the_gap_rule_byte_for_byte(self, logits, bias):
+        # the last column is the dummy max. The gap is the closed logit at the
+        # first argmax (the first NaN, if any) minus the dummy max; at bias b
+        # the knownness is gap - b, and a row keeps its argmax where gap >= b,
+        # else gets K. Ties, signed zeros, infinities and NaN in any column or
+        # in the bias; a non-finite gap raises in every reader
         closed, dummy_max = logits[:, :-1], logits[:, -1]
         aug = AugmentedLogits(closed, dummy_max)
-        with np.errstate(invalid="ignore"):
-            want = closed.max(axis=1) - (dummy_max + bias)
-            if np.isfinite(want).all():
-                assert aug.knownness(bias).tobytes() == want.tobytes()
-            else:
-                with pytest.raises(ValueError, match="non-finite"):
-                    aug.knownness(bias)
+        labels = closed.argmax(axis=1)
+        with np.errstate(invalid="ignore", over="ignore"):
+            gap = closed[np.arange(len(closed)), labels] - dummy_max
+            if not np.isfinite(gap).all():
+                for read in (lambda: aug.gap, lambda: aug.knownness(bias), lambda: aug.predictions(bias)):
+                    with pytest.raises(ValueError, match="non-finite"):
+                        read()
+                return
+            assert aug.gap.tobytes() == gap.tobytes()
+            for b in (bias, -bias):  # a second read must find the cached gap as it was
+                want = np.where(gap >= b, labels, closed.shape[1])
+                got = aug.predictions(b)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+                assert aug.knownness(b).tobytes() == (gap - b).tobytes()
 
     def test_non_finite_scores_raise_with_their_count(self):
         model = fixed_logit_model([[1.0, 0.0], [1.0, 2.0], [3.0, 0.0]], [[0.5], [1.5], [0.0]])
@@ -339,8 +336,9 @@ class TestScores:
         x[0, 0], x[2, 2] = np.nan, np.inf  # rows 0 and 2 turn non-finite
         with np.errstate(invalid="ignore"):
             aug = model.augmented_logits(x)
-        with pytest.raises(ValueError, match="2 of 3 scores are non-finite"):
-            aug.knownness(0.0)
+        for read in (aug.knownness, aug.predictions):
+            with pytest.raises(ValueError, match="2 of 3 scores are non-finite"):
+                read(0.0)
         with pytest.raises(ValueError, match="2 of 3 scores are non-finite"):
             aug.max_softmax()
 
