@@ -219,6 +219,31 @@ class TestPredictOpen:
         ]
         assert all(a >= b for a, b in zip(fractions, fractions[1:]))
 
+    @settings(max_examples=500, deadline=None)
+    @given(logits=hnp.arrays(np.float64, st.tuples(st.integers(0, 8), st.integers(3, 5)), elements=_tied_logits),
+           bias=st.one_of(_tied_logits, st.sampled_from([0.5, -0.5, 1.5, -1.5])))
+    @example(np.array([[1.0, 1.0, 1.0], [np.nan, 2.0, np.inf], [-np.inf, -np.inf, -np.inf],
+                       [0.0, -0.0, -0.0], [-0.0, 0.0, 0.0], [1.0, np.nan, np.nan]]), 0.0)
+    @example(np.array([[np.inf, 1.0, np.inf], [2.0, 1.0, np.inf]]), -np.inf)
+    @example(np.array([[2.0, 1.0, 1.0], [0.0, -0.0, 1.0], [-1.0, 2.0, 0.0]]), 1.0)
+    def test_equals_the_argmax_of_the_concatenation(self, logits, bias):
+        # the last column is the dummy maximum. Where every sum is exact (small
+        # integers and halves, signed zeros, infinite or NaN bias), `gap >= b`
+        # and the argmax over [closed, dummy_max + b] decide alike, ties known;
+        # a non-finite gap raises instead
+        closed, dummy_max = logits[:, :-1], logits[:, -1]
+        aug = AugmentedLogits(closed, dummy_max)
+        with np.errstate(invalid="ignore", over="ignore"):
+            if not np.isfinite(closed.max(axis=1, initial=-np.inf) - dummy_max).all():
+                with pytest.raises(ValueError, match="non-finite"):
+                    aug.predictions(bias)
+                return
+            for b in (bias, -bias):  # a second read must find the cached gap as it was
+                want = np.concatenate([closed, (dummy_max + b)[:, None]], axis=1).argmax(axis=1)
+                got = aug.predictions(b)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
 
 class TestScores:
     def test_knownness_value(self):
@@ -329,6 +354,28 @@ class TestScores:
                 assert got.dtype == want.dtype
                 assert got.tobytes() == want.tobytes()
                 assert aug.knownness(b).tobytes() == (gap - b).tobytes()
+
+    @settings(max_examples=500, deadline=None)
+    @given(logits=hnp.arrays(np.float64, st.tuples(st.integers(0, 8), st.integers(2, 6)), elements=_tied_logits),
+           bias=_tied_logits)
+    @example(np.array([[-0.0, 0.0, 0.0], [0.0, -0.0, 0.0], [-0.0, -0.0, 0.0], [2.0, 2.0, 1.0]]), 0.0)
+    @example(np.array([[-1.0, -0.0, 0.0, -0.0], [np.nan, 0.0, -0.0, 0.0], [-np.inf, -0.0, 0.0, 0.0]]), -0.0)
+    def test_knownness_equals_the_row_max_minus_the_biased_dummy(self, logits, bias):
+        # on exact values the knownness is the row max minus the biased dummy;
+        # the sign of a zero score follows the first argmax, which the gap-rule
+        # test pins byte for byte, so values are compared here, NaN equal to NaN.
+        # A non-finite gap raises; an infinite or NaN bias passes through
+        closed, dummy_max = logits[:, :-1], logits[:, -1]
+        aug = AugmentedLogits(closed, dummy_max)
+        with np.errstate(invalid="ignore"):
+            if not np.isfinite(closed.max(axis=1) - dummy_max).all():
+                with pytest.raises(ValueError, match="non-finite"):
+                    aug.knownness(bias)
+                return
+            want = closed.max(axis=1) - (dummy_max + bias)
+            got = aug.knownness(bias)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
     def test_non_finite_scores_raise_with_their_count(self):
         model = fixed_logit_model([[1.0, 0.0], [1.0, 2.0], [3.0, 0.0]], [[0.5], [1.5], [0.0]])
