@@ -9,6 +9,7 @@ touched.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,9 +66,14 @@ def select_bias(model: SplitMlp, features, target_rate: float, intervals: int) -
 
     If no candidate qualifies, the smallest (most permissive) candidate is
     returned with target_met=False. `features` is the feature matrix of
-    known-class validation data.
+    known-class validation data. Gaps that span more than a float64 holds
+    raise ValueError naming the span: no candidates can be spaced over it.
     """
     gaps = logit_gaps(model, features)
+    gap_min, gap_max = float(gaps.min()), float(gaps.max())
+    if not math.isfinite(gap_max - gap_min):
+        raise ValueError(f"the validation gaps span [{gap_min!r}, {gap_max!r}], wider than a float64 holds: "
+                         "no bias candidates can be spaced over it")
     candidates = candidate_biases(gaps, intervals)
     # each candidate's known rate: the share of gaps at or above it, the
     # rows `AugmentedLogits.predictions` keeps known at that bias
@@ -80,7 +86,7 @@ def select_bias(model: SplitMlp, features, target_rate: float, intervals: int) -
         chosen_bias=float(candidates[chosen]),
         achieved_known_rate=float(rates[chosen]),
         candidate_count=len(candidates),
-        gap_min=float(gaps.min()),
-        gap_max=float(gaps.max()),
+        gap_min=gap_min,
+        gap_max=gap_max,
         target_met=passed > 0,
     )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import codecs
+import functools
 import json
 import math
 import numbers
@@ -117,20 +118,51 @@ class LabeledSet:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        if self.features.ndim != 2 or self.features.shape[1] == 0:
-            raise ValueError(f"features must be 2-D with at least 1 column, got shape {self.features.shape}")
-        self.labels = np.asarray(self.labels, dtype=np.int64).reshape(-1)
-        if self.labels.shape[0] != self.features.shape[0]:
-            raise ValueError(
-                f"{self.labels.shape[0]} labels for {self.features.shape[0]} feature rows"
-            )
+        self.labels = _row_labels(self.features.shape, self.labels)
 
     def __len__(self) -> int:
-        return self.features.shape[0]
+        return self.labels.shape[0]
 
     @property
     def dim(self) -> int:
         return self.features.shape[1]
+
+    def rows(self, index: Array) -> Array:
+        """The float64 feature rows at `index`, gathered into a new array."""
+        return self.features.take(index, axis=0)
+
+
+class PixelSet(LabeledSet):
+    """A LabeledSet of 8-bit images kept as their bytes, one flattened image
+    per row of `pixels` (N x D uint8): a feature is its pixel over 255.
+    `rows` converts only the rows it gathers; `features`, the whole [0, 1]
+    matrix, is built on its first read and kept."""
+
+    def __init__(self, pixels: Array, labels: Array):
+        self.pixels = pixels
+        self.labels = _row_labels(pixels.shape, labels)
+
+    @functools.cached_property
+    def features(self) -> Array:
+        return np.divide(self.pixels, 255.0, dtype=np.float64)
+
+    @property
+    def dim(self) -> int:
+        return self.pixels.shape[1]
+
+    def rows(self, index: Array) -> Array:
+        return np.divide(self.pixels.take(index, axis=0), 255.0, dtype=np.float64)
+
+
+def _row_labels(shape: tuple[int, ...], labels) -> Array:
+    """`labels` as N int64, after checking that `shape` is that of a 2-D
+    feature matrix with at least 1 column and N rows."""
+    if len(shape) != 2 or shape[1] == 0:
+        raise ValueError(f"features must be 2-D with at least 1 column, got shape {shape}")
+    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
+    if labels.shape[0] != shape[0]:
+        raise ValueError(f"{labels.shape[0]} labels for {shape[0]} feature rows")
+    return labels
 
 
 @dataclass
@@ -316,9 +348,9 @@ def _read_idx_header(data: bytes, path, magic: int, num_dims: int) -> tuple[list
     return list(fields[1:]), header_len
 
 
-def load_idx(images_path, labels_path) -> LabeledSet:
-    """MNIST-style big-endian IDX pair. Pixels are scaled to [0, 1] and
-    flattened row-major."""
+def load_idx(images_path, labels_path) -> PixelSet:
+    """MNIST-style big-endian IDX pair, as a PixelSet over the file's pixel
+    bytes: each image flattened row-major, its features scaled to [0, 1]."""
     with open(images_path, "rb") as f:
         image_data = f.read()
     with open(labels_path, "rb") as f:
@@ -339,9 +371,8 @@ def load_idx(images_path, labels_path) -> LabeledSet:
             f"{labels_path}: expected {n_lab} label bytes, got {len(label_data) - lab_offset}"
         )
     pixels = np.frombuffer(image_data, dtype=np.uint8, offset=offset)
-    features = np.divide(pixels.reshape(n_img, rows * cols), 255.0, dtype=np.float64)
     labels = np.frombuffer(label_data, dtype=np.uint8, offset=lab_offset).astype(np.int64)
-    return LabeledSet(features, labels)
+    return PixelSet(pixels.reshape(n_img, rows * cols), labels)
 
 
 def split_known_unknown(dataset: LabeledSet, split: OpenSplit) -> tuple[LabeledSet, LabeledSet, LabeledSet]:
@@ -385,7 +416,7 @@ def split_known_unknown(dataset: LabeledSet, split: OpenSplit) -> tuple[LabeledS
     # a contiguous row slice of it, so no part is copied a second time
     unknown_rows = np.flatnonzero(np.isin(dataset.labels, split.unknown_class_ids))
     order = np.concatenate([*train_idx, *val_idx, *test_idx, unknown_rows])
-    features = dataset.features[order]
+    features = dataset.rows(order)
     labels = np.searchsorted(known_sorted, dataset.labels[order]).astype(np.int64)
     labels[order.size - unknown_rows.size:] = len(known_sorted)
     n_train = sum(map(len, train_idx))

@@ -98,7 +98,7 @@ def _train_epochs(model: SplitMlp, dataset: LabeledSet, config: TrainConfig, rng
         perm = rng.permutation(len(dataset))
         for start in range(0, len(dataset), config.batch_size):
             idx = perm[start:start + config.batch_size]
-            result = step(dataset.features[idx], dataset.labels[idx])
+            result = step(dataset.rows(idx), dataset.labels[idx])
             if result is None:
                 continue
             l1, l2, logits, labels = result

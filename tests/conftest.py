@@ -1,10 +1,10 @@
 """Shared oracle helpers: numerical gradient checking, norm-based errors,
 access to the gradients a DenseLayer or SplitMlp has written (each backward
-overwrites its layer's gradients), a model with fixed logits, the plain
-log-softmax and cross-entropy compositions that the training step's losses
-must match byte for byte, the ROC with `np.unique` thresholds, and the BLAS
-kernel and thread count a golden test's bytes depend on, which also open
-the test log's header."""
+overwrites its layer's gradients), a model with fixed logits, an IDX pair
+writer, the plain log-softmax and cross-entropy compositions that the
+training step's losses must match byte for byte, the ROC with `np.unique`
+thresholds, and the BLAS kernel and thread count a golden test's bytes
+depend on, which also close every test log."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import ctypes
 import glob
 import math
 import os
+import struct
 
 import numpy as np
 
@@ -51,10 +52,11 @@ def blas_threads() -> str:
     return "unknown" if threads is None else str(threads)
 
 
-def pytest_report_header(config) -> str:
-    """Open a test log with what the golden bytes and the chunked-scoring
-    tests depend on (pytest leaves the header out under -q)."""
-    return f"OpenBLAS kernel {blas_kernel()}, {blas_threads()} thread(s)"
+def pytest_terminal_summary(terminalreporter) -> None:
+    """Close a test log with what the golden bytes and the chunked-scoring
+    tests depend on; pytest prints the summary under -q too, where it leaves
+    out the session header."""
+    terminalreporter.write_line(f"OpenBLAS kernel {blas_kernel()}, {blas_threads()} thread(s)")
 
 
 def kernel_note() -> str:
@@ -129,6 +131,15 @@ def fixed_logit_model(closed_rows, dummy_rows):
         dummy_head=DenseLayer(dummy, np.zeros(dummy.shape[1]), "linear"),
         input_dim=d,
     )
+
+
+def write_idx_pair(tmp_path, pixels, labels) -> tuple:
+    """Write N x D uint8 `pixels` (as 1 x D images) and their N uint8
+    labels as an IDX pair under `tmp_path`; returns the two paths."""
+    images, label_file = tmp_path / "img.idx", tmp_path / "lab.idx"
+    images.write_bytes(struct.pack(">4I", 0x00000803, len(pixels), 1, pixels.shape[1]) + pixels.tobytes())
+    label_file.write_bytes(struct.pack(">2I", 0x00000801, len(labels)) + bytes(labels))
+    return images, label_file
 
 
 def known_rate(gaps, bias: float) -> float:

@@ -3,6 +3,7 @@ known-at-a-bias rule that calibration, knownness and predictions share."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import asdict
 from pathlib import Path
 
@@ -139,6 +140,17 @@ class TestSelectBias:
         result = select_bias(model, rng.standard_normal((40, 2)), 0.95, 100)
         assert result.gap_min <= result.chosen_bias <= result.gap_max
         assert result.candidate_count == 101
+
+    def test_gaps_wider_than_a_float64_raise_naming_the_span(self):
+        # np.linspace over a span of 2e308 gives NaN candidates, which would
+        # hand the model a NaN bias
+        model = fixed_logit_model([[1e308, 0.0], [-1e308, -1e308]], [[0.0], [0.0]])
+        with pytest.raises(ValueError, match=re.escape("gaps span [-1e+308, 1e+308]")):
+            select_bias(model, np.eye(2), 0.95, 100)
+        # a span of 1.6e308 still fits, and its candidates end on the gaps
+        result = select_bias(fixed_logit_model([[8e307, 0.0], [-8e307, -8e307]], [[0.0], [0.0]]),
+                             np.eye(2), 0.95, 100)
+        assert (result.gap_min, result.chosen_bias, result.gap_max) == (-8e307, -8e307, 8e307)
 
 
 def _select_bias_loop(gaps, target_rate: float, intervals: int) -> CalibrationResult:

@@ -197,6 +197,17 @@ class TestRun:
         assert len(log_lines) == 15 + 10
         assert all(len(line.split("\t")) == 4 for line in log_lines)
 
+    def test_gaps_wider_than_a_float64_exit_1_before_any_file(self, tmp_path, capsys, monkeypatch):
+        # the refusal names the span, where a NaN bias would fail the run
+        # later with an AUC message that names no cause
+        monkeypatch.setattr("openset.calibration.logit_gaps", lambda model, features: np.array([-1e308, 1e308]))
+        out = tmp_path / "out"
+        path = _write_config(tmp_path, _tiny_config(out, train_overrides={"pretrain_epochs": 1, "finetune_epochs": 1}))
+        assert main(["run", "--config", str(path)]) == 1
+        assert list(out.iterdir()) == []
+        assert capsys.readouterr().err == ("error: the validation gaps span [-1e+308, 1e+308], wider than a float64 "
+                                           "holds: no bias candidates can be spaced over it\n")
+
     def test_rerun_is_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         path_a = _write_config(tmp_path, _tiny_config(out_a), "a.json")

@@ -26,7 +26,7 @@ from openset.datastore import (
     save_csv,
     split_known_unknown,
 )
-from conftest import gradients, zero_grads
+from conftest import gradients, write_idx_pair, zero_grads
 from openset.gradcore import DenseLayer, SgdMomentum, cross_entropy_from_logits
 
 
@@ -397,6 +397,34 @@ class TestIdx:
             assert loaded.features.tobytes() == (pixels / 255.0).tobytes()
             assert loaded.labels.tolist() == list(files["labels"][8:])
 
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(target=st.sampled_from(["images", "labels"]), cut=st.booleans(), data=st.data())
+    def test_rows_equal_the_gathered_features_byte_for_byte(self, tmp_path, target, cut, data):
+        files = {"images": _idx_fixture_bytes(images=True), "labels": _idx_fixture_bytes(images=False)}
+        raw = files[target]
+        if cut:
+            raw = raw[:data.draw(st.integers(0, len(raw)))]
+        else:
+            at = data.draw(st.integers(0, len(raw) - 1))
+            raw = raw[:at] + bytes([data.draw(st.integers(0, 255))]) + raw[at + 1:]
+        files[target] = raw
+        paths = {name: tmp_path / f"{name}.idx" for name in files}
+        for name, path in paths.items():
+            path.write_bytes(files[name])
+        shape = _idx_shape(files["images"], files["labels"])
+        if shape is None:
+            with pytest.raises(ValueError):
+                load_idx(paths["images"], paths["labels"])
+            return
+        n = shape[0]
+        order = np.array(data.draw(st.lists(st.integers(-n, n - 1)) if n else st.just([])), dtype=np.intp)
+        loaded = load_idx(paths["images"], paths["labels"])
+        rows = loaded.rows(order)
+        assert "features" not in vars(loaded), "rows built the whole float matrix"
+        assert rows.dtype == np.float64 and rows.flags.c_contiguous
+        assert rows.shape == loaded.features[order].shape
+        assert rows.tobytes() == loaded.features[order].tobytes()
+
 
 class TestStandardization:
     def test_train_statistics(self):
@@ -474,6 +502,22 @@ class TestSplitKnownUnknown:
             assert got.features.shape == want.features.shape
             assert got.features.tobytes() == want.features.tobytes()
             assert got.labels.dtype == want.labels.dtype
+            assert got.labels.tobytes() == want.labels.tobytes()
+
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_an_idx_set_splits_as_its_float_features_do(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        labels = rng.permutation(np.repeat(np.arange(6), rng.integers(8, 30, 6))).astype(np.uint8)
+        pixels = rng.integers(0, 256, (labels.size, int(rng.integers(1, 40))), dtype=np.uint8)
+        data = load_idx(*write_idx_pair(tmp_path, pixels, labels))
+        split = OpenSplit([4, 0, 2, 5], [3], val_fraction=0.2, test_fraction=0.3, seed=seed)
+        parts = split_known_unknown(data, split)
+        assert "features" not in vars(data), "the split built the whole float matrix"
+        for got, want in zip(parts, split_known_unknown(LabeledSet(data.features, data.labels), split)):
+            assert type(got) is LabeledSet and got.features.flags.c_contiguous
+            assert got.features.shape == want.features.shape
+            assert got.features.tobytes() == want.features.tobytes()
             assert got.labels.tobytes() == want.labels.tobytes()
 
     def _data_and_split(self, per_class=100, seed=0):

@@ -9,9 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import write_idx_pair
 from openset.calibration import CalibrationConfig
 from openset.cli import load_run_config, main, parse_run_config
-from openset.datastore import LabeledSet, OpenSplit, gen_gaussian_blobs, split_known_unknown
+from openset.datastore import LabeledSet, OpenSplit, gen_gaussian_blobs, load_idx, split_known_unknown
 from openset.pipeline import experiment, prepare
 from openset.trainer import TRAIN_MODES, TrainConfig, pretrain_closed
 
@@ -60,6 +61,22 @@ def test_prepare_holds_one_copy_of_the_split_and_leaves_data_untouched():
     for part, fresh in zip((train, val, test), split_known_unknown(data, split)):
         assert part.features.tobytes() == stats.apply(fresh.features).tobytes()
         assert part.labels.tobytes() == fresh.labels.tobytes()
+
+
+def test_prepare_never_builds_the_float_matrix_of_an_idx_set(tmp_path):
+    labels = np.repeat(np.arange(5, dtype=np.uint8), 30)
+    pixels = np.random.default_rng(1).integers(0, 256, (labels.size, 20), dtype=np.uint8)
+    data = load_idx(*write_idx_pair(tmp_path, pixels, labels))
+    split = OpenSplit([0, 1, 2], [3, 4], val_fraction=0.15, test_fraction=0.3, seed=1)
+
+    *parts, stats = prepare(data, split)
+
+    assert "features" not in vars(data), "prepare built the whole float matrix"
+    *want, want_stats = prepare(LabeledSet(data.features, data.labels), split)
+    assert stats.mean.tobytes() + stats.std.tobytes() == want_stats.mean.tobytes() + want_stats.std.tobytes()
+    for got, expected in zip(parts, want):
+        assert got.features.tobytes() == expected.features.tobytes()
+        assert got.labels.tobytes() == expected.labels.tobytes()
 
 
 def _tiny_blobs6() -> dict:

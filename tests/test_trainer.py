@@ -13,7 +13,7 @@ import pytest
 
 from conftest import gradients, kernel_note, zero_grads
 from openset.checkpoint import checkpoint_text
-from openset.datastore import LabeledSet, Standardization, fit_standardization, gen_gaussian_blobs
+from openset.datastore import LabeledSet, PixelSet, Standardization, fit_standardization, gen_gaussian_blobs
 from openset import trainer
 from openset.gradcore import DenseLayer, SgdMomentum
 from openset.network import SplitMlp
@@ -133,6 +133,18 @@ class TestPretrainClosed:
             assert grad.tobytes() == np.zeros_like(grad).tobytes()
         assert head.weights.tobytes() == fresh.dummy_head.weights.tobytes()
         assert head.biases.tobytes() == fresh.dummy_head.biases.tobytes()
+
+    def test_a_pixel_set_trains_as_its_float_features_do_without_building_them(self):
+        rng = np.random.default_rng(4)
+        labels = np.repeat(np.arange(3), 25)
+        data = PixelSet(rng.integers(0, 256, (labels.size, 12), dtype=np.uint8), labels)
+        cfg = TrainConfig(pretrain_epochs=4, finetune_epochs=3, batch_size=16, seed=4)
+        identity = Standardization(np.zeros(12), np.ones(12))
+        model = finetune_placeholders(pretrain_closed(data, cfg), data, cfg)
+        assert "features" not in vars(data), "training built the whole float matrix"
+        floats = LabeledSet(data.features, data.labels)
+        want = finetune_placeholders(pretrain_closed(floats, cfg), floats, cfg)
+        assert checkpoint_text(model, cfg, identity) == checkpoint_text(want, cfg, identity)
 
     def test_single_class_rejected(self):
         data = LabeledSet(np.zeros((4, 2)), np.zeros(4, dtype=np.int64))
