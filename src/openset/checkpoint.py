@@ -1,5 +1,6 @@
-"""Versioned text checkpoints: architecture, weights, calibration, config,
-standardization.
+"""Versioned text checkpoints: the model as `SplitMlp` holds it (input
+width, split index, body layers, both heads, calibration bias), its
+training config and its standardization.
 
 Weights round-trip through decimal text exactly (repr of a float64 parses
 back to the same bits), so a saved and reloaded model produces bit-identical
@@ -13,12 +14,12 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .datastore import Standardization, check_int, check_real, json_text
+from .datastore import Standardization, check_real, json_text
 from .gradcore import DenseLayer
 from .network import SplitMlp
 from .trainer import TrainConfig
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class CheckpointError(ValueError):
@@ -26,13 +27,7 @@ class CheckpointError(ValueError):
 
 
 def _layer_doc(layer: DenseLayer) -> dict:
-    return {
-        "in": layer.in_dim,
-        "out": layer.out_dim,
-        "activation": layer.activation,
-        "weights": layer.weights,
-        "biases": layer.biases,
-    }
+    return {"activation": layer.activation, "weights": layer.weights, "biases": layer.biases}
 
 
 def _finite(field: str, value):
@@ -42,30 +37,17 @@ def _finite(field: str, value):
 
 
 def _layer_from_doc(doc: dict, field: str) -> DenseLayer:
-    check_int(f"{field}.in", doc["in"], 1)
-    check_int(f"{field}.out", doc["out"], 1)
-    layer = DenseLayer(_finite(f"{field}.weights", np.array(doc["weights"], dtype=np.float64)),
-                       _finite(f"{field}.biases", np.array(doc["biases"], dtype=np.float64)),
-                       doc["activation"])
-    if (layer.in_dim, layer.out_dim) != (doc["in"], doc["out"]):
-        raise CheckpointError(
-            f"{field}: layer shape {(layer.in_dim, layer.out_dim)} does not match "
-            f"declared ({doc['in']}, {doc['out']})"
-        )
-    return layer
+    return DenseLayer(_finite(f"{field}.weights", np.array(doc["weights"], dtype=np.float64)),
+                      _finite(f"{field}.biases", np.array(doc["biases"], dtype=np.float64)),
+                      doc["activation"])
 
 
 def checkpoint_text(model: SplitMlp, config: TrainConfig, standardization: Standardization) -> str:
     doc = {
         "format_version": FORMAT_VERSION,
-        "architecture": {
-            "input_dim": model.input_dim,
-            "split_index": model.split_index,
-            "num_known": model.num_known,
-            "num_dummy": model.num_dummy,
-        },
-        "pre_layers": [_layer_doc(layer) for layer in model.body[:model.split_index]],
-        "post_layers": [_layer_doc(layer) for layer in model.body[model.split_index:]],
+        "input_dim": model.input_dim,
+        "split_index": model.split_index,
+        "body": [_layer_doc(layer) for layer in model.body],
         "closed_head": _layer_doc(model.closed_head),
         "dummy_head": _layer_doc(model.dummy_head),
         "calibration_bias": model.calibration_bias,
@@ -84,9 +66,9 @@ def save_checkpoint(path, model: SplitMlp, config: TrainConfig, standardization:
 def load_checkpoint(path) -> tuple[SplitMlp, TrainConfig, Standardization]:
     """The model, its training config and its standardization.
     A file that is not a consistent checkpoint raises CheckpointError
-    naming it: every width must chain from `input_dim` through the layers
-    to both heads, and the standardization must be `input_dim` long with
-    a finite, positive std."""
+    naming it: every number must be finite, `SplitMlp` must accept the
+    model (its width chain, split index and head widths), and the
+    standardization must be `input_dim` long with a positive std."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             doc = json.loads(f.read())
@@ -100,24 +82,16 @@ def load_checkpoint(path) -> tuple[SplitMlp, TrainConfig, Standardization]:
             f"{path}: checkpoint format version {version!r}, this build reads version {FORMAT_VERSION}"
         )
     try:
-        arch = doc["architecture"]
-        for key, minimum in (("split_index", 0), ("num_known", 2), ("num_dummy", 1)):
-            check_int(f"architecture.{key}", arch[key], minimum)
         bias = doc["calibration_bias"]
         check_real("calibration_bias", bias)
         model = SplitMlp(
-            body=[_layer_from_doc(d, f"{key}[{i}]") for key in ("pre_layers", "post_layers")
-                  for i, d in enumerate(doc[key])],
-            split_index=len(doc["pre_layers"]),
+            body=[_layer_from_doc(d, f"body[{i}]") for i, d in enumerate(doc["body"])],
+            split_index=doc["split_index"],
             closed_head=_layer_from_doc(doc["closed_head"], "closed_head"),
             dummy_head=_layer_from_doc(doc["dummy_head"], "dummy_head"),
-            input_dim=arch["input_dim"],
+            input_dim=doc["input_dim"],
             calibration_bias=_finite("calibration_bias", float(bias)),
         )
-        if arch["split_index"] != model.split_index:
-            raise CheckpointError("split_index does not match the stored pre-layers")
-        if (arch["num_known"], arch["num_dummy"]) != (model.num_known, model.num_dummy):
-            raise CheckpointError("head widths do not match the declared architecture")
         config = TrainConfig(**doc["train_config"])
         std_doc = doc["standardization"]
         if not isinstance(std_doc, dict):

@@ -82,8 +82,9 @@ class AugmentedLogits:
     def score(self, train_mode: str, bias: float) -> Array:
         """The score a model trained in `train_mode` ranks rows by, higher =
         more known: max-softmax confidence for the baseline, whose dummy head
-        is untrained, and the knownness at `bias` for every placeholder mode."""
-        return self.max_softmax() if train_mode == "baseline" else self.knownness(bias)
+        is untrained, and the knownness at `bias` for every placeholder mode.
+        A non-finite score raises: a finite gap less a bias can still overflow."""
+        return self.max_softmax() if train_mode == "baseline" else _finite(self.knownness(bias))
 
     def knownness(self, bias: float) -> Array:
         """The gap less the bias; at or above 0 exactly where `predictions` keeps
@@ -126,6 +127,7 @@ class SplitMlp:
                  input_dim: int, calibration_bias: float = 0.0):
         if closed_head.out_dim < 2:
             raise ValueError(f"need at least 2 known classes, got {closed_head.out_dim}")
+        check_int("num_dummy", dummy_head.out_dim, 1)
         check_int("input_dim", input_dim, 1)
         check_int("split_index", split_index, 0, len(body))
         width = input_dim

@@ -22,9 +22,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import json_paths, kernel_note
+from conftest import fixed_logit_model, json_paths, kernel_note
 from openset import cli
-from openset.checkpoint import load_checkpoint
+from openset.checkpoint import load_checkpoint, save_checkpoint
 from openset.cli import (
     MAX_RESOLUTION,
     ConfigError,
@@ -35,10 +35,10 @@ from openset.cli import (
     parse_run_config,
     write_grid_csv,
 )
-from openset.datastore import LabeledSet, json_text, load_csv, split_known_unknown
+from openset.datastore import LabeledSet, Standardization, json_text, load_csv, split_known_unknown
 from openset.metrics import evaluate
 from openset.network import SplitMlp
-from openset.trainer import TRAIN_MODES
+from openset.trainer import TRAIN_MODES, TrainConfig
 
 
 REPO = Path(__file__).resolve().parent.parent
@@ -47,7 +47,7 @@ GOLDEN = REPO / "out" / "blobs6"
 # bytes must say why, re-freeze out/blobs6 and update the digests.
 GOLDEN_SHA256 = {
     "report.json": "07191e16d8b26dc753adaed2313725e81d141119c2957ce637b1cbc93edfe6cd",
-    "checkpoint.json": "f3da3962555c866534190c05fca30548d30c3f8deb2a892af843acb00a641a19",
+    "checkpoint.json": "4109e2b89dbe7cde35aaf92f521a0562cdd5ee26e88aadab42b235d5a54f982c",
     "calibration.json": "a869615553223404bc529af1da9f421f76780d086676d7ef4a4078bb49c92d96",
     "training_log.tsv": "8ef0afb4185ea83d8c4584d20f0cf3332149676bf83dd7b52c5e670134d274e1",
 }
@@ -511,33 +511,29 @@ class TestEvaluate:
 
 
 def _narrow_first_layer(doc):
-    layer = doc["pre_layers"][0]
-    layer.update({"out": 32, "weights": [row[:32] for row in layer["weights"]], "biases": layer["biases"][:32]})
+    layer = doc["body"][0]
+    layer.update({"weights": [row[:32] for row in layer["weights"]], "biases": layer["biases"][:32]})
 
 
 def _narrow_closed_head(doc):
     head = doc["closed_head"]
-    head.update({"in": 15, "weights": head["weights"][:15]})
+    head.update({"weights": head["weights"][:15]})
 
 
 def _no_dummy_columns(doc):
     head = doc["dummy_head"]
-    head.update({"out": 0, "weights": [[] for _ in head["weights"]], "biases": []})
+    head.update({"weights": [[] for _ in head["weights"]], "biases": []})
 
 
 # case -> (edit of the golden checkpoint, the cause its error names)
 INCONSISTENT_CHECKPOINTS = {
-    "input_dim_3": (lambda doc: doc["architecture"].update(input_dim=3), "layer 0 reads 2 inputs, but gets 3"),
-    "input_dim_string": (lambda doc: doc["architecture"].update(input_dim="2"),
-                         "input_dim must be an integer of at least 1, got '2'"),
+    "input_dim_3": (lambda doc: doc.update(input_dim=3), "layer 0 reads 2 inputs, but gets 3"),
+    "input_dim_string": (lambda doc: doc.update(input_dim="2"), "input_dim must be an integer of at least 1, got '2'"),
     "32_outputs_into_64_inputs": (_narrow_first_layer, "layer 1 reads 64 inputs, but gets 32"),
     "closed_head_reads_15_of_16": (_narrow_closed_head,
                                    "the closed head reads 15 inputs, but the embedding is 16 wide"),
-    "no_dummy_columns": (_no_dummy_columns, "dummy_head.out must be an integer of at least 1, got 0"),
-    "num_known_5_declared": (lambda doc: doc["architecture"].update(num_known=5),
-                             "head widths do not match the declared architecture"),
-    "split_index_1": (lambda doc: doc["architecture"].update(split_index=1),
-                      "split_index does not match the stored pre-layers"),
+    "no_dummy_columns": (_no_dummy_columns, "num_dummy must be an integer of at least 1, got 0"),
+    "split_index_5": (lambda doc: doc.update(split_index=5), "split_index must be at most 4, got 5"),
     "mean_of_length_3": (lambda doc: doc["standardization"]["mean"].append(0.0),
                          "standardization.mean has shape (3,), expected (2,)"),
     "std_0": (lambda doc: doc["standardization"]["std"].__setitem__(0, 0.0), "standardization.std must be positive"),
@@ -609,8 +605,6 @@ class TestBoundaryGrid:
         ckpt = self._checkpoint(tmp_path)
         model, cfg, stats = load_checkpoint(ckpt)
         for bias, expect_unknown in ((-1e9, False), (1e9, True)):
-            from openset.checkpoint import save_checkpoint
-
             model.calibration_bias = bias
             biased = tmp_path / f"ckpt_{expect_unknown}.json"
             save_checkpoint(biased, model, cfg, stats)
@@ -622,6 +616,19 @@ class TestBoundaryGrid:
                 assert all(lab == model.num_known for lab in labels)
             else:
                 assert all(lab != model.num_known for lab in labels)
+
+    def test_a_grid_knownness_past_the_float_range_exits_1(self, tmp_path, capsys):
+        # every gap is finite, but at (0, 1) the gap of -1e308 less the bias
+        # of 1e308 overflows to -inf
+        model = fixed_logit_model([[1e308, 0.0], [-1e308, -1e308]], [[0.0], [0.0]])
+        model.calibration_bias = 1e308
+        ckpt, grid = tmp_path / "ckpt.json", tmp_path / "g.csv"
+        save_checkpoint(ckpt, model, TrainConfig(train_mode="full"), Standardization(np.zeros(2), np.ones(2)))
+        with np.errstate(over="ignore"):
+            assert main(["boundary-grid", "--checkpoint", str(ckpt), "--out", str(grid),
+                         "--resolution", "2", "--range", "0", "1", "0", "1"]) == 1
+        assert capsys.readouterr() == ("", "error: 1 of 4 scores are non-finite (NaN or inf)\n")
+        assert not grid.exists()
 
     def test_non_2d_model_exits_2(self, tmp_path, capsys):
         # a checkpoint the grid does not fit is bad input, as in evaluate

@@ -394,6 +394,19 @@ class TestEvaluate:
             assert placeholder.auc == auc(aug.knownness(0.0)[:2], aug.knownness(0.0)[2:])
             assert placeholder.auc != baseline.auc
 
+    def test_a_knownness_that_overflows_past_a_finite_gap_is_refused(self):
+        # the gaps 1e308, -1e308 and -1 are finite, but less a bias of 1e308
+        # the unknown row's knownness overflows to -inf, which ranked it below
+        # both known rows for an AUC of 1.0
+        model = fixed_logit_model([[1e308, 0.0], [-1e308, -1e308], [0.0, 1.0]], [[0.0]] * 3)
+        model.calibration_bias = 1e308
+        data = LabeledSet(np.eye(3), [0, 2, 1])
+        with np.errstate(over="ignore"):
+            assert model.augmented_logits(data.features).knownness(1e308).tolist() == [0.0, -math.inf, -1e308]
+            for mode in ("dummy_only", "mixup_only", "full"):
+                with pytest.raises(ValueError, match="1 of 3 scores are non-finite"):
+                    evaluate(model, data, OpenSplit([0, 1], [2]), mode)
+
     def test_deterministic_report_bytes(self):
         model, data = self._model_and_data()
         a = json_text(asdict(evaluate(model, data, self.SPLIT, "full"))) + "\n"

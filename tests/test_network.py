@@ -493,22 +493,39 @@ class TestStatelessScoring:
         assert peak < 12e6, f"scoring peaked at {peak / 1e6:.1f} MB"
 
 
+def _as_format_1(doc):
+    """Rewrite a format-2 checkpoint document in format 1, which split the
+    body at the mix index into pre_layers and post_layers, declared the
+    widths in an architecture block and each layer's in and out."""
+    body = [{"in": len(layer["weights"]), "out": len(layer["biases"]), **layer}
+            for layer in doc.pop("body")]
+    split = doc.pop("split_index")
+    heads = {key: {"in": len(doc[key]["weights"]), "out": len(doc[key]["biases"]), **doc.pop(key)}
+             for key in ("closed_head", "dummy_head")}
+    arch = {"input_dim": doc.pop("input_dim"), "split_index": split,
+            "num_known": heads["closed_head"]["out"], "num_dummy": heads["dummy_head"]["out"]}
+    doc.update({"format_version": 1, "architecture": arch, "pre_layers": body[:split],
+                "post_layers": body[split:], **heads})
+
+
 class TestCheckpoint:
-    def _model_and_config(self):
+    def _model_and_config(self, pre_widths=(5,)):
         rng = np.random.default_rng(17)
-        model = SplitMlp.create(3, 3, 2, rng, pre_widths=(5,), post_widths=(4,))
+        model = SplitMlp.create(3, 3, 2, rng, pre_widths=pre_widths, post_widths=(4,))
         model.calibration_bias = 0.321
         stats = Standardization(np.array([0.5, -1.0, 2.0]), np.array([1.0, 0.25, 3.0]))
         return model, TrainConfig(seed=17), stats
 
-    def test_round_trip_logits_bit_exact(self, tmp_path):
-        model, config, stats = self._model_and_config()
+    @pytest.mark.parametrize("pre_widths", [(), (5,)], ids=["split_0", "split_1"])
+    def test_round_trip_logits_bit_exact(self, tmp_path, pre_widths):
+        model, config, stats = self._model_and_config(pre_widths)
         path = tmp_path / "model.json"
         save_checkpoint(path, model, config, stats)
         loaded, loaded_config, loaded_stats = load_checkpoint(path)
         x = np.random.default_rng(0).standard_normal((10, 3))
         assert model.augmented_logits(x).combined.tobytes() == \
             loaded.augmented_logits(x).combined.tobytes()
+        assert loaded.split_index == model.split_index == len(pre_widths)
         assert loaded.calibration_bias == model.calibration_bias
         assert loaded_config == config
         assert loaded_stats.mean.tobytes() == stats.mean.tobytes()
@@ -533,11 +550,13 @@ class TestCheckpoint:
 
     def test_version_mismatch_names_versions(self, tmp_path):
         path = tmp_path / "model.json"
-        save_checkpoint(path, *self._model_and_config())
-        doc = path.read_text().replace('"format_version": 1', '"format_version": 99')
-        path.write_text(doc)
-        with pytest.raises(CheckpointError, match="99.*1"):
-            load_checkpoint(path)
+        for edit, version in ((lambda doc: doc.update(format_version=99), 99), (_as_format_1, 1)):
+            doc = json.loads(checkpoint_text(*self._model_and_config()))
+            assert doc["format_version"] == 2
+            edit(doc)
+            path.write_text(json.dumps(doc))
+            with pytest.raises(CheckpointError, match=f"version {version}, this build reads version 2"):
+                load_checkpoint(path)
 
     def test_corrupt_checkpoint(self, tmp_path):
         path = tmp_path / "model.json"
