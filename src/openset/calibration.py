@@ -27,9 +27,7 @@ class CalibrationConfig:
     intervals: int = 100
 
     def __post_init__(self):
-        check_real("target_rate", self.target_rate)
-        if not 0.0 < self.target_rate <= 1.0:
-            raise ValueError(f"target_rate must be in (0, 1], got {self.target_rate}")
+        check_real("target_rate", self.target_rate, "(0, 1]")
         check_int("intervals", self.intervals, 1, MAX_INTERVALS)
 
 

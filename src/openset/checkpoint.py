@@ -83,14 +83,14 @@ def load_checkpoint(path) -> tuple[SplitMlp, TrainConfig, Standardization]:
         )
     try:
         bias = doc["calibration_bias"]
-        check_real("calibration_bias", bias)
+        check_real("calibration_bias", bias, "(-inf, inf)")
         model = SplitMlp(
             body=[_layer_from_doc(d, f"body[{i}]") for i, d in enumerate(doc["body"])],
             split_index=doc["split_index"],
             closed_head=_layer_from_doc(doc["closed_head"], "closed_head"),
             dummy_head=_layer_from_doc(doc["dummy_head"], "dummy_head"),
             input_dim=doc["input_dim"],
-            calibration_bias=_finite("calibration_bias", float(bias)),
+            calibration_bias=float(bias),
         )
         config = TrainConfig(**doc["train_config"])
         std_doc = doc["standardization"]

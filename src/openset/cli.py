@@ -25,6 +25,7 @@ from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .datastore import (
     LabeledSet,
     OpenSplit,
+    check_int,
     gen_gaussian_blobs,
     gen_rings,
     json_text,
@@ -99,8 +100,9 @@ class RunConfig:
 @contextmanager
 def _bad_input():
     """The exit-2 boundary of the commands that read a config: a ValueError
-    raised while reading the config, the dataset or the split (a bad field,
-    a malformed file, a split the dataset does not fit) is a ConfigError."""
+    raised while checking a flag or reading the config, the dataset or the
+    split (a bad field, a malformed file, a split the dataset does not fit)
+    is a ConfigError."""
     try:
         yield
     except ValueError as exc:
@@ -220,8 +222,8 @@ def cmd_evaluate(checkpoint_path, config_path) -> int:
 
 
 def cmd_boundary_grid(checkpoint_path, out_path, x_range, y_range, resolution: int) -> int:
-    if not 1 <= resolution <= MAX_RESOLUTION:
-        raise ConfigError(f"--resolution must be in [1, {MAX_RESOLUTION}], got {resolution}")
+    with _bad_input():
+        check_int("--resolution", resolution, 1, MAX_RESOLUTION)
     if not np.isfinite([*x_range, *y_range]).all():
         raise ConfigError(f"--range must be four finite numbers, got {[*x_range, *y_range]}")
     model, train_config, stats = load_checkpoint(checkpoint_path)
@@ -275,11 +277,8 @@ def cmd_gen_data(config_path, out_path) -> int:
 def cmd_compare(config_path, seeds: int) -> int:
     """Print each mode's mean and std of AUC, macro-F1 and closed accuracy
     over the config's task at seeds 0 to `seeds`-1."""
-    if seeds < 1:
-        raise ConfigError(f"--seeds must be at least 1, got {seeds}")
-    if seeds > MAX_SEEDS:
-        raise ConfigError(f"--seeds must be at most {MAX_SEEDS}, got {seeds}")
     with _bad_input():
+        check_int("--seeds", seeds, 1, MAX_SEEDS)
         base = load_run_config(config_path, ("dataset", "split", "train"))
     results = {mode: [] for mode in TRAIN_MODES}
     for seed in range(seeds):
@@ -309,9 +308,7 @@ def cmd_sweep(config_path, unknown_counts: list[int]) -> int:
         cfg = load_run_config(config_path, ("dataset", "split", "train"))
         unknown = cfg.split.unknown_class_ids
         for n in unknown_counts:
-            if not 0 <= n <= len(unknown):
-                raise ConfigError(f"--unknown-counts must be in [0, {len(unknown)}], the split's unknown classes, "
-                                  f"got {n}")
+            check_int("--unknown-counts", n, 0, len(unknown))
         splits = [replace(cfg.split, unknown_class_ids=unknown[:n]) for n in unknown_counts]
         # the dataset is loaded once, and every count's split is prepared
         # before the header, so a split it cannot fill exits 2 with nothing printed

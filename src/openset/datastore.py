@@ -8,7 +8,6 @@ import json
 import math
 import numbers
 import struct
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,18 +28,21 @@ def check_int(name: str, value, minimum: int, maximum: int | None = None) -> Non
         raise ValueError(f"{name} must be at most {maximum}, got {value!r}")
 
 
-def check_real(name: str, value) -> None:
-    """Raise ValueError naming `name` unless `value` is a real number; a bool
-    or a string is not. Callers check the range themselves."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-
-
-def check_scale(name: str, value) -> None:
-    """Raise ValueError naming `name` unless `value` is a finite real number
-    of at least 0; a bool or a string is not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 <= value <= sys.float_info.max:
-        raise ValueError(f"{name} must be a finite number of at least 0, got {value!r}")
+def check_real(name: str, value, interval: str) -> None:
+    """Raise ValueError naming `name` unless `value` is a real number in
+    `interval`, written as "[0, inf)" or "(0, 1]": a bracket keeps its end
+    and a parenthesis leaves it out. A bool, a string, NaN and an int too
+    large for a float are refused."""
+    low, high = map(float, interval[1:-1].split(","))
+    try:
+        x = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an int too large for a float
+        x = math.nan
+    # NaN fails every comparison, so it is refused at both ends
+    above = low <= x if interval[0] == "[" else low < x
+    below = x <= high if interval[-1] == "]" else x < high
+    if not (above and below):
+        raise ValueError(f"{name} must be a number in {interval}, got {value!r}")
 
 
 def check_class_ids(name: str, ids) -> list[int]:
@@ -111,7 +113,7 @@ def _block(brackets: str, items: list[str], newline: str) -> str:
     return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
 
 
-@dataclass
+@dataclass(eq=False)  # sets compare by identity: a field-wise == of arrays has no truth value
 class LabeledSet:
     features: Array                       # N x D float64
     labels: Array                         # N int64
@@ -136,11 +138,14 @@ class PixelSet(LabeledSet):
     """A LabeledSet of 8-bit images kept as their bytes, one flattened image
     per row of `pixels` (N x D uint8): a feature is its pixel over 255.
     `rows` converts only the rows it gathers; `features`, the whole [0, 1]
-    matrix, is built on its first read and kept."""
+    matrix, is built on its first read and kept, and `repr` does not read it."""
 
     def __init__(self, pixels: Array, labels: Array):
         self.pixels = pixels
         self.labels = _row_labels(pixels.shape, labels)
+
+    def __repr__(self) -> str:  # the dataclass repr would build `features`
+        return f"PixelSet({self.pixels.shape[0]} images of {self.pixels.shape[1]} pixels)"
 
     @functools.cached_property
     def features(self) -> Array:
@@ -183,12 +188,8 @@ class OpenSplit:
         overlap = set(self.known_class_ids) & set(self.unknown_class_ids)
         if overlap:
             raise ValueError(f"classes cannot be both known and unknown: {sorted(overlap)}")
-        check_real("val_fraction", self.val_fraction)
-        check_real("test_fraction", self.test_fraction)
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ValueError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ValueError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+        check_real("val_fraction", self.val_fraction, "(0, 1)")
+        check_real("test_fraction", self.test_fraction, "(0, 1)")
         if self.val_fraction + self.test_fraction >= 1.0:
             raise ValueError("val_fraction + test_fraction must leave room for training rows")
         check_int("seed", self.seed, 0)
@@ -224,8 +225,8 @@ def gen_gaussian_blobs(num_classes: int = 10, per_class: int = 300, dim: int = 2
     check_int("num_classes", num_classes, 1)
     check_int("per_class", per_class, 1)
     check_int("dim", dim, 1)
-    check_scale("center_scale", center_scale)
-    check_scale("spread", spread)
+    check_real("center_scale", center_scale, "[0, inf)")
+    check_real("spread", spread, "[0, inf)")
     check_int("seed", seed, 0)
     _check_size({"num_classes": num_classes, "per_class": per_class}, dim)
     if not math.isfinite(2.0 * center_scale):
@@ -243,7 +244,7 @@ def gen_rings(num_classes: int = 3, per_class: int = 300, noise: float = 0.05, s
     noise. Each field is checked first; a bad one raises ValueError naming it."""
     check_int("num_classes", num_classes, 1)
     check_int("per_class", per_class, 1)
-    check_scale("noise", noise)
+    check_real("noise", noise, "[0, inf)")
     check_int("seed", seed, 0)
     _check_size({"num_classes": num_classes, "per_class": per_class}, 2)
     rng = np.random.default_rng(seed)

@@ -10,7 +10,6 @@ seed; identical configs give bit-identical models.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,21 +46,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("beta", "gamma", "alpha", "learning_rate", "momentum"):
-            check_real(name, getattr(self, name))
-        # each test reads `not <valid range>`, so NaN, which fails every
-        # comparison, is rejected too; the bound refuses an int a float cannot hold
-        if not 0 <= self.beta <= sys.float_info.max:
-            raise ValueError(f"beta must be nonnegative and finite, got {self.beta}")
-        if not 0 <= self.gamma <= sys.float_info.max:
-            raise ValueError(f"gamma must be nonnegative and finite, got {self.gamma}")
+        for name, interval in (("beta", "[0, inf)"), ("gamma", "[0, inf)"), ("alpha", "(0, inf)"),
+                               ("learning_rate", "(0, inf)"), ("momentum", "[0, 1)")):
+            check_real(name, getattr(self, name), interval)
         check_int("num_dummy", self.num_dummy, 1, MAX_DUMMY)
-        if not 0 < self.alpha <= sys.float_info.max:
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-        if not 0 < self.learning_rate <= sys.float_info.max:
-            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         check_int("batch_size", self.batch_size, 2)
         for name in ("pretrain_epochs", "finetune_epochs"):
             check_int(name, getattr(self, name), 0, MAX_EPOCHS)

@@ -103,9 +103,9 @@ MALFORMED_CONFIGS = {
     "one_known_class": (lambda out: _tiny_config(out, split_overrides={"known_class_ids": [0]}),
                         "invalid split block: need at least 2 known classes"),
     "val_fraction_0": (lambda out: _tiny_config(out, split_overrides={"val_fraction": 0.0}),
-                       "invalid split block: val_fraction must be in (0, 1), got 0.0"),
+                       "invalid split block: val_fraction must be a number in (0, 1), got 0.0"),
     "test_fraction_1": (lambda out: _tiny_config(out, split_overrides={"test_fraction": 1.0}),
-                        "invalid split block: test_fraction must be in (0, 1), got 1.0"),
+                        "invalid split block: test_fraction must be a number in (0, 1), got 1.0"),
     "no_room_for_training_rows": (
         lambda out: _tiny_config(out, split_overrides={"val_fraction": 0.5, "test_fraction": 0.5}),
         "invalid split block: val_fraction + test_fraction must leave room for training rows"),
@@ -314,16 +314,27 @@ class TestRun:
         doc["train"][key] = 100_000
         assert getattr(parse_run_config(doc).train, key) == 100_000
 
+    # each refused value keeps the id its case had when the message read
+    # "must be a finite number of at least 0"
     @pytest.mark.parametrize("generator,key,value,message", [
-        ("blobs", "center_scale", -float("inf"), "center_scale must be a finite number of at least 0, got -inf"),
-        ("blobs", "spread", "x", "spread must be a finite number of at least 0, got 'x'"),
-        ("blobs", "spread", float("nan"), "spread must be a finite number of at least 0, got nan"),
-        ("blobs", "spread", float("inf"), "spread must be a finite number of at least 0, got inf"),
-        ("blobs", "spread", -1, "spread must be a finite number of at least 0, got -1"),
-        ("blobs", "spread", True, "spread must be a finite number of at least 0, got True"),
-        ("blobs", "center_scale", 10 ** 400, "center_scale must be a finite number of at least 0, got 1000"),
-        ("rings", "noise", -1, "noise must be a finite number of at least 0, got -1"),
-        ("rings", "noise", float("nan"), "noise must be a finite number of at least 0, got nan"),
+        pytest.param("blobs", "center_scale", -float("inf"), "center_scale must be a number in [0, inf), got -inf",
+                     id="blobs-center_scale--inf-center_scale must be a finite number of at least 0, got -inf"),
+        pytest.param("blobs", "spread", "x", "spread must be a number in [0, inf), got 'x'",
+                     id="blobs-spread-x-spread must be a finite number of at least 0, got 'x'"),
+        pytest.param("blobs", "spread", float("nan"), "spread must be a number in [0, inf), got nan",
+                     id="blobs-spread-nan-spread must be a finite number of at least 0, got nan"),
+        pytest.param("blobs", "spread", float("inf"), "spread must be a number in [0, inf), got inf",
+                     id="blobs-spread-inf-spread must be a finite number of at least 0, got inf"),
+        pytest.param("blobs", "spread", -1, "spread must be a number in [0, inf), got -1",
+                     id="blobs-spread--1-spread must be a finite number of at least 0, got -1"),
+        pytest.param("blobs", "spread", True, "spread must be a number in [0, inf), got True",
+                     id="blobs-spread-True-spread must be a finite number of at least 0, got True"),
+        pytest.param("blobs", "center_scale", 10 ** 400, "center_scale must be a number in [0, inf), got 1000",
+                     id=f"blobs-center_scale-{10 ** 400}-center_scale must be a finite number of at least 0, got 1000"),
+        pytest.param("rings", "noise", -1, "noise must be a number in [0, inf), got -1",
+                     id="rings-noise--1-noise must be a finite number of at least 0, got -1"),
+        pytest.param("rings", "noise", float("nan"), "noise must be a number in [0, inf), got nan",
+                     id="rings-noise-nan-noise must be a finite number of at least 0, got nan"),
         ("blobs", "center_scale", 1e308, "center_scale 1e+308 is too large"),
         ("blobs", "spread", 1e308, "spread 1e+308 give non-finite features"),
         ("rings", "noise", 1e308, "noise 1e+308 give non-finite features"),
@@ -349,10 +360,15 @@ class TestRun:
         ("split", "known_class_ids", [0, True, 2], "known_class_ids[1] must be an integer of at least 0, got True"),
         ("split", "known_class_ids", "012", "known_class_ids must be a list of class ids, got '012'"),
         ("split", "unknown_class_ids", [3, 3], "duplicate class ids in unknown_class_ids: [3, 3]"),
-        ("split", "val_fraction", True, "val_fraction must be a number, got True"),
-        ("calibration", "target_rate", True, "target_rate must be a number, got True"),
-        ("train", "learning_rate", True, "learning_rate must be a number, got True"),
-        ("train", "momentum", "0.5", "momentum must be a number, got '0.5'"),
+        # these four keep the ids they had when the message named no interval
+        pytest.param("split", "val_fraction", True, "val_fraction must be a number in (0, 1), got True",
+                     id="split-val_fraction-True-val_fraction must be a number, got True"),
+        pytest.param("calibration", "target_rate", True, "target_rate must be a number in (0, 1], got True",
+                     id="calibration-target_rate-True-target_rate must be a number, got True"),
+        pytest.param("train", "learning_rate", True, "learning_rate must be a number in (0, inf), got True",
+                     id="train-learning_rate-True-learning_rate must be a number, got True"),
+        pytest.param("train", "momentum", "0.5", "momentum must be a number in [0, 1), got '0.5'",
+                     id="train-momentum-0.5-momentum must be a number, got '0.5'"),
         (None, "output_dir", None, "output_dir must be a non-empty string, got None"),
         (None, "output_dir", "", "output_dir must be a non-empty string, got ''"),
     ])
@@ -542,8 +558,10 @@ INCONSISTENT_CHECKPOINTS = {
     "standardization_null": (lambda doc: doc.update(standardization=None),
                              "standardization must be an object with mean and std, got None"),
     "no_standardization": (lambda doc: doc.pop("standardization"), "malformed checkpoint ('standardization')"),
-    "bias_true": (lambda doc: doc.update(calibration_bias=True), "calibration_bias must be a number, got True"),
-    "bias_string": (lambda doc: doc.update(calibration_bias="1.5"), "calibration_bias must be a number, got '1.5'"),
+    "bias_true": (lambda doc: doc.update(calibration_bias=True),
+                  "calibration_bias must be a number in (-inf, inf), got True"),
+    "bias_string": (lambda doc: doc.update(calibration_bias="1.5"),
+                    "calibration_bias must be a number in (-inf, inf), got '1.5'"),
 }
 
 
@@ -788,9 +806,11 @@ class TestOversizedInput:
         assert captured.out == "" and not out_csv.exists()
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
 
-    @pytest.mark.parametrize("key,rule",[("beta", "nonnegative"), ("gamma", "nonnegative"),
-                                          ("alpha", "positive"), ("learning_rate", "positive")])
-    def test_a_hyperparameter_above_float_range_exits_2(self, tmp_path, capsys, monkeypatch, key, rule):
+    # the ids keep the rule each message named before it named the interval
+    @pytest.mark.parametrize("key,interval", [("beta", "[0, inf)"), ("gamma", "[0, inf)"),
+                                              ("alpha", "(0, inf)"), ("learning_rate", "(0, inf)")],
+                             ids=["beta-nonnegative", "gamma-nonnegative", "alpha-positive", "learning_rate-positive"])
+    def test_a_hyperparameter_above_float_range_exits_2(self, tmp_path, capsys, monkeypatch, key, interval):
         # a JSON integer parses exactly, and 10**400 is above every float;
         # TrainConfig refuses it by name, before the output directory is made
         monkeypatch.setattr("openset.cli.pretrain_closed", _no_training)
@@ -799,7 +819,7 @@ class TestOversizedInput:
         assert main(["run", "--config", str(_write_config(tmp_path, doc))]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
-        assert captured.err == f"error: invalid train block: {key} must be {rule} and finite, got 1{'0' * 400}\n"
+        assert captured.err == f"error: invalid train block: {key} must be a number in {interval}, got 1{'0' * 400}\n"
 
     @pytest.mark.parametrize("command", ["run", "gen-data"])
     def test_a_dataset_too_large_to_allocate_exits_2(self, tmp_path, capsys, monkeypatch, command):
@@ -904,7 +924,7 @@ class TestNonFinite:
         path = _write_config(tmp_path, doc)
         assert "NaN" in path.read_text()
         assert main(["run", "--config", str(path)]) == 2
-        assert "learning_rate must be positive and finite, got nan" in capsys.readouterr().err
+        assert "learning_rate must be a number in (0, inf), got nan" in capsys.readouterr().err
         assert not out.exists()
 
     def test_divergent_run_exits_1_and_writes_no_artifact(self, tmp_path, capsys):
@@ -923,9 +943,11 @@ class TestNonFinite:
         path = _write_config(tmp_path, _tiny_config(out))
         assert main(["run", "--config", str(path)]) == 0
         # json.loads reads all three tokens as numbers (1e999 overflows to inf)
-        for token, field, keys in (("NaN", "closed_head.biases", ("closed_head", "biases", 0)),
-                                   ("Infinity", "calibration_bias", ("calibration_bias",)),
-                                   ("1e999", "standardization.std", ("standardization", "std", 1))):
+        for token, cause, keys in (
+                ("NaN", "non-finite number in closed_head.biases", ("closed_head", "biases", 0)),
+                ("Infinity", "malformed checkpoint (calibration_bias must be a number in (-inf, inf), got inf)",
+                 ("calibration_bias",)),
+                ("1e999", "non-finite number in standardization.std", ("standardization", "std", 1))):
             doc = json.loads((out / "checkpoint.json").read_text())
             *parents, last = keys
             node = doc
@@ -941,7 +963,7 @@ class TestNonFinite:
                          "--resolution", "3", "--range", "0", "1", "0", "1"]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err.count(f"{ckpt}: non-finite number in {field}") == 2, token
+            assert captured.err.count(f"{ckpt}: {cause}") == 2, token
             assert not grid.exists()
 
 

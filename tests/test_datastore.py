@@ -6,6 +6,7 @@ import json
 import math
 import re
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from openset.datastore import (
     LabeledSet,
     OpenSplit,
     check_int,
+    check_real,
     fit_standardization,
     gen_gaussian_blobs,
     gen_rings,
@@ -121,12 +123,32 @@ class TestGeneratorFields:
             check_int("count", 8, 1, 7)
         assert str(exc.value) == "count must be at most 7, got 8"
 
+    @pytest.mark.parametrize("interval,value", [
+        ("[0, inf)", 0), ("[0, inf)", -0.0), ("[0, 1)", 0), ("(0, inf)", 5e-324), ("(0, 1]", 5e-324),
+        ("[0, inf)", sys.float_info.max), ("(-inf, inf)", -sys.float_info.max), ("(0, 1]", 1),
+        ("[0, 1)", 0.9999999999999999), ("(0, 1)", 0.9999999999999999),
+    ])
+    def test_check_real_accepts_each_end_it_keeps(self, interval, value):
+        check_real("x", value, interval)
+
+    @pytest.mark.parametrize("interval,value", [
+        ("(0, inf)", 0), ("(0, 1)", 0), ("(0, 1]", -0.0), ("[0, 1)", 1), ("(0, 1)", 1),
+        ("[0, inf)", -5e-324), ("(0, 1]", 1.0000000000000002),
+        ("[0, inf)", math.inf), ("(-inf, inf)", math.inf), ("(-inf, inf)", -math.inf), ("[0, inf)", math.nan),
+        ("(-inf, inf)", math.nan), ("(-inf, inf)", True), ("[0, 1)", False), ("(0, 1)", "0.5"),
+        ("(-inf, inf)", None), ("[0, inf)", 10 ** 400), ("(-inf, inf)", -10 ** 400),
+    ])
+    def test_check_real_refuses_with_the_interval_named(self, interval, value):
+        with pytest.raises(ValueError) as exc:
+            check_real("x", value, interval)
+        assert str(exc.value) == f"x must be a number in {interval}, got {value!r}"
+
     @pytest.mark.parametrize("name,key", [("blobs", "center_scale"), ("blobs", "spread"), ("rings", "noise")])
     @pytest.mark.parametrize("value", [-1, float("nan"), "x"])
     def test_bad_scale_is_named(self, name, key, value):
         with pytest.raises(ValueError) as exc:
             _GENERATORS[name](3, 10, **{key: value})
-        assert str(exc.value) == f"{key} must be a finite number of at least 0, got {value!r}"
+        assert str(exc.value) == f"{key} must be a number in [0, inf), got {value!r}"
 
     @pytest.mark.parametrize("name,fields,width", [
         ("blobs", {"num_classes": 3, "per_class": 10 ** 20}, 2),
@@ -424,6 +446,15 @@ class TestIdx:
         assert rows.dtype == np.float64 and rows.flags.c_contiguous
         assert rows.shape == loaded.features[order].shape
         assert rows.tobytes() == loaded.features[order].tobytes()
+
+    def test_repr_and_equality_leave_the_float_matrix_unbuilt(self, tmp_path):
+        paths = [tmp_path / "img.idx", tmp_path / "lab.idx"]
+        paths[0].write_bytes(_idx_fixture_bytes(images=True))
+        paths[1].write_bytes(_idx_fixture_bytes(images=False))
+        loaded, again = load_idx(*paths), load_idx(*paths)
+        assert repr(loaded) == "PixelSet(2 images of 4 pixels)"
+        assert loaded == loaded and loaded != again  # sets compare by identity
+        assert "features" not in vars(loaded) and "features" not in vars(again)
 
 
 class TestStandardization:

@@ -183,15 +183,15 @@ def test_openness_sweep_without_unknown_classes_prints_the_closed_set_row(tiny_s
 @pytest.mark.parametrize("argv, message", [
     (["compare", "--config", "{missing}"], "No such file or directory"),
     (["sweep", "--config", "{missing}"], "No such file or directory"),
-    (["compare", "--seeds", "0", "--config", "{tiny}"], "--seeds must be at least 1, got 0"),
+    (["compare", "--seeds", "0", "--config", "{tiny}"], "--seeds must be an integer of at least 1, got 0"),
     (["compare", "--config", "{unknown_12}"], "class 12 not present in the dataset"),
     (["sweep", "--unknown-counts", "2", "--config", "{negative_seed}"], "seed must be an integer of at least 0, got -1"),
     (["sweep", "--unknown-counts", "2", "--config", "{per_class_0}"], "per_class must be an integer of at least 1, got 0"),
     (["sweep", "--unknown-counts", "2", "--config", "{per_class_2}"], "known class 0 has 2 rows, too few for val_fraction"),
     (["sweep", "--unknown-counts", "2", "-1", "--config", "{sweep}"],
-     "--unknown-counts must be in [0, 2], the split's unknown classes, got -1"),
+     "--unknown-counts must be an integer of at least 0, got -1"),
     (["sweep", "--unknown-counts", "2", "3", "--config", "{sweep}"],
-     "--unknown-counts must be in [0, 2], the split's unknown classes, got 3"),
+     "--unknown-counts must be at most 2, got 3"),
 ], ids=["compare_missing_config", "sweep_missing_config", "compare_no_seeds", "compare_split_class_missing",
         "sweep_negative_seed", "sweep_no_rows", "sweep_too_few_rows", "sweep_negative_unknown_count",
         "sweep_count_above_the_unknown_classes"])
